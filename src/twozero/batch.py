@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InternalInconsistency
-from .gf import FiniteField, build_field
+from .gf import FiniteField
 from .quadforms import CodeParams, gram_basis
 
 DEFAULT_CHUNK = 1 << 18
@@ -191,65 +192,42 @@ def _class_range(
     return out
 
 
-def _class_worker(args) -> bytes:
-    p, m, k, modulus_index, primitive_index, start, stop, chunk = args
-    from .quadforms import classify_parameters
-
-    field = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
-    params = classify_parameters(p, m, k)
-    return _class_range(field, params, start, stop, chunk).tobytes()
-
-
-_CLASS_CACHE: dict[tuple, np.ndarray] = {}
-_CLASS_CACHE_SLOTS = 4
-
-
 def t_class_data(
     field: FiniteField,
     params: CodeParams,
     *,
     chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
+    budget: int | None = None,
 ) -> np.ndarray:
     """(rank, sign) class code of T for every pair, as a uint8 array.
 
     The only pair allowed outside the rank trichotomy is (0, 0), whose zero
-    form gets the dedicated class 6; any other violation aborts.  Results
-    are memoized per (field, params, workers), since several censuses share
-    the same pass.
+    form gets the dedicated class 6; any other violation aborts.  More than
+    budget pairs (None: the default pair budget) is refused, before any
+    reuse.  The array is memoized on the field per params, since several
+    censuses share the same pass; with workers > 1 the pair range is split
+    over a process pool that receives the field itself.
     """
-    cache_key = (id(field), field.modulus.coeffs, field.primitive_element, params, workers)
-    cached = _CLASS_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    total = params.pairs
-    if workers > 1:
-        bounds = [total * w // workers for w in range(workers + 1)]
-        jobs = [
-            (
-                field.p,
-                field.m,
-                params.k,
-                getattr(field, "modulus_index", 0),
-                getattr(field, "primitive_index", 0),
-                bounds[w],
-                bounds[w + 1],
-                chunk,
-            )
-            for w in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_class_worker, jobs))
-        cls = np.frombuffer(b"".join(parts), np.uint8).copy()
-    else:
-        cls = _class_range(field, params, 0, total, chunk)
-    bad = np.nonzero(cls >= 6)[0]
-    if bad.size != 1 or bad[0] != 0 or cls[0] != 6:
-        raise InternalInconsistency("rank trichotomy violated outside the zero pair")
-    if len(_CLASS_CACHE) >= _CLASS_CACHE_SLOTS:
-        _CLASS_CACHE.pop(next(iter(_CLASS_CACHE)))
-    _CLASS_CACHE[cache_key] = cls
-    return cls
+    params.check_pair_budget(budget)
+
+    def compute() -> np.ndarray:
+        if workers > 1:
+            bounds = [params.pairs * w // workers for w in range(workers + 1)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = pool.map(
+                    _class_range,
+                    repeat(field), repeat(params), bounds[:-1], bounds[1:], repeat(chunk),
+                )
+                cls = np.concatenate(list(parts))
+        else:
+            cls = _class_range(field, params, 0, params.pairs, chunk)
+        bad = np.nonzero(cls >= 6)[0]
+        if bad.size != 1 or bad[0] != 0 or cls[0] != 6:
+            raise InternalInconsistency("rank trichotomy violated outside the zero pair")
+        return cls
+
+    return field.memoized(("t_class_data", params), compute)
 
 
 def class_histogram(cls: np.ndarray) -> list[int]:
@@ -273,14 +251,12 @@ def joint_histogram(
     cls: np.ndarray,
     *,
     chunk: int = DEFAULT_CHUNK,
-    workers: int = 1,
 ) -> list[int]:
     """Counts of pairs by (class of f, class of g), flattened 7x7.
 
     The class of g at (alpha, beta) is the class of f at the twisted pair,
     so this is a gather of cls at a permuted index.
     """
-    del workers  # the gather pass is memory-bound; chunking suffices
     pa, pb = twist_permutations(field, params)
     order = field.order
     counts = np.zeros(49, np.int64)
@@ -331,15 +307,6 @@ def _weight_hist_range(field: FiniteField, us, ws, beta_lo: int, beta_hi: int) -
     return hist
 
 
-def _weight_worker(args) -> list[int]:
-    p, m, k, modulus_index, primitive_index, beta_lo, beta_hi = args
-    from .codes import build_code
-
-    code = build_code(p, m, k, modulus_index=modulus_index, primitive_index=primitive_index)
-    hist = _weight_hist_range(code.field, code.u_codes, code.w_codes, beta_lo, beta_hi)
-    return [int(h) for h in hist]
-
-
 def brute_weight_histogram(code, *, workers: int = 1) -> list[int]:
     """Weight histogram over all pairs by direct coordinate counting.
 
@@ -350,20 +317,12 @@ def brute_weight_histogram(code, *, workers: int = 1) -> list[int]:
     field = code.field
     if workers > 1:
         bounds = [field.order * w // workers for w in range(workers + 1)]
-        jobs = [
-            (
-                field.p,
-                field.m,
-                code.params.k,
-                getattr(field, "modulus_index", 0),
-                getattr(field, "primitive_index", 0),
-                bounds[w],
-                bounds[w + 1],
-            )
-            for w in range(workers)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_weight_worker, jobs))
-        return [sum(col) for col in zip(*parts)]
-    hist = _weight_hist_range(field, code.u_codes, code.w_codes, 0, field.order)
+            parts = pool.map(
+                _weight_hist_range,
+                repeat(field), repeat(code.u_codes), repeat(code.w_codes), bounds[:-1], bounds[1:],
+            )
+            hist = sum(parts)
+    else:
+        hist = _weight_hist_range(field, code.u_codes, code.w_codes, 0, field.order)
     return [int(h) for h in hist]

@@ -47,7 +47,8 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _distribution_document(params, code, engine: str, dist) -> dict:
+def _header(params) -> dict:
+    """The leading keys shared by the weights, sums and census documents."""
     return {
         "p": params.p,
         "m": params.m,
@@ -55,6 +56,12 @@ def _distribution_document(params, code, engine: str, dist) -> dict:
         "d": params.d,
         "s": params.s,
         "case": params.case.value,
+    }
+
+
+def _distribution_document(params, code, engine: str, dist) -> dict:
+    return {
+        **_header(params),
         "n": code.n,
         "dimension": code.dimension,
         "engine": engine,
@@ -196,23 +203,17 @@ def cmd_sums(args) -> int:
     params = classify_parameters(args.p, args.m, args.k)
     field = build_field(args.p, args.m, modulus_index=args.modulus_index)
     which, engine = args.sum, args.engine
-    kwargs = {"budget": args.budget} if args.budget is not None else {}
     if engine == "closed":
         dist = t_distribution_closed(params) if which == "T" else s_distribution_closed(params)
         rows = _sum_rows_symbolic(dist)
     elif engine == "fast":
         fn = t_census_fast if which == "T" else s_census_fast
-        rows = _sum_rows_symbolic(fn(field, params, workers=args.workers, **kwargs))
+        rows = _sum_rows_symbolic(fn(field, params, budget=args.budget, workers=args.workers))
     else:
         fn = t_census_direct if which == "T" else s_census_direct
-        rows = _sum_rows_cyclotomic(fn(field, params, **kwargs))
+        rows = _sum_rows_cyclotomic(fn(field, params, budget=args.budget))
     doc = {
-        "p": params.p,
-        "m": params.m,
-        "k": params.k,
-        "d": params.d,
-        "s": params.s,
-        "case": params.case.value,
+        **_header(params),
         "sum": which,
         "engine": engine,
         "rows": rows,
@@ -237,16 +238,10 @@ def cmd_sums(args) -> int:
 def cmd_census(args) -> int:
     params = classify_parameters(args.p, args.m, args.k)
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
-    kwargs = {"budget": args.budget} if args.budget is not None else {}
-    census = rank_census(code.field, params, workers=args.workers, **kwargs)
+    census = rank_census(code.field, params, budget=args.budget, workers=args.workers)
     closed = closed_rank_census(params)
     doc = {
-        "p": params.p,
-        "m": params.m,
-        "k": params.k,
-        "d": params.d,
-        "s": params.s,
-        "case": params.case.value,
+        **_header(params),
         "pairs": params.pairs - 1,
         "census": {"n0": census.n0, "n1": census.n1, "n2": census.n2},
         "closed": {"n0": closed.n0, "n1": closed.n1, "n2": closed.n2},
@@ -280,12 +275,8 @@ CHECK_NAMES = (
 )
 
 
-def _budget_kwargs(args) -> dict:
-    return {"budget": args.budget} if args.budget is not None else {}
-
-
 def _check_rank_census(code, args) -> list[tuple[str, bool, str]]:
-    census = rank_census(code.field, code.params, workers=args.workers, **_budget_kwargs(args))
+    census = rank_census(code.field, code.params, budget=args.budget, workers=args.workers)
     closed = closed_rank_census(code.params)
     ok = census == closed
     return [
@@ -299,34 +290,34 @@ def _check_rank_census(code, args) -> list[tuple[str, bool, str]]:
 
 
 def _check_t_census(code, args) -> list[tuple[str, bool, str]]:
-    dist = t_census_fast(code.field, code.params, workers=args.workers, **_budget_kwargs(args))
+    dist = t_census_fast(code.field, code.params, budget=args.budget, workers=args.workers)
     closed = t_distribution_closed(code.params)
     ok = dist == closed
     return [("t-census", ok, f"{len(dist.rows)} distinct values over {dist.total} pairs")]
 
 
 def _check_s_census(code, args) -> list[tuple[str, bool, str]]:
-    dist = s_census_fast(code.field, code.params, workers=args.workers, **_budget_kwargs(args))
+    dist = s_census_fast(code.field, code.params, budget=args.budget, workers=args.workers)
     closed = s_distribution_closed(code.params)
     ok = dist == closed
     return [("s-census", ok, f"{len(dist.rows)} distinct values over {dist.total} pairs")]
 
 
 def _check_e1(code, args) -> list[tuple[str, bool, str]]:
-    brute = count_e1(code.field, code.params, "brute", **_budget_kwargs(args))
+    brute = count_e1(code.field, code.params, "brute", budget=args.budget)
     closed = count_e1(code.field, code.params, "closed")
     return [("e1", brute == closed, f"brute {brute}, closed {closed}")]
 
 
 def _check_e2(code, args) -> list[tuple[str, bool, str]]:
-    brute = count_e2(code.field, code.params, "brute", **_budget_kwargs(args))
+    brute = count_e2(code.field, code.params, "brute", budget=args.budget)
     closed = count_e2(code.field, code.params, "closed")
     return [("e2", brute == closed, f"brute {brute}, closed {closed}")]
 
 
 def _check_identities(code, args) -> list[tuple[str, bool, str]]:
     checks: list[IdentityCheck] = verify_power_identities(
-        code.field, code.params, workers=args.workers, **_budget_kwargs(args)
+        code.field, code.params, budget=args.budget, workers=args.workers
     )
     return [
         (f"identity: {c.name}", c.passed, f"lhs = {c.lhs}, rhs = {c.rhs}") for c in checks
@@ -339,7 +330,9 @@ def _check_max_rank(code, args) -> list[tuple[str, bool, str]]:
 
     if code.params.case is Case.ODD_S_OUT_OF_SCOPE:
         raise Refusal("the max-rank property applies to CaseA/CaseB only")
-    joint = joint_class_census(code.field, code.params, workers=args.workers)
+    joint = joint_class_census(
+        code.field, code.params, budget=args.budget, workers=args.workers
+    )
     bad = sum(
         count
         for (cf, cg), count in joint.items()
@@ -414,13 +407,19 @@ def cmd_verify(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+ALL_FORMATS = ("json", "csv", "markdown")
+
+
+def _add_common(
+    parser: argparse.ArgumentParser, formats: tuple[str, ...], default_format: str
+) -> None:
+    """Arguments shared by every subcommand; formats are the ones it can print."""
     parser.add_argument("p", type=int, help="odd prime")
     parser.add_argument("m", type=int, help="extension degree")
     parser.add_argument("k", type=int, help="exponent parameter")
     parser.add_argument(
-        "--format", choices=("json", "csv", "markdown"), default="json",
-        help="output format (default json)",
+        "--format", choices=formats, default=default_format,
+        help=f"output format (default {default_format})",
     )
     parser.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
     parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
@@ -443,12 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="derived parameters and code polynomials")
-    _add_common(p_analyze)
+    _add_common(p_analyze, ("json", "markdown"), "markdown")
     p_analyze.set_defaults(func=cmd_analyze)
-    p_analyze.set_defaults(format="markdown")
 
     p_weights = sub.add_parser("weights", help="weight distribution by chosen engines")
-    _add_common(p_weights)
+    _add_common(p_weights, ALL_FORMATS, "json")
     p_weights.add_argument(
         "--engines", default="closed",
         help="comma-separated subset of brute,sums,closed (default closed)",
@@ -456,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_weights.set_defaults(func=cmd_weights)
 
     p_sums = sub.add_parser("sums", help="value census of T or S")
-    _add_common(p_sums)
+    _add_common(p_sums, ALL_FORMATS, "json")
     p_sums.add_argument("--sum", choices=("T", "S"), default="S", help="which sum (default S)")
     p_sums.add_argument(
         "--engine", choices=("direct", "fast", "closed"), default="fast",
@@ -465,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sums.set_defaults(func=cmd_sums)
 
     p_verify = sub.add_parser("verify", help="consistency checks: censuses vs closed forms, counts, identities")
-    _add_common(p_verify)
+    _add_common(p_verify, ("markdown",), "markdown")
     p_verify.add_argument(
         "--checks", default=None,
         help=f"comma-separated subset of {','.join(CHECK_NAMES)} (default: all in budget)",
@@ -473,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_census = sub.add_parser("census", help="exhaustive rank census vs closed forms")
-    _add_common(p_census)
+    _add_common(p_census, ("json", "markdown"), "json")
     p_census.set_defaults(func=cmd_census)
 
     return parser

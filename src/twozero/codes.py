@@ -41,7 +41,6 @@ from .gf import FiniteField, Polynomial, build_field
 from .quadforms import Case, CodeParams, classify_parameters
 
 DEFAULT_BRUTE_BUDGET = 400_000_000   # coordinate checks, p**(2m) * n
-DEFAULT_SUMS_BUDGET = 50_000_000     # pairs, p**(2m)
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,6 @@ def build_code(
     """
     params = classify_parameters(p, m, k)
     field = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
-    field.modulus_index = modulus_index
-    field.primitive_index = primitive_index
     pi = field.primitive_element
     n = field.n
 
@@ -198,7 +195,7 @@ def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
 
     Evaluates all 2(p-1) constituent values T(u alpha, u beta) and
     T(u pi**e alpha, -u pi beta) through the fast path, sums them, asserts
-    the总 aggregate is rational, and applies
+    the aggregate is rational, and applies
     weight = p**m - p**(m-1) - (sum)/(2p).
     """
     from .expsums import s_fast
@@ -221,10 +218,11 @@ def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
 
 
 def weight_distribution_brute(
-    code: CyclicCode, *, budget: int = DEFAULT_BRUTE_BUDGET, workers: int = 1
+    code: CyclicCode, *, budget: int | None = None, workers: int = 1
 ) -> WeightDistribution:
     """Exact census of codeword weights over all pairs (vectorized)."""
     checks = code.params.pairs * code.n
+    budget = DEFAULT_BRUTE_BUDGET if budget is None else budget
     if checks > budget:
         raise BudgetExceeded(
             f"brute enumeration needs {checks} coordinate checks > budget {budget}"
@@ -267,7 +265,7 @@ def _u_sum_table(code: CyclicCode) -> list[tuple[int, int]]:
 
 
 def weight_distribution_sums(
-    code: CyclicCode, *, budget: int = DEFAULT_SUMS_BUDGET, workers: int = 1
+    code: CyclicCode, *, budget: int | None = None, workers: int = 1
 ) -> WeightDistribution:
     """Weight distribution through the exponential-sum formula.
 
@@ -278,9 +276,7 @@ def weight_distribution_sums(
     would falsify the weight formula itself.
     """
     params = code.params
-    if params.pairs > budget:
-        raise BudgetExceeded(f"sums engine needs {params.pairs} pairs > budget {budget}")
-    joint = joint_class_census(code.field, params, workers=workers)
+    joint = joint_class_census(code.field, params, budget=budget, workers=workers)
     usum = _u_sum_table(code)
     p = params.p
     base = p**params.m - p ** (params.m - 1)
@@ -382,11 +378,9 @@ def run_engine(
     workers: int = 1,
 ) -> WeightDistribution:
     if engine == "brute":
-        kwargs = {"budget": budget} if budget is not None else {}
-        return weight_distribution_brute(code, workers=workers, **kwargs)
+        return weight_distribution_brute(code, budget=budget, workers=workers)
     if engine == "sums":
-        kwargs = {"budget": budget} if budget is not None else {}
-        return weight_distribution_sums(code, workers=workers, **kwargs)
+        return weight_distribution_sums(code, budget=budget, workers=workers)
     if engine == "closed":
         return weight_distribution_closed(code)
     raise UnsupportedCase(f"unknown engine {engine!r}")

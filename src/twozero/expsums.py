@@ -45,7 +45,6 @@ from .quadforms import (
 )
 
 DEFAULT_DIRECT_BUDGET = 20_000_000   # p**(3m) terms for direct censuses
-DEFAULT_PAIR_BUDGET = 50_000_000     # p**(2m) pairs for fast censuses
 DEFAULT_E1_BUDGET = 50_000_000       # (x, y) pairs
 DEFAULT_E2_BUDGET = 1_000_000        # (x, y, z) triples (p**m <= 100 or so)
 
@@ -537,10 +536,11 @@ def s_distribution_closed(params: CodeParams) -> ValueDistribution:
 
 
 def t_census_direct(
-    field: FiniteField, params: CodeParams, *, budget: int = DEFAULT_DIRECT_BUDGET
+    field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
     """Census of T over all pairs by direct enumeration (p**(3m) terms)."""
     terms = params.pairs * field.order
+    budget = DEFAULT_DIRECT_BUDGET if budget is None else budget
     if terms > budget:
         raise BudgetExceeded(f"direct T census needs {terms} terms > budget {budget}")
     out: dict[CyclotomicInteger, int] = {}
@@ -552,10 +552,11 @@ def t_census_direct(
 
 
 def s_census_direct(
-    field: FiniteField, params: CodeParams, *, budget: int = DEFAULT_DIRECT_BUDGET
+    field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
     """Census of S over all pairs by direct enumeration (2 p**(3m) terms)."""
     terms = 2 * params.pairs * field.order
+    budget = DEFAULT_DIRECT_BUDGET if budget is None else budget
     if terms > budget:
         raise BudgetExceeded(f"direct S census needs {terms} terms > budget {budget}")
     out: dict[CyclotomicInteger, int] = {}
@@ -578,15 +579,14 @@ def t_census_fast(
     field: FiniteField,
     params: CodeParams,
     *,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int | None = None,
     workers: int = 1,
 ) -> ValueDistribution:
     """Census of T over all pairs through the vectorized Gram kernel."""
-    if params.pairs > budget:
-        raise BudgetExceeded(f"fast T census needs {params.pairs} pairs > budget {budget}")
     from . import batch
 
-    hist = batch.class_histogram(batch.t_class_data(field, params, workers=workers))
+    cls = batch.t_class_data(field, params, workers=workers, budget=budget)
+    hist = batch.class_histogram(cls)
     rows = [(_class_value(params, c), hist[c]) for c in range(7) if hist[c]]
     return ValueDistribution.from_pairs(rows)
 
@@ -595,13 +595,11 @@ def s_census_fast(
     field: FiniteField,
     params: CodeParams,
     *,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int | None = None,
     workers: int = 1,
 ) -> ValueDistribution:
     """Census of S over all pairs by joining the T class data with its twist."""
-    if params.pairs > budget:
-        raise BudgetExceeded(f"fast S census needs {params.pairs} pairs > budget {budget}")
-    joint = joint_class_census(field, params, workers=workers)
+    joint = joint_class_census(field, params, budget=budget, workers=workers)
     rows = []
     for (cf, cg), count in joint.items():
         rows.append((_class_value(params, cf) + _class_value(params, cg), count))
@@ -609,13 +607,13 @@ def s_census_fast(
 
 
 def joint_class_census(
-    field: FiniteField, params: CodeParams, *, workers: int = 1
+    field: FiniteField, params: CodeParams, *, budget: int | None = None, workers: int = 1
 ) -> dict[tuple[int, int], int]:
     """Counts of pairs by (class of f, class of g), classes as in the batch kernel."""
     from . import batch
 
-    cls = batch.t_class_data(field, params, workers=workers)
-    counts = batch.joint_histogram(field, params, cls, workers=workers)
+    cls = batch.t_class_data(field, params, workers=workers, budget=budget)
+    counts = batch.joint_histogram(field, params, cls)
     return {
         (cf, cg): counts[cf * 7 + cg]
         for cf in range(7)
@@ -632,7 +630,7 @@ def count_e1(
     params: CodeParams,
     mode: str = "closed",
     *,
-    budget: int = DEFAULT_E1_BUDGET,
+    budget: int | None = None,
 ) -> int:
     """Solutions (x, y) of x**2 + y**2 = 0 and x**(p**k+1) + y**(p**k+1) = 0.
 
@@ -649,6 +647,7 @@ def count_e1(
         raise UnsupportedCase(f"no closed E1 for case {params.case}")
     if mode != "brute":
         raise ParameterError(f"unknown mode {mode!r}")
+    budget = DEFAULT_E1_BUDGET if budget is None else budget
     if params.pairs > budget:
         raise BudgetExceeded(f"E1 brute force needs {params.pairs} pairs > budget {budget}")
     pk1 = p**k + 1
@@ -669,7 +668,7 @@ def count_e2(
     params: CodeParams,
     mode: str = "closed",
     *,
-    budget: int = DEFAULT_E2_BUDGET,
+    budget: int | None = None,
 ) -> int:
     """Solutions (x, y, z) of x**2 + y**2 - pi z**2 = 0 and
     x**(p**k+1) + y**(p**k+1) + pi**((p**k+1)/2) z**(p**k+1) = 0.
@@ -685,6 +684,7 @@ def count_e2(
     if mode != "brute":
         raise ParameterError(f"unknown mode {mode!r}")
     triples = params.pairs * field.order
+    budget = DEFAULT_E2_BUDGET if budget is None else budget
     if triples > budget:
         raise BudgetExceeded(f"E2 brute force needs {triples} triples > budget {budget}")
     pk1 = p**k + 1
@@ -790,10 +790,7 @@ def verify_power_identities(
 
     sums: dict[tuple[int, str], tuple[int, int]] = {}
     if mode == "fast":
-        pair_budget = budget if budget is not None else DEFAULT_PAIR_BUDGET
-        if params.pairs > pair_budget:
-            raise BudgetExceeded(f"identity check needs {params.pairs} pairs > {pair_budget}")
-        joint = joint_class_census(field, params, workers=workers)
+        joint = joint_class_census(field, params, budget=budget, workers=workers)
         for (cf, cg), count in joint.items():
             va, vb = (_class_value(params, cf) + _class_value(params, cg)).expanded()
             regions = ["all"]

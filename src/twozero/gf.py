@@ -16,8 +16,7 @@ valuation used by the parameter case split.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .errors import (
     DegreeTooLarge,
@@ -30,6 +29,8 @@ from .errors import (
 )
 
 DEFAULT_TABLE_BUDGET = 1 << 24
+
+T = TypeVar("T")
 
 
 def v2(j: int) -> int:
@@ -253,8 +254,10 @@ class FiniteField:
     """GF(p**m) with a fixed modulus, primitive element and eager tables.
 
     Construct through :func:`build_field`.  All arithmetic is on integer
-    codes; instances are immutable after construction and safe to share
-    across workers.
+    codes; the tables are immutable after construction.  Derived tables
+    (subfield traces, subfield codes, per-pair class data) are memoized on
+    the instance, so they live exactly as long as the field.  A pickled
+    field (as shipped to pool workers) carries its tables but not its memo.
     """
 
     def __init__(self, p: int, m: int, modulus: Polynomial, primitive: int) -> None:
@@ -295,6 +298,16 @@ class FiniteField:
             tr[a] = acc
         self.trace_table = tr
         self._frob = frob
+        self._memo: dict = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_memo": {}}
+
+    def memoized(self, key, compute: Callable[[], T]) -> T:
+        """compute(), evaluated once per key for this field."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- basic element arithmetic on codes ---------------------------------
 
@@ -391,21 +404,24 @@ class FiniteField:
             acc = self.add(acc, t)
         return acc
 
-    @lru_cache(maxsize=None)
     def trace_to_table(self, d: int) -> tuple[int, ...]:
         """Tr_d^m for every code, as a flat tuple."""
-        if d == 1:
-            return tuple(self.trace_table)
-        return tuple(self.trace(a, d) for a in range(self.order))
+        return self.memoized(
+            ("trace_to_table", d),
+            lambda: tuple(self.trace(a, d) for a in range(self.order)),
+        )
 
-    @lru_cache(maxsize=None)
     def subfield(self, d: int) -> tuple[int, ...]:
         """Sorted codes of the subfield GF(p**d) inside this field."""
         if d < 1 or self.m % d:
             raise NotADivisor(f"d={d} does not divide m={self.m}")
-        step = self.n // (self.p**d - 1)
-        codes = {0} | {self.exp[(j * step) % self.n] for j in range(self.p**d - 1)}
-        return tuple(sorted(codes))
+
+        def codes() -> tuple[int, ...]:
+            step = self.n // (self.p**d - 1)
+            found = {0} | {self.exp[(j * step) % self.n] for j in range(self.p**d - 1)}
+            return tuple(sorted(found))
+
+        return self.memoized(("subfield", d), codes)
 
     def in_subfield(self, a: int, d: int) -> bool:
         if a == 0:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gf import FiniteField, is_prime, v2
 
-DEFAULT_PAIR_BUDGET = 50_000_000
+PAIR_BUDGET = 50_000_000  # default limit on p**(2m) for every pass over all pairs
 
 
 class Case(str, Enum):
@@ -80,6 +80,15 @@ class CodeParams:
     @property
     def has_closed_forms(self) -> bool:
         return self.case is not Case.ODD_S_OUT_OF_SCOPE
+
+    def check_pair_budget(self, budget: int | None) -> None:
+        """Refuse a pass over all pairs when p**(2m) exceeds the budget.
+
+        budget=None means the default :data:`PAIR_BUDGET`.
+        """
+        limit = PAIR_BUDGET if budget is None else budget
+        if self.pairs > limit:
+            raise BudgetExceeded(f"pair pass needs {self.pairs} pairs > budget {limit}")
 
 
 def classify_parameters(p: int, m: int, k: int) -> CodeParams:
@@ -230,7 +239,7 @@ def rank_census(
     field: FiniteField,
     params: CodeParams,
     *,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int | None = None,
     workers: int = 1,
     method: str = "gram",
 ) -> RankCensus:
@@ -238,14 +247,12 @@ def rank_census(
 
     method="gram" uses the vectorized Gram-rank kernel; method="phi" walks
     every pair through the scalar phi-nullity path (small fields only).
+    Both refuse more than budget pairs (None: the default pair budget).
     The result must equal :func:`closed_rank_census`; the comparison is the
     caller's (test suite / verify command) job.
     """
-    if params.pairs > budget:
-        raise BudgetExceeded(
-            f"rank census needs {params.pairs} pairs > budget {budget}"
-        )
     if method == "phi":
+        params.check_pair_budget(budget)
         counts = {params.s: 0, params.s - 1: 0, params.s - 2: 0}
         order = field.order
         for alpha in range(order):
@@ -258,7 +265,7 @@ def rank_census(
         )
     from . import batch
 
-    cls = batch.t_class_data(field, params, workers=workers)
+    cls = batch.t_class_data(field, params, workers=workers, budget=budget)
     hist = batch.class_histogram(cls)
     n0 = hist[0] + hist[1]
     n1 = hist[2] + hist[3]

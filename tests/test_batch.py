@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import numpy as np
 
-from twozero import build_field
+from twozero import build_code, build_field
 from twozero.batch import (
     batched_rank_disc,
     brute_weight_histogram,
@@ -96,10 +98,30 @@ class TestClassData:
                 expected = t_fast(field341, params341, a, b)
                 assert _class_value(params341, int(cls[a * 81 + b])) == expected
 
-    def test_workers_equivalence(self, field341, params341):
-        one = t_class_data(field341, params341, workers=1)
-        two = t_class_data(field341, params341, workers=2)
-        assert np.array_equal(one, two)
+    def test_workers_equivalence(self, params341):
+        # Fresh fields per call: the memo would hand a second call on the same
+        # field the first call's array.  Non-default fields catch a pool that
+        # rebuilds the default field instead of using the one it was given.
+        for choice in ({"modulus_index": 1}, {"primitive_index": 1}):
+            one = t_class_data(build_field(3, 4, **choice), params341, workers=1)
+            two = t_class_data(build_field(3, 4, **choice), params341, workers=2)
+            assert np.array_equal(one, two), choice
+
+    def test_memoized_on_the_field(self, params341):
+        field = build_field(3, 4)
+        first = t_class_data(field, params341)
+        assert t_class_data(field, params341, workers=2) is first
+        assert t_class_data(build_field(3, 4), params341) is not first
+
+    def test_field_dies_with_its_memo(self, params341):
+        field = build_field(3, 4)
+        field.trace_to_table(2)
+        field.subfield(2)
+        t_class_data(field, params341)
+        ref = weakref.ref(field)
+        del field
+        gc.collect()
+        assert ref() is None
 
     def test_zero_pair_only_special_class(self, field341, params341):
         cls = t_class_data(field341, params341)
@@ -126,8 +148,10 @@ class TestBruteHistogram:
                 scalar[codeword_weight(code341, a, b)] += 1
         assert hist == scalar
 
-    def test_workers_equivalence(self, code341):
-        assert brute_weight_histogram(code341, workers=2) == brute_weight_histogram(code341)
+    def test_workers_equivalence(self):
+        for choice in ({"modulus_index": 1}, {"primitive_index": 1}):
+            two = brute_weight_histogram(build_code(3, 4, 1, **choice), workers=2)
+            assert two == brute_weight_histogram(build_code(3, 4, 1, **choice)), choice
 
     def test_trace_rows_shape(self, field341, code341):
         rows = trace_rows(field341, code341.u_codes[:10])

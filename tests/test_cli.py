@@ -149,3 +149,47 @@ class TestVerify:
 
     def test_unknown_check_exits_2(self):
         assert run_cli("verify", 3, 4, 1, "--checks", "nonsense").returncode == 2
+
+    def test_max_rank_respects_budget(self):
+        proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 1000)
+        assert proc.returncode == 3
+        assert "refused" in proc.stderr
+
+
+class TestModulusAndWorkers:
+    """Output must not depend on the modulus or on how the pair space is split."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sums", 3, 4, 1, "--sum", "S", "--engine", "fast"),
+            ("sums", 3, 4, 1, "--sum", "T", "--engine", "fast"),
+            ("weights", 3, 4, 1, "--engines", "brute,sums"),
+            ("census", 3, 4, 1),
+            ("verify", 3, 4, 1),
+        ],
+        ids=lambda args: "-".join(str(a) for a in args),
+    )
+    def test_index_1_two_workers_prints_index_0_output(self, args):
+        base = run_cli(*args, "--modulus-index", 0, "--workers", 1)
+        other = run_cli(*args, "--modulus-index", 1, "--workers", 2)
+        assert base.returncode == other.returncode == 0, base.stderr + other.stderr
+        assert other.stdout == base.stdout
+
+
+class TestFormats:
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [("verify", "json"), ("verify", "csv"), ("census", "csv"), ("analyze", "csv")],
+    )
+    def test_unsupported_format_exits_2(self, command, fmt):
+        proc = run_cli(command, 3, 4, 1, "--format", fmt)
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr
+        assert not proc.stdout
+
+    def test_verify_text_layout_is_its_default(self):
+        args = ("verify", 3, 4, 1, "--checks", "e1")
+        proc = run_cli(*args, "--format", "markdown")
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(*args).stdout
