@@ -1,4 +1,4 @@
-"""Vectorized enumeration kernels over the full (alpha, beta) pair space.
+"""Vectorized class and weight kernels over orbit representatives of the pairs.
 
 Everything here is exact integer work in numpy: subfield arithmetic becomes
 table gathers, the Gram matrix of every pair in a chunk is assembled from
@@ -8,16 +8,29 @@ Scalar reference implementations of the same operations live in quadforms
 and expsums; the test suite checks the two routes against each other
 exhaustively on small fields.
 
-Pair indexing convention: pair_index = alpha_code * p**m + beta_code.
+Representatives.  The substitution x -> c x (c in GF(p**m)*) sends
+(alpha, beta) to (alpha c**(p**k+1), beta c**2).  It keeps the class of f,
+commutes with the twist (so keeps the class of g), and for c = pi**j it
+shifts the codeword cyclically by 2j (so keeps the weight).  Every census
+therefore runs over the 3 p**m representatives (alpha, beta0), alpha over
+the whole field and beta0 in {0, 1, pi}, in that row order (index =
+row * p**m + alpha_code, so (0, 0) is index 0):
+
+* the beta0 = 0 row stands for itself, weight 1 per pair;
+* a pair with beta != 0 goes to the row whose beta0 (1, or the nonsquare
+  pi) has the quadratic character of beta, by exactly the two c = +-c0
+  with c**2 = beta0 / beta; -1 acts trivially because p**k + 1 is even,
+  so each representative of these rows stands for (p**m - 1) / 2 pairs.
+
+The weights sum to p**m + p**m (p**m - 1) = p**(2m).
+
 Class codes: cls = (s - rank) * 2 + (0 if eps == +1 else 1) for nonzero
 pairs (so 0..5 by the rank trichotomy) and 6 for the zero pair.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -165,31 +178,47 @@ def _gram_entry_tables(field: FiniteField, params: CodeParams, tabs: SubfieldTab
     return entries
 
 
-def _class_range(
-    field: FiniteField, params: CodeParams, start: int, stop: int, chunk: int
+def pair_classes(
+    field: FiniteField,
+    params: CodeParams,
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    *,
+    chunk: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
-    """Class codes for pair indices [start, stop)."""
+    """Class code of f at each pair (alphas[i], betas[i]), as a uint8 array."""
     tabs = subfield_tables(field, params.d)
     entries = _gram_entry_tables(field, params, tabs)
     s = params.s
-    order = field.order
-    out = np.empty(stop - start, np.uint8)
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        alphas = (idx // order).astype(np.int64)
-        betas = (idx % order).astype(np.int64)
-        mats = np.empty((hi - lo, s, s), np.uint8)
+    out = np.empty(alphas.size, np.uint8)
+    for lo in range(0, alphas.size, chunk):
+        a = alphas[lo : lo + chunk]
+        b = betas[lo : lo + chunk]
+        mats = np.empty((a.size, s, s), np.uint8)
         for i, j, tu, tv in entries:
-            vals = tabs.add[tu[alphas], tv[betas]]
+            vals = tabs.add[tu[a], tv[b]]
             mats[:, i, j] = vals
             if i != j:
                 mats[:, j, i] = vals
         rank, disc = batched_rank_disc(mats, tabs)
         deficiency = s - rank.astype(np.int16)
-        cls = (np.minimum(deficiency, 3) * 2 + (disc < 0)).astype(np.uint8)
-        out[lo - start : hi - start] = cls
+        out[lo : lo + a.size] = np.minimum(deficiency, 3) * 2 + (disc < 0)
     return out
+
+
+def representative_rows(field: FiniteField) -> tuple[tuple[int, int], ...]:
+    """(beta0, pairs per representative) of the three representative rows."""
+    half = field.n // 2
+    return ((0, 1), (1, half), (field.primitive_element, half))
+
+
+@dataclass(frozen=True, eq=False)
+class ClassData:
+    """Classes of f and g at every representative, and the pairs each stands for."""
+
+    f: np.ndarray       # (3 p**m,) uint8 class code of f
+    g: np.ndarray       # (3 p**m,) uint8 class code of g (f at the twisted pair)
+    weight: np.ndarray  # (3 p**m,) int64 orbit size; sums to p**(2m)
 
 
 def t_class_data(
@@ -197,42 +226,48 @@ def t_class_data(
     params: CodeParams,
     *,
     chunk: int = DEFAULT_CHUNK,
-    workers: int = 1,
     budget: int | None = None,
-) -> np.ndarray:
-    """(rank, sign) class code of T for every pair, as a uint8 array.
+) -> ClassData:
+    """Classes of f and g at every representative pair, with orbit weights.
 
-    The only pair allowed outside the rank trichotomy is (0, 0), whose zero
-    form gets the dedicated class 6; any other violation aborts.  More than
-    budget pairs (None: the default pair budget) is refused, before any
-    reuse.  The array is memoized on the field per params, since several
-    censuses share the same pass; with workers > 1 the pair range is split
-    over a process pool that receives the field itself.
+    The class of g is the kernel run on the twist images of the
+    representatives, since the twist commutes with the orbit action.  The
+    only pair allowed outside the rank trichotomy is (0, 0), whose zero
+    form gets the dedicated class 6; any other violation aborts.  A pass
+    standing for more than budget pairs (None: the default pair budget) is
+    refused, before any reuse.  The result is memoized on the field per
+    params, since several censuses share the same pass.
     """
     params.check_pair_budget(budget)
 
-    def compute() -> np.ndarray:
-        if workers > 1:
-            bounds = [params.pairs * w // workers for w in range(workers + 1)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(
-                    _class_range,
-                    repeat(field), repeat(params), bounds[:-1], bounds[1:], repeat(chunk),
-                )
-                cls = np.concatenate(list(parts))
-        else:
-            cls = _class_range(field, params, 0, params.pairs, chunk)
-        bad = np.nonzero(cls >= 6)[0]
-        if bad.size != 1 or bad[0] != 0 or cls[0] != 6:
-            raise InternalInconsistency("rank trichotomy violated outside the zero pair")
-        return cls
+    def compute() -> ClassData:
+        order = field.order
+        rows = representative_rows(field)
+        alphas = np.tile(np.arange(order, dtype=np.int64), len(rows))
+        betas = np.repeat(np.array([b for b, _ in rows], np.int64), order)
+        weight = np.repeat(np.array([w for _, w in rows], np.int64), order)
+        pa, pb = twist_permutations(field, params)
+        both = pair_classes(
+            field,
+            params,
+            np.concatenate([alphas, pa[alphas]]),
+            np.concatenate([betas, pb[betas]]),
+            chunk=chunk,
+        )
+        data = ClassData(f=both[: alphas.size], g=both[alphas.size :], weight=weight)
+        for cls in (data.f, data.g):
+            if np.flatnonzero(cls >= 6).tolist() != [0] or cls[0] != 6:
+                raise InternalInconsistency("rank trichotomy violated outside the zero pair")
+        return data
 
     return field.memoized(("t_class_data", params), compute)
 
 
-def class_histogram(cls: np.ndarray) -> list[int]:
-    """Counts per class code, as Python ints (length 8)."""
-    return [int(c) for c in np.bincount(cls, minlength=8)]
+def class_histogram(data: ClassData) -> list[int]:
+    """Pairs per class code of f, as Python ints (length 8)."""
+    counts = np.zeros(8, np.int64)
+    np.add.at(counts, data.f, data.weight)
+    return [int(c) for c in counts]
 
 
 def twist_permutations(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -245,84 +280,51 @@ def twist_permutations(field: FiniteField, params: CodeParams) -> tuple[np.ndarr
     return pa, pb
 
 
-def joint_histogram(
-    field: FiniteField,
-    params: CodeParams,
-    cls: np.ndarray,
-    *,
-    chunk: int = DEFAULT_CHUNK,
-) -> list[int]:
-    """Counts of pairs by (class of f, class of g), flattened 7x7.
+def joint_histogram(field: FiniteField, params: CodeParams, data: ClassData) -> list[int]:
+    """Pairs by (class of f, class of g), flattened 7x7.
 
-    The class of g at (alpha, beta) is the class of f at the twisted pair,
-    so this is a gather of cls at a permuted index.
+    data is the pass of :func:`t_class_data` for this field and params; its
+    weights must account for all p**(2m) pairs.
     """
-    pa, pb = twist_permutations(field, params)
-    order = field.order
     counts = np.zeros(49, np.int64)
-    for lo in range(0, params.pairs, chunk):
-        hi = min(lo + chunk, params.pairs)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        alphas = idx // order
-        betas = idx % order
-        tw = pa[alphas] * order + pb[betas]
-        joint = cls[lo:hi].astype(np.int64) * 7 + cls[tw]
-        counts += np.bincount(joint, minlength=49)
+    np.add.at(counts, data.f.astype(np.int64) * 7 + data.g, data.weight)
+    if int(counts.sum()) != params.pairs:
+        raise InternalInconsistency(f"class data covers {counts.sum()} of {params.pairs} pairs")
     return [int(c) for c in counts]
 
 
 # -- brute-force codeword weights --------------------------------------------
 
 
-def _mul_column(field: FiniteField, c: int) -> np.ndarray:
-    """mul(a, c) for every code a, vectorized through the log/exp tables."""
-    out = np.zeros(field.order, np.int64)
-    if c:
-        log = np.array(field.log, np.int64)
-        exp = np.array(field.exp, np.int64)
-        lc = field.log[c]
-        nz = np.arange(1, field.order)
-        out[nz] = exp[(log[nz] + lc) % field.n]
-    return out
-
-
 def trace_rows(field: FiniteField, codes: list[int]) -> np.ndarray:
     """(order, len(codes)) uint8 matrix of Tr_1^m(a * codes[i])."""
-    tr = np.array(field.trace_table, np.uint8)
-    out = np.empty((field.order, len(codes)), np.uint8)
-    for i, c in enumerate(codes):
-        out[:, i] = tr[_mul_column(field, c)]
+    log = np.array(field.log, np.int64)
+    trace_of_power = np.array(field.trace_table, np.uint8)[field.exp]  # Tr(pi**j)
+    cs = np.asarray(codes, np.int64)
+    exponents = log[1:, None] + log[cs][None, :]
+    exponents %= field.n
+    out = np.zeros((field.order, cs.size), np.uint8)
+    out[1:] = trace_of_power[exponents]
+    out[:, cs == 0] = 0  # log[0] is a -1 sentinel
     return out
 
 
-def _weight_hist_range(field: FiniteField, us, ws, beta_lo: int, beta_hi: int) -> np.ndarray:
-    n = len(us)
-    ru = trace_rows(field, us)
-    rw = trace_rows(field, ws)
-    neg_rw = (field.p - rw) % field.p
-    hist = np.zeros(n + 1, np.int64)
-    for beta in range(beta_lo, beta_hi):
-        zeros = (ru == neg_rw[beta][None, :]).sum(axis=1)
-        hist += np.bincount(n - zeros, minlength=n + 1)
-    return hist
-
-
-def brute_weight_histogram(code, *, workers: int = 1) -> list[int]:
+def brute_weight_histogram(code) -> list[int]:
     """Weight histogram over all pairs by direct coordinate counting.
 
     Distinct pairs give distinct codewords (the code has dimension 2m), so
-    the pair census is the codeword census.  Work is split over beta; each
-    beta row compares the alpha trace matrix against one broadcast row.
+    the pair census is the codeword census.  Each representative beta0 row
+    compares the alpha trace matrix against one broadcast row, and counts
+    each weight once per pair its representatives stand for.
     """
     field = code.field
-    if workers > 1:
-        bounds = [field.order * w // workers for w in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _weight_hist_range,
-                repeat(field), repeat(code.u_codes), repeat(code.w_codes), bounds[:-1], bounds[1:],
-            )
-            hist = sum(parts)
-    else:
-        hist = _weight_hist_range(field, code.u_codes, code.w_codes, 0, field.order)
+    n = code.n
+    rows = representative_rows(field)
+    ru = trace_rows(field, code.u_codes)
+    rw = trace_rows(field, [beta for beta, _ in rows])[code.w_codes]  # Tr(beta0 w_i)
+    hist = np.zeros(n + 1, np.int64)
+    for r, (_, weight) in enumerate(rows):
+        neg_rw = (field.p - rw[:, r]) % field.p
+        zeros = (ru == neg_rw[None, :]).sum(axis=1)
+        hist += weight * np.bincount(n - zeros, minlength=n + 1)
     return [int(h) for h in hist]

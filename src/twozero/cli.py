@@ -133,7 +133,7 @@ def cmd_weights(args) -> int:
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
     dists = {}
     for engine in engines:
-        dists[engine] = run_engine(code, engine, budget=args.budget, workers=args.workers)
+        dists[engine] = run_engine(code, engine, budget=args.budget)
     documents = [_distribution_document(params, code, e, dists[e]) for e in engines]
     names = sorted(dists)
     disagreements = []
@@ -208,7 +208,7 @@ def cmd_sums(args) -> int:
         rows = _sum_rows_symbolic(dist)
     elif engine == "fast":
         fn = t_census_fast if which == "T" else s_census_fast
-        rows = _sum_rows_symbolic(fn(field, params, budget=args.budget, workers=args.workers))
+        rows = _sum_rows_symbolic(fn(field, params, budget=args.budget))
     else:
         fn = t_census_direct if which == "T" else s_census_direct
         rows = _sum_rows_cyclotomic(fn(field, params, budget=args.budget))
@@ -238,7 +238,7 @@ def cmd_sums(args) -> int:
 def cmd_census(args) -> int:
     params = classify_parameters(args.p, args.m, args.k)
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
-    census = rank_census(code.field, params, budget=args.budget, workers=args.workers)
+    census = rank_census(code.field, params, budget=args.budget)
     closed = closed_rank_census(params)
     doc = {
         **_header(params),
@@ -276,7 +276,7 @@ CHECK_NAMES = (
 
 
 def _check_rank_census(code, args) -> list[tuple[str, bool, str]]:
-    census = rank_census(code.field, code.params, budget=args.budget, workers=args.workers)
+    census = rank_census(code.field, code.params, budget=args.budget)
     closed = closed_rank_census(code.params)
     ok = census == closed
     return [
@@ -290,14 +290,14 @@ def _check_rank_census(code, args) -> list[tuple[str, bool, str]]:
 
 
 def _check_t_census(code, args) -> list[tuple[str, bool, str]]:
-    dist = t_census_fast(code.field, code.params, budget=args.budget, workers=args.workers)
+    dist = t_census_fast(code.field, code.params, budget=args.budget)
     closed = t_distribution_closed(code.params)
     ok = dist == closed
     return [("t-census", ok, f"{len(dist.rows)} distinct values over {dist.total} pairs")]
 
 
 def _check_s_census(code, args) -> list[tuple[str, bool, str]]:
-    dist = s_census_fast(code.field, code.params, budget=args.budget, workers=args.workers)
+    dist = s_census_fast(code.field, code.params, budget=args.budget)
     closed = s_distribution_closed(code.params)
     ok = dist == closed
     return [("s-census", ok, f"{len(dist.rows)} distinct values over {dist.total} pairs")]
@@ -317,7 +317,7 @@ def _check_e2(code, args) -> list[tuple[str, bool, str]]:
 
 def _check_identities(code, args) -> list[tuple[str, bool, str]]:
     checks: list[IdentityCheck] = verify_power_identities(
-        code.field, code.params, budget=args.budget, workers=args.workers
+        code.field, code.params, budget=args.budget
     )
     return [
         (f"identity: {c.name}", c.passed, f"lhs = {c.lhs}, rhs = {c.rhs}") for c in checks
@@ -330,9 +330,7 @@ def _check_max_rank(code, args) -> list[tuple[str, bool, str]]:
 
     if code.params.case is Case.ODD_S_OUT_OF_SCOPE:
         raise Refusal("the max-rank property applies to CaseA/CaseB only")
-    joint = joint_class_census(
-        code.field, code.params, budget=args.budget, workers=args.workers
-    )
+    joint = joint_class_census(code.field, code.params, budget=args.budget)
     bad = sum(
         count
         for (cf, cg), count in joint.items()
@@ -345,7 +343,7 @@ def _check_example(code, args) -> list[tuple[str, bool, str]]:
     dists = {}
     for engine in ENGINES:
         try:
-            dists[engine] = run_engine(code, engine, budget=args.budget, workers=args.workers)
+            dists[engine] = run_engine(code, engine, budget=args.budget)
         except Refusal:
             continue
     if len(dists) < 2:
@@ -422,7 +420,10 @@ def _add_common(
         help=f"output format (default {default_format})",
     )
     parser.add_argument("--output", "-o", default=None, help="write to a file instead of stdout")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; everything runs in one process",
+    )
     parser.add_argument(
         "--budget", type=int, default=None,
         help="enumeration budget override (engine-specific units)",

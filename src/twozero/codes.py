@@ -10,7 +10,8 @@ for i = 0..n-1, so the p**(2m) pairs (alpha, beta) enumerate the code.
 
 Three engines compute the weight distribution:
 
-* brute  -- count nonzero coordinates of every codeword;
+* brute  -- count nonzero coordinates of the codewords of the orbit
+  representatives (see batch), each weighted by its orbit size;
 * sums   -- the weight formula p**m - p**(m-1) - (1/2p) sum over u in GF(p)*
   of S(u alpha, u beta), with every constituent T evaluated through the
   quadratic-form fast path.  The per-case simplifications of the u-sum are
@@ -218,9 +219,13 @@ def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
 
 
 def weight_distribution_brute(
-    code: CyclicCode, *, budget: int | None = None, workers: int = 1
+    code: CyclicCode, *, budget: int | None = None
 ) -> WeightDistribution:
-    """Exact census of codeword weights over all pairs (vectorized)."""
+    """Exact census of codeword weights over all pairs (vectorized).
+
+    The budget counts the p**(2m) * n coordinate checks of every codeword,
+    although the representative pass makes only 3 p**(2m) of them.
+    """
     checks = code.params.pairs * code.n
     budget = DEFAULT_BRUTE_BUDGET if budget is None else budget
     if checks > budget:
@@ -229,7 +234,7 @@ def weight_distribution_brute(
         )
     from . import batch
 
-    hist = batch.brute_weight_histogram(code, workers=workers)
+    hist = batch.brute_weight_histogram(code)
     dist = WeightDistribution.from_counts(
         ((w, f) for w, f in enumerate(hist)), source="brute"
     )
@@ -265,7 +270,7 @@ def _u_sum_table(code: CyclicCode) -> list[tuple[int, int]]:
 
 
 def weight_distribution_sums(
-    code: CyclicCode, *, budget: int | None = None, workers: int = 1
+    code: CyclicCode, *, budget: int | None = None
 ) -> WeightDistribution:
     """Weight distribution through the exponential-sum formula.
 
@@ -276,7 +281,7 @@ def weight_distribution_sums(
     would falsify the weight formula itself.
     """
     params = code.params
-    joint = joint_class_census(code.field, params, budget=budget, workers=workers)
+    joint = joint_class_census(code.field, params, budget=budget)
     usum = _u_sum_table(code)
     p = params.p
     base = p**params.m - p ** (params.m - 1)
@@ -375,12 +380,11 @@ def run_engine(
     engine: str,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> WeightDistribution:
     if engine == "brute":
-        return weight_distribution_brute(code, budget=budget, workers=workers)
+        return weight_distribution_brute(code, budget=budget)
     if engine == "sums":
-        return weight_distribution_sums(code, budget=budget, workers=workers)
+        return weight_distribution_sums(code, budget=budget)
     if engine == "closed":
         return weight_distribution_closed(code)
     raise UnsupportedCase(f"unknown engine {engine!r}")
@@ -391,7 +395,6 @@ def code_report(
     *,
     engines: tuple[str, ...] = ("brute", "sums", "closed"),
     budget: int | None = None,
-    workers: int = 1,
 ) -> dict:
     """Structured summary: parameters, polynomials, distributions, agreement.
 
@@ -404,7 +407,7 @@ def code_report(
     unavailable: dict[str, str] = {}
     for engine in engines:
         try:
-            dists[engine] = run_engine(code, engine, budget=budget, workers=workers)
+            dists[engine] = run_engine(code, engine, budget=budget)
         except (BudgetExceeded, UnsupportedCase) as exc:
             unavailable[engine] = str(exc)
     if not dists:

@@ -580,13 +580,11 @@ def t_census_fast(
     params: CodeParams,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> ValueDistribution:
     """Census of T over all pairs through the vectorized Gram kernel."""
     from . import batch
 
-    cls = batch.t_class_data(field, params, workers=workers, budget=budget)
-    hist = batch.class_histogram(cls)
+    hist = batch.class_histogram(batch.t_class_data(field, params, budget=budget))
     rows = [(_class_value(params, c), hist[c]) for c in range(7) if hist[c]]
     return ValueDistribution.from_pairs(rows)
 
@@ -596,10 +594,9 @@ def s_census_fast(
     params: CodeParams,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> ValueDistribution:
     """Census of S over all pairs by joining the T class data with its twist."""
-    joint = joint_class_census(field, params, budget=budget, workers=workers)
+    joint = joint_class_census(field, params, budget=budget)
     rows = []
     for (cf, cg), count in joint.items():
         rows.append((_class_value(params, cf) + _class_value(params, cg), count))
@@ -607,13 +604,13 @@ def s_census_fast(
 
 
 def joint_class_census(
-    field: FiniteField, params: CodeParams, *, budget: int | None = None, workers: int = 1
+    field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts of pairs by (class of f, class of g), classes as in the batch kernel."""
     from . import batch
 
-    cls = batch.t_class_data(field, params, workers=workers, budget=budget)
-    counts = batch.joint_histogram(field, params, cls)
+    data = batch.t_class_data(field, params, budget=budget)
+    counts = batch.joint_histogram(field, params, data)
     return {
         (cf, cg): counts[cf * 7 + cg]
         for cf in range(7)
@@ -775,22 +772,25 @@ def verify_power_identities(
     mode: str = "auto",
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> list[IdentityCheck]:
     """Check the case's power-sum identities with exact arithmetic.
 
     CaseA has two identities (on S**2), CaseB four (on S, S**2, S**3 and the
     rank-restricted first moment).  mode="direct" accumulates S from the
     enumerated sums in Z[zeta_p]; mode="fast" drives everything off the
-    joint (rank, sign) class census.  Both are exact.
+    joint (rank, sign) class census.  Both are exact.  mode="auto" picks
+    direct when its terms fit both the default direct budget and the
+    caller's budget, and fast otherwise.
     """
     targets = _identity_targets(params)
+    direct_terms = 2 * params.pairs * field.order
+    direct_limit = DEFAULT_DIRECT_BUDGET if budget is None else budget
     if mode == "auto":
-        mode = "direct" if params.pairs * field.order <= DEFAULT_DIRECT_BUDGET else "fast"
+        mode = "direct" if direct_terms <= min(DEFAULT_DIRECT_BUDGET, direct_limit) else "fast"
 
     sums: dict[tuple[int, str], tuple[int, int]] = {}
     if mode == "fast":
-        joint = joint_class_census(field, params, budget=budget, workers=workers)
+        joint = joint_class_census(field, params, budget=budget)
         for (cf, cg), count in joint.items():
             va, vb = (_class_value(params, cf) + _class_value(params, cg)).expanded()
             regions = ["all"]
@@ -804,9 +804,10 @@ def verify_power_identities(
                     a0, b0 = sums.get((t, region), (0, 0))
                     sums[(t, region)] = (a0 + count * pa, b0 + count * pb)
     elif mode == "direct":
-        terms = 2 * params.pairs * field.order
-        if terms > (budget if budget is not None else DEFAULT_DIRECT_BUDGET):
-            raise BudgetExceeded(f"direct identity check needs {terms} terms")
+        if direct_terms > direct_limit:
+            raise BudgetExceeded(
+                f"direct identity check needs {direct_terms} terms > budget {direct_limit}"
+            )
         from .quadforms import rank as rank_of
 
         acc: dict[tuple[int, str], CyclotomicInteger] = {}

@@ -255,9 +255,8 @@ class FiniteField:
 
     Construct through :func:`build_field`.  All arithmetic is on integer
     codes; the tables are immutable after construction.  Derived tables
-    (subfield traces, subfield codes, per-pair class data) are memoized on
-    the instance, so they live exactly as long as the field.  A pickled
-    field (as shipped to pool workers) carries its tables but not its memo.
+    (subfield traces, subfield codes, representative class data) are
+    memoized on the instance, so they live exactly as long as the field.
     """
 
     def __init__(self, p: int, m: int, modulus: Polynomial, primitive: int) -> None:
@@ -299,9 +298,6 @@ class FiniteField:
         self.trace_table = tr
         self._frob = frob
         self._memo: dict = {}
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_memo": {}}
 
     def memoized(self, key, compute: Callable[[], T]) -> T:
         """compute(), evaluated once per key for this field."""

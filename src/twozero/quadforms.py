@@ -240,12 +240,12 @@ def rank_census(
     params: CodeParams,
     *,
     budget: int | None = None,
-    workers: int = 1,
     method: str = "gram",
 ) -> RankCensus:
     """Exhaustive rank census over all nonzero (alpha, beta).
 
-    method="gram" uses the vectorized Gram-rank kernel; method="phi" walks
+    method="gram" uses the vectorized Gram-rank kernel on the orbit
+    representatives (see batch); method="phi" walks
     every pair through the scalar phi-nullity path (small fields only).
     Both refuse more than budget pairs (None: the default pair budget).
     The result must equal :func:`closed_rank_census`; the comparison is the
@@ -265,8 +265,7 @@ def rank_census(
         )
     from . import batch
 
-    cls = batch.t_class_data(field, params, workers=workers, budget=budget)
-    hist = batch.class_histogram(cls)
+    hist = batch.class_histogram(batch.t_class_data(field, params, budget=budget))
     n0 = hist[0] + hist[1]
     n1 = hist[2] + hist[3]
     n2 = hist[4] + hist[5]

@@ -5,16 +5,19 @@ import random
 import weakref
 
 import numpy as np
+import pytest
 
-from twozero import build_code, build_field
+from twozero import build_code, build_field, classify_parameters
 from twozero.batch import (
     batched_rank_disc,
     brute_weight_histogram,
     class_histogram,
     joint_histogram,
+    pair_classes,
     subfield_tables,
     t_class_data,
     trace_rows,
+    twist_permutations,
 )
 from twozero.codes import codeword_weight
 from twozero.expsums import t_fast, _class_value
@@ -90,27 +93,56 @@ class TestBatchedDiagonalizer:
                 assert discs[i] == discriminant_character(f, 2, form)
 
 
+def _all_pairs(field):
+    alphas, betas = np.divmod(np.arange(field.order**2, dtype=np.int64), field.order)
+    return alphas, betas
+
+
+def _exhaustive_histograms(field, params):
+    """Class and joint histograms from the kernel run over every pair and its twist."""
+    alphas, betas = _all_pairs(field)
+    pa, pb = twist_permutations(field, params)
+    f = pair_classes(field, params, alphas, betas)
+    g = pair_classes(field, params, pa[alphas], pb[betas])
+    return (
+        [int(c) for c in np.bincount(f, minlength=8)],
+        [int(c) for c in np.bincount(f.astype(np.int64) * 7 + g, minlength=49)],
+    )
+
+
 class TestClassData:
     def test_matches_scalar_t_fast_everywhere(self, field341, params341):
-        cls = t_class_data(field341, params341)
+        cls = pair_classes(field341, params341, *_all_pairs(field341))
+        assert cls.size == 6561
         for a in range(81):
             for b in range(81):
                 expected = t_fast(field341, params341, a, b)
                 assert _class_value(params341, int(cls[a * 81 + b])) == expected
 
-    def test_workers_equivalence(self, params341):
-        # Fresh fields per call: the memo would hand a second call on the same
-        # field the first call's array.  Non-default fields catch a pool that
-        # rebuilds the default field instead of using the one it was given.
+    @pytest.mark.parametrize("pmk", [(3, 4, 1), (3, 5, 1), (5, 3, 1), (3, 6, 4)])
+    def test_representatives_match_all_pairs(self, pmk):
+        field, params = build_field(pmk[0], pmk[1]), classify_parameters(*pmk)
+        data = t_class_data(field, params)
+        assert data.f.size == data.g.size == data.weight.size == 3 * field.order
+        assert int(data.weight.sum()) == params.pairs
+        hist, joint = _exhaustive_histograms(field, params)
+        assert class_histogram(data) == hist
+        assert joint_histogram(field, params, data) == joint
+
+    def test_modulus_and_primitive_independence(self, field341, params341):
+        data = t_class_data(field341, params341)
+        hist = class_histogram(data)
+        joint = joint_histogram(field341, params341, data)
         for choice in ({"modulus_index": 1}, {"primitive_index": 1}):
-            one = t_class_data(build_field(3, 4, **choice), params341, workers=1)
-            two = t_class_data(build_field(3, 4, **choice), params341, workers=2)
-            assert np.array_equal(one, two), choice
+            field = build_field(3, 4, **choice)
+            other = t_class_data(field, params341)
+            assert class_histogram(other) == hist, choice
+            assert joint_histogram(field, params341, other) == joint, choice
 
     def test_memoized_on_the_field(self, params341):
         field = build_field(3, 4)
         first = t_class_data(field, params341)
-        assert t_class_data(field, params341, workers=2) is first
+        assert t_class_data(field, params341) is first
         assert t_class_data(build_field(3, 4), params341) is not first
 
     def test_field_dies_with_its_memo(self, params341):
@@ -124,14 +156,16 @@ class TestClassData:
         assert ref() is None
 
     def test_zero_pair_only_special_class(self, field341, params341):
-        cls = t_class_data(field341, params341)
-        hist = class_histogram(cls)
+        data = t_class_data(field341, params341)
+        hist = class_histogram(data)
         assert hist[6] == 1 and hist[7] == 0
         assert sum(hist) == params341.pairs
+        for cls in (data.f, data.g):
+            assert np.flatnonzero(cls == 6).tolist() == [0]
 
     def test_joint_histogram_totals(self, field341, params341):
-        cls = t_class_data(field341, params341)
-        joint = joint_histogram(field341, params341, cls)
+        data = t_class_data(field341, params341)
+        joint = joint_histogram(field341, params341, data)
         assert sum(joint) == params341.pairs
         # The rank lemma: no pair has both ranks below s (outside (0, 0)).
         for cf in range(2, 6):
@@ -148,12 +182,27 @@ class TestBruteHistogram:
                 scalar[codeword_weight(code341, a, b)] += 1
         assert hist == scalar
 
-    def test_workers_equivalence(self):
+    def test_all_pairs_loop_531(self):
+        code = build_code(5, 3, 1)
+        field, n = code.field, code.n
+        ru = trace_rows(field, code.u_codes)
+        rw = trace_rows(field, code.w_codes)
+        expected = [0] * (n + 1)
+        for b in range(field.order):
+            nonzero = ((ru + rw[b][None, :]) % field.p != 0).sum(axis=1)
+            for w in nonzero:
+                expected[int(w)] += 1
+        assert brute_weight_histogram(code) == expected
+
+    def test_modulus_and_primitive_independence(self, code341):
+        hist = brute_weight_histogram(code341)
         for choice in ({"modulus_index": 1}, {"primitive_index": 1}):
-            two = brute_weight_histogram(build_code(3, 4, 1, **choice), workers=2)
-            assert two == brute_weight_histogram(build_code(3, 4, 1, **choice)), choice
+            assert brute_weight_histogram(build_code(3, 4, 1, **choice)) == hist, choice
 
     def test_trace_rows_shape(self, field341, code341):
-        rows = trace_rows(field341, code341.u_codes[:10])
-        assert rows.shape == (81, 10)
+        codes = [0] + code341.u_codes[:10]
+        rows = trace_rows(field341, codes)
+        assert rows.shape == (81, 11)
         assert rows.dtype == np.uint8
+        tr = field341.trace_table
+        assert rows.tolist() == [[tr[field341.mul(a, c)] for c in codes] for a in range(81)]

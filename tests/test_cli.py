@@ -150,6 +150,14 @@ class TestVerify:
     def test_unknown_check_exits_2(self):
         assert run_cli("verify", 3, 4, 1, "--checks", "nonsense").returncode == 2
 
+    def test_identities_take_fast_mode_within_a_small_budget(self):
+        args = ("verify", 3, 4, 1, "--checks", "identities")
+        base = run_cli(*args)
+        small = run_cli(*args, "--budget", 10000)
+        assert base.returncode == small.returncode == 0, small.stderr
+        assert small.stdout == base.stdout
+        assert small.stdout.count("PASS identity") == 4
+
     def test_max_rank_respects_budget(self):
         proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 1000)
         assert proc.returncode == 3
@@ -175,6 +183,11 @@ class TestModulusAndWorkers:
         other = run_cli(*args, "--modulus-index", 1, "--workers", 2)
         assert base.returncode == other.returncode == 0, base.stderr + other.stderr
         assert other.stdout == base.stdout
+
+    def test_workers_below_1_exits_2(self):
+        proc = run_cli("census", 3, 4, 1, "--workers", 0)
+        assert proc.returncode == 2
+        assert not proc.stdout
 
 
 class TestFormats:
