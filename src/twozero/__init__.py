@@ -53,7 +53,6 @@ from .expsums import (
     s_direct,
     s_distribution_closed,
     s_fast,
-    s_sum,
     subfield_gauss_sum,
     t_census_direct,
     t_census_fast,

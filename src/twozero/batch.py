@@ -24,8 +24,10 @@ row * p**m + alpha_code, so (0, 0) is index 0):
 
 The weights sum to p**m + p**m (p**m - 1) = p**(2m).
 
-Class codes: cls = (s - rank) * 2 + (0 if eps == +1 else 1) for nonzero
-pairs (so 0..5 by the rank trichotomy) and 6 for the zero pair.
+Classes.  The pass stores the (rank, discriminant character eps) class of a
+form as rank * 2 + (eps == -1) in a uint8; the zero pair is (0, +1).  Only
+:func:`joint_histogram` unpacks it (through :func:`unpack_class`): every
+consumer reads the census keyed by ((rank_f, eps_f), (rank_g, eps_g)).
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
-from .quadforms import CodeParams, gram_basis
+from .quadforms import PAIR_BUDGET, CodeParams, gram_basis
 
-DEFAULT_CHUNK = 1 << 18
+DEFAULT_CHUNK = 1 << 18   # pairs per Gram-elimination batch
+BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
 
 
 @dataclass
@@ -143,6 +146,23 @@ def batched_rank_disc(mats: np.ndarray, tabs: SubfieldTables) -> tuple[np.ndarra
     return rank, disc
 
 
+def _log_gather(field: FiniteField, by_log: np.ndarray, alphas, codes) -> np.ndarray:
+    """by_log[log(a * c)] for a in alphas (rows) and c in codes (columns).
+
+    by_log[e] is the value of a function at pi**e; the function must vanish
+    at 0, and entries with a * c = 0 read 0.
+    """
+    log = field.memoized("log_array", lambda: np.array(field.log, np.int64))
+    la = log[np.asarray(alphas, np.int64)]
+    lc = log[np.asarray(codes, np.int64)]
+    exponents = la[:, None] + lc[None, :]
+    exponents %= field.n
+    out = by_log[exponents]
+    out[la < 0] = 0  # log[0] is a -1 sentinel
+    out[:, lc < 0] = 0
+    return out
+
+
 def _gram_entry_tables(field: FiniteField, params: CodeParams, tabs: SubfieldTables):
     """Per-(i, j) lookup tables turning (alpha, beta) codes into Gram entries.
 
@@ -152,8 +172,11 @@ def _gram_entry_tables(field: FiniteField, params: CodeParams, tabs: SubfieldTab
     """
     k = params.k
     basis = gram_basis(field, params)
-    tr = field.trace_to_table(params.d)
-    index = {int(c): i for i, c in enumerate(tabs.codes)}
+    index = np.zeros(field.order, np.uint8)
+    index[tabs.codes] = np.arange(tabs.q)
+    # Subfield index of Tr_d(pi**e) for every exponent e.
+    trace_of_power = index[np.array(field.trace_to_table(params.d))[field.exp]]
+    every_code = np.arange(field.order)
     entries = []
     for i in range(params.s):
         for j in range(i, params.s):
@@ -169,31 +192,22 @@ def _gram_entry_tables(field: FiniteField, params: CodeParams, tabs: SubfieldTab
                     ),
                 )
                 v = field.mul(basis[i], basis[j])
-            tu = np.empty(field.order, np.uint8)
-            tv = np.empty(field.order, np.uint8)
-            for code in range(field.order):
-                tu[code] = index[tr[field.mul(code, u)]]
-                tv[code] = index[tr[field.mul(code, v)]]
+            tu, tv = _log_gather(field, trace_of_power, every_code, [u, v]).T
             entries.append((i, j, tu, tv))
     return entries
 
 
 def pair_classes(
-    field: FiniteField,
-    params: CodeParams,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    *,
-    chunk: int = DEFAULT_CHUNK,
+    field: FiniteField, params: CodeParams, alphas: np.ndarray, betas: np.ndarray
 ) -> np.ndarray:
-    """Class code of f at each pair (alphas[i], betas[i]), as a uint8 array."""
+    """Packed class of f at each pair (alphas[i], betas[i]), as a uint8 array."""
     tabs = subfield_tables(field, params.d)
     entries = _gram_entry_tables(field, params, tabs)
     s = params.s
     out = np.empty(alphas.size, np.uint8)
-    for lo in range(0, alphas.size, chunk):
-        a = alphas[lo : lo + chunk]
-        b = betas[lo : lo + chunk]
+    for lo in range(0, alphas.size, DEFAULT_CHUNK):
+        a = alphas[lo : lo + DEFAULT_CHUNK]
+        b = betas[lo : lo + DEFAULT_CHUNK]
         mats = np.empty((a.size, s, s), np.uint8)
         for i, j, tu, tv in entries:
             vals = tabs.add[tu[a], tv[b]]
@@ -201,8 +215,7 @@ def pair_classes(
             if i != j:
                 mats[:, j, i] = vals
         rank, disc = batched_rank_disc(mats, tabs)
-        deficiency = s - rank.astype(np.int16)
-        out[lo : lo + a.size] = np.minimum(deficiency, 3) * 2 + (disc < 0)
+        out[lo : lo + a.size] = rank * 2 + (disc < 0)
     return out
 
 
@@ -216,33 +229,30 @@ def representative_rows(field: FiniteField) -> tuple[tuple[int, int], ...]:
 class ClassData:
     """Classes of f and g at every representative, and the pairs each stands for."""
 
-    f: np.ndarray       # (3 p**m,) uint8 class code of f
-    g: np.ndarray       # (3 p**m,) uint8 class code of g (f at the twisted pair)
+    f: np.ndarray       # (3 p**m,) uint8 packed class of f
+    g: np.ndarray       # (3 p**m,) uint8 packed class of g (f at the twisted pair)
     weight: np.ndarray  # (3 p**m,) int64 orbit size; sums to p**(2m)
 
 
 def t_class_data(
-    field: FiniteField,
-    params: CodeParams,
-    *,
-    chunk: int = DEFAULT_CHUNK,
-    budget: int | None = None,
+    field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> ClassData:
     """Classes of f and g at every representative pair, with orbit weights.
 
     The class of g is the kernel run on the twist images of the
-    representatives, since the twist commutes with the orbit action.  The
-    only pair allowed outside the rank trichotomy is (0, 0), whose zero
-    form gets the dedicated class 6; any other violation aborts.  A pass
-    standing for more than budget pairs (None: the default pair budget) is
-    refused, before any reuse.  The result is memoized on the field per
-    params, since several censuses share the same pass.
+    representatives, since the twist commutes with the orbit action.  Rank 0
+    may occur only at the zero pair (index 0) and every other rank must lie
+    in the trichotomy {s-2, s-1, s}; any violation aborts.  A pass of more
+    than budget Gram matrices (None: :data:`PAIR_BUDGET`) is refused, before
+    any reuse.  The result is memoized on the field per params, since
+    several censuses share the same pass.
     """
-    params.check_pair_budget(budget)
+    rows = representative_rows(field)
+    matrices = 2 * len(rows) * field.order  # f and g at every representative
+    check_budget("pair pass", matrices, "Gram matrices", budget, PAIR_BUDGET)
 
     def compute() -> ClassData:
         order = field.order
-        rows = representative_rows(field)
         alphas = np.tile(np.arange(order, dtype=np.int64), len(rows))
         betas = np.repeat(np.array([b for b, _ in rows], np.int64), order)
         weight = np.repeat(np.array([w for _, w in rows], np.int64), order)
@@ -252,79 +262,79 @@ def t_class_data(
             params,
             np.concatenate([alphas, pa[alphas]]),
             np.concatenate([betas, pb[betas]]),
-            chunk=chunk,
         )
         data = ClassData(f=both[: alphas.size], g=both[alphas.size :], weight=weight)
         for cls in (data.f, data.g):
-            if np.flatnonzero(cls >= 6).tolist() != [0] or cls[0] != 6:
+            ranks = cls >> 1
+            if ranks[0] != 0 or (ranks[1:] < params.s - 2).any():
                 raise InternalInconsistency("rank trichotomy violated outside the zero pair")
         return data
 
     return field.memoized(("t_class_data", params), compute)
 
 
-def class_histogram(data: ClassData) -> list[int]:
-    """Pairs per class code of f, as Python ints (length 8)."""
-    counts = np.zeros(8, np.int64)
-    np.add.at(counts, data.f, data.weight)
-    return [int(c) for c in counts]
-
-
 def twist_permutations(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
     """Code permutations alpha -> pi**((p**k+1)/2) alpha and beta -> -pi beta."""
     pi = field.primitive_element
-    pi_e = field.pow(pi, params.twist_exponent)
-    neg_pi = field.neg(pi)
-    pa = np.array([field.mul(a, pi_e) for a in range(field.order)], np.int64)
-    pb = np.array([field.mul(b, neg_pi) for b in range(field.order)], np.int64)
+    multipliers = [field.pow(pi, params.twist_exponent), field.neg(pi)]
+    exp = np.array(field.exp, np.int64)
+    pa, pb = _log_gather(field, exp, np.arange(field.order), multipliers).T
     return pa, pb
 
 
-def joint_histogram(field: FiniteField, params: CodeParams, data: ClassData) -> list[int]:
-    """Pairs by (class of f, class of g), flattened 7x7.
+def unpack_class(cls: int) -> tuple[int, int]:
+    """(rank, eps) of a packed class."""
+    return cls >> 1, -1 if cls & 1 else 1
+
+
+def joint_histogram(
+    field: FiniteField, params: CodeParams, data: ClassData
+) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
+    """Pairs by ((rank_f, eps_f), (rank_g, eps_g)), as Python ints.
 
     data is the pass of :func:`t_class_data` for this field and params; its
-    weights must account for all p**(2m) pairs.
+    weights must account for all p**(2m) pairs.  Absent classes are omitted.
     """
-    counts = np.zeros(49, np.int64)
-    np.add.at(counts, data.f.astype(np.int64) * 7 + data.g, data.weight)
+    width = 2 * params.s + 2
+    counts = np.zeros((width, width), np.int64)
+    np.add.at(counts, (data.f, data.g), data.weight)
     if int(counts.sum()) != params.pairs:
         raise InternalInconsistency(f"class data covers {counts.sum()} of {params.pairs} pairs")
-    return [int(c) for c in counts]
+    rows, cols = np.nonzero(counts)
+    return {
+        (unpack_class(cf), unpack_class(cg)): int(counts[cf, cg])
+        for cf, cg in zip(rows.tolist(), cols.tolist())
+    }
 
 
 # -- brute-force codeword weights --------------------------------------------
 
 
-def trace_rows(field: FiniteField, codes: list[int]) -> np.ndarray:
-    """(order, len(codes)) uint8 matrix of Tr_1^m(a * codes[i])."""
-    log = np.array(field.log, np.int64)
+def trace_rows(field: FiniteField, alphas, codes) -> np.ndarray:
+    """(len(alphas), len(codes)) uint8 matrix of Tr_1^m(alphas[i] * codes[j])."""
     trace_of_power = np.array(field.trace_table, np.uint8)[field.exp]  # Tr(pi**j)
-    cs = np.asarray(codes, np.int64)
-    exponents = log[1:, None] + log[cs][None, :]
-    exponents %= field.n
-    out = np.zeros((field.order, cs.size), np.uint8)
-    out[1:] = trace_of_power[exponents]
-    out[:, cs == 0] = 0  # log[0] is a -1 sentinel
-    return out
+    return _log_gather(field, trace_of_power, alphas, codes)
 
 
 def brute_weight_histogram(code) -> list[int]:
     """Weight histogram over all pairs by direct coordinate counting.
 
     Distinct pairs give distinct codewords (the code has dimension 2m), so
-    the pair census is the codeword census.  Each representative beta0 row
-    compares the alpha trace matrix against one broadcast row, and counts
-    each weight once per pair its representatives stand for.
+    the pair census is the codeword census.  Each block of alpha rows of the
+    trace matrix is compared against the broadcast row of every
+    representative beta0, and each weight counts once per pair its
+    representatives stand for.  A block holds about BRUTE_CHUNK trace
+    entries, which bounds the memory of the pass.
     """
     field = code.field
     n = code.n
     rows = representative_rows(field)
-    ru = trace_rows(field, code.u_codes)
-    rw = trace_rows(field, [beta for beta, _ in rows])[code.w_codes]  # Tr(beta0 w_i)
+    neg_rw = (field.p - trace_rows(field, code.w_codes, [beta for beta, _ in rows])) % field.p
     hist = np.zeros(n + 1, np.int64)
-    for r, (_, weight) in enumerate(rows):
-        neg_rw = (field.p - rw[:, r]) % field.p
-        zeros = (ru == neg_rw[None, :]).sum(axis=1)
-        hist += weight * np.bincount(n - zeros, minlength=n + 1)
+    step = max(1, BRUTE_CHUNK // n)
+    for lo in range(0, field.order, step):
+        ru = trace_rows(field, np.arange(lo, min(lo + step, field.order)), code.u_codes)
+        for r, (_, weight) in enumerate(rows):
+            zeros = (ru == neg_rw[:, r]).sum(axis=1)
+            hist += weight * np.bincount(n - zeros, minlength=n + 1)
     return [int(h) for h in hist]

@@ -36,12 +36,13 @@ from .errors import (
     NonIntegralWeight,
     NonRationalSum,
     UnsupportedCase,
+    check_budget,
 )
 from .expsums import _exact_div, joint_class_census, t_value
 from .gf import FiniteField, Polynomial, build_field
 from .quadforms import Case, CodeParams, classify_parameters
 
-DEFAULT_BRUTE_BUDGET = 400_000_000   # coordinate checks, p**(2m) * n
+DEFAULT_BRUTE_BUDGET = 400_000_000   # coordinate checks, 3 p**m * n
 
 
 @dataclass(frozen=True)
@@ -223,15 +224,11 @@ def weight_distribution_brute(
 ) -> WeightDistribution:
     """Exact census of codeword weights over all pairs (vectorized).
 
-    The budget counts the p**(2m) * n coordinate checks of every codeword,
-    although the representative pass makes only 3 p**(2m) of them.
+    The budget counts the n coordinate checks of each of the 3 p**m orbit
+    representatives (see batch).
     """
-    checks = code.params.pairs * code.n
-    budget = DEFAULT_BRUTE_BUDGET if budget is None else budget
-    if checks > budget:
-        raise BudgetExceeded(
-            f"brute enumeration needs {checks} coordinate checks > budget {budget}"
-        )
+    checks = 3 * code.field.order * code.n
+    check_budget("brute enumeration", checks, "coordinate checks", budget, DEFAULT_BRUTE_BUDGET)
     from . import batch
 
     hist = batch.brute_weight_histogram(code)
@@ -241,8 +238,8 @@ def weight_distribution_brute(
     return dist.validate(code)
 
 
-def _u_sum_table(code: CyclicCode) -> list[tuple[int, int]]:
-    """sum over u in GF(p)* of the T value of class c, for c = 0..6.
+def _u_sum_table(code: CyclicCode) -> dict[tuple[int, int], tuple[int, int]]:
+    """sum over u in GF(p)* of the T value of class (r, eps), for every r <= s.
 
     Scaling a pair by u multiplies the Gram matrix by u, so the rank is
     unchanged and the discriminant character picks up eta_d(u)**rank; the
@@ -250,22 +247,17 @@ def _u_sum_table(code: CyclicCode) -> list[tuple[int, int]]:
     integer pairs.
     """
     f, params = code.field, code.params
-    p = params.p
-    out = []
-    for c in range(7):
-        acc_a = acc_b = 0
-        if c == 6:
-            acc_a = (p - 1) * p**params.m
-        else:
-            r = params.s - c // 2
-            eps = 1 if c % 2 == 0 else -1
-            for u in range(1, p):
+    out = {}
+    for r in range(params.s + 1):
+        for eps in (1, -1):
+            acc_a = acc_b = 0
+            for u in range(1, params.p):
                 eta_u = f.quadratic_character(u, params.d)
                 eps_u = eps * (eta_u if r % 2 else 1)
                 va, vb = t_value(params, r, eps_u).expanded()
                 acc_a += va
                 acc_b += vb
-        out.append((acc_a, acc_b))
+            out[(r, eps)] = (acc_a, acc_b)
     return out
 
 

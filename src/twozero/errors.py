@@ -9,6 +9,8 @@ Three severity tiers, matching the CLI exit-code contract:
 * ``InternalInconsistency`` -- a structural invariant that should be
   unconditionally true has failed; these abort loudly and are never
   caught by the CLI (they indicate a bug, not bad input).
+
+Every budgeted computation refuses through :func:`check_budget`.
 """
 
 
@@ -54,6 +56,13 @@ class Refusal(TwoZeroError):
 
 class BudgetExceeded(Refusal):
     """Enumeration size exceeds the configured budget."""
+
+
+def check_budget(what: str, needed: int, unit: str, budget: int | None, default: int) -> None:
+    """Refuse work of needed units when it exceeds budget (None: default)."""
+    limit = default if budget is None else budget
+    if needed > limit:
+        raise BudgetExceeded(f"{what} needs {needed} {unit} > budget {limit}")
 
 
 class UnsupportedCase(Refusal):

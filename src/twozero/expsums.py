@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    BudgetExceeded,
     InexactDivision,
     InternalInconsistency,
     NonRationalSum,
     ParameterError,
     UnsupportedCase,
+    check_budget,
 )
 from .gf import FiniteField
 from .quadforms import (
@@ -368,15 +368,6 @@ def s_fast(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> Sym
     return t_fast(field, params, alpha, beta) + t_fast(field, params, a2, b2)
 
 
-def s_sum(field: FiniteField, params: CodeParams, alpha: int, beta: int, mode: str = "direct"):
-    """S(alpha, beta) = T(alpha, beta) + T(twisted pair), in either mode."""
-    if mode == "direct":
-        return s_direct(field, params, alpha, beta)
-    if mode == "fast":
-        return s_fast(field, params, alpha, beta)
-    raise ParameterError(f"unknown mode {mode!r}")
-
-
 # -- closed-form value distributions ----------------------------------------
 
 
@@ -539,10 +530,9 @@ def t_census_direct(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
     """Census of T over all pairs by direct enumeration (p**(3m) terms)."""
-    terms = params.pairs * field.order
-    budget = DEFAULT_DIRECT_BUDGET if budget is None else budget
-    if terms > budget:
-        raise BudgetExceeded(f"direct T census needs {terms} terms > budget {budget}")
+    check_budget(
+        "direct T census", params.pairs * field.order, "terms", budget, DEFAULT_DIRECT_BUDGET
+    )
     out: dict[CyclotomicInteger, int] = {}
     for alpha in range(field.order):
         for beta in range(field.order):
@@ -555,10 +545,9 @@ def s_census_direct(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
     """Census of S over all pairs by direct enumeration (2 p**(3m) terms)."""
-    terms = 2 * params.pairs * field.order
-    budget = DEFAULT_DIRECT_BUDGET if budget is None else budget
-    if terms > budget:
-        raise BudgetExceeded(f"direct S census needs {terms} terms > budget {budget}")
+    check_budget(
+        "direct S census", 2 * params.pairs * field.order, "terms", budget, DEFAULT_DIRECT_BUDGET
+    )
     out: dict[CyclotomicInteger, int] = {}
     for alpha in range(field.order):
         for beta in range(field.order):
@@ -567,26 +556,15 @@ def s_census_direct(
     return out
 
 
-def _class_value(params: CodeParams, cls: int) -> SymbolicSumValue:
-    """Symbolic T value of a (rank, sign) class code from the batch kernel."""
-    if cls == 6:
-        return t_value(params, 0, 1)
-    r = params.s - cls // 2
-    return t_value(params, r, 1 if cls % 2 == 0 else -1)
-
-
 def t_census_fast(
     field: FiniteField,
     params: CodeParams,
     *,
     budget: int | None = None,
 ) -> ValueDistribution:
-    """Census of T over all pairs through the vectorized Gram kernel."""
-    from . import batch
-
-    hist = batch.class_histogram(batch.t_class_data(field, params, budget=budget))
-    rows = [(_class_value(params, c), hist[c]) for c in range(7) if hist[c]]
-    return ValueDistribution.from_pairs(rows)
+    """Census of T over all pairs: the f marginal of the joint class census."""
+    joint = joint_class_census(field, params, budget=budget)
+    return ValueDistribution.from_pairs((t_value(params, *cf), n) for (cf, _), n in joint.items())
 
 
 def s_census_fast(
@@ -597,26 +575,18 @@ def s_census_fast(
 ) -> ValueDistribution:
     """Census of S over all pairs by joining the T class data with its twist."""
     joint = joint_class_census(field, params, budget=budget)
-    rows = []
-    for (cf, cg), count in joint.items():
-        rows.append((_class_value(params, cf) + _class_value(params, cg), count))
-    return ValueDistribution.from_pairs(rows)
+    return ValueDistribution.from_pairs(
+        (t_value(params, *cf) + t_value(params, *cg), n) for (cf, cg), n in joint.items()
+    )
 
 
 def joint_class_census(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
-) -> dict[tuple[int, int], int]:
-    """Counts of pairs by (class of f, class of g), classes as in the batch kernel."""
+) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
+    """Pairs by ((rank_f, eps_f), (rank_g, eps_g)); see batch.joint_histogram."""
     from . import batch
 
-    data = batch.t_class_data(field, params, budget=budget)
-    counts = batch.joint_histogram(field, params, data)
-    return {
-        (cf, cg): counts[cf * 7 + cg]
-        for cf in range(7)
-        for cg in range(7)
-        if counts[cf * 7 + cg]
-    }
+    return batch.joint_histogram(field, params, batch.t_class_data(field, params, budget=budget))
 
 
 # -- E1 / E2 solution counts -------------------------------------------------
@@ -644,9 +614,7 @@ def count_e1(
         raise UnsupportedCase(f"no closed E1 for case {params.case}")
     if mode != "brute":
         raise ParameterError(f"unknown mode {mode!r}")
-    budget = DEFAULT_E1_BUDGET if budget is None else budget
-    if params.pairs > budget:
-        raise BudgetExceeded(f"E1 brute force needs {params.pairs} pairs > budget {budget}")
+    check_budget("E1 brute force", params.pairs, "pairs", budget, DEFAULT_E1_BUDGET)
     pk1 = p**k + 1
     buckets: dict[tuple[int, int], int] = {}
     for y in range(field.order):
@@ -680,10 +648,9 @@ def count_e2(
         raise UnsupportedCase(f"no closed E2 for case {params.case}")
     if mode != "brute":
         raise ParameterError(f"unknown mode {mode!r}")
-    triples = params.pairs * field.order
-    budget = DEFAULT_E2_BUDGET if budget is None else budget
-    if triples > budget:
-        raise BudgetExceeded(f"E2 brute force needs {triples} triples > budget {budget}")
+    check_budget(
+        "E2 brute force", params.pairs * field.order, "triples", budget, DEFAULT_E2_BUDGET
+    )
     pk1 = p**k + 1
     pi = field.primitive_element
     pi_e = field.pow(pi, params.twist_exponent)
@@ -784,19 +751,19 @@ def verify_power_identities(
     """
     targets = _identity_targets(params)
     direct_terms = 2 * params.pairs * field.order
-    direct_limit = DEFAULT_DIRECT_BUDGET if budget is None else budget
     if mode == "auto":
-        mode = "direct" if direct_terms <= min(DEFAULT_DIRECT_BUDGET, direct_limit) else "fast"
+        fits = direct_terms <= DEFAULT_DIRECT_BUDGET and (budget is None or direct_terms <= budget)
+        mode = "direct" if fits else "fast"
 
     sums: dict[tuple[int, str], tuple[int, int]] = {}
     if mode == "fast":
         joint = joint_class_census(field, params, budget=budget)
         for (cf, cg), count in joint.items():
-            va, vb = (_class_value(params, cf) + _class_value(params, cg)).expanded()
+            va, vb = (t_value(params, *cf) + t_value(params, *cg)).expanded()
             regions = ["all"]
-            if cf in (2, 3):
+            if cf[0] == params.s - 1:
                 regions.append("N1")
-            elif cf in (4, 5):
+            elif cf[0] == params.s - 2:
                 regions.append("N2")
             for t in (1, 2, 3):
                 pa, pb = _pow_pair(va, vb, params.q_star, t)
@@ -804,10 +771,7 @@ def verify_power_identities(
                     a0, b0 = sums.get((t, region), (0, 0))
                     sums[(t, region)] = (a0 + count * pa, b0 + count * pb)
     elif mode == "direct":
-        if direct_terms > direct_limit:
-            raise BudgetExceeded(
-                f"direct identity check needs {direct_terms} terms > budget {direct_limit}"
-            )
+        check_budget("direct identity check", direct_terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
         from .quadforms import rank as rank_of
 
         acc: dict[tuple[int, str], CyclotomicInteger] = {}

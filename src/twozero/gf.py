@@ -255,7 +255,7 @@ class FiniteField:
 
     Construct through :func:`build_field`.  All arithmetic is on integer
     codes; the tables are immutable after construction.  Derived tables
-    (subfield traces, subfield codes, representative class data) are
+    (subfield traces, subfield codes, the log array, class data) are
     memoized on the instance, so they live exactly as long as the field.
     """
 
@@ -351,9 +351,6 @@ class FiniteField:
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return self.exp[(-self.log[a]) % self.n]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:

@@ -26,16 +26,18 @@ from enum import Enum
 
 from .errors import (
     BothZero,
-    BudgetExceeded,
     InternalInconsistency,
     NotOddPrime,
     ParameterError,
     STooSmall,
     ZeroArgument,
+    check_budget,
 )
 from .gf import FiniteField, is_prime, v2
 
-PAIR_BUDGET = 50_000_000  # default limit on p**(2m) for every pass over all pairs
+# Default budget of the representative pair pass (Gram matrices) and of the
+# phi rank census (pairs).
+PAIR_BUDGET = 50_000_000
 
 
 class Case(str, Enum):
@@ -80,15 +82,6 @@ class CodeParams:
     @property
     def has_closed_forms(self) -> bool:
         return self.case is not Case.ODD_S_OUT_OF_SCOPE
-
-    def check_pair_budget(self, budget: int | None) -> None:
-        """Refuse a pass over all pairs when p**(2m) exceeds the budget.
-
-        budget=None means the default :data:`PAIR_BUDGET`.
-        """
-        limit = PAIR_BUDGET if budget is None else budget
-        if self.pairs > limit:
-            raise BudgetExceeded(f"pair pass needs {self.pairs} pairs > budget {limit}")
 
 
 def classify_parameters(p: int, m: int, k: int) -> CodeParams:
@@ -244,32 +237,30 @@ def rank_census(
 ) -> RankCensus:
     """Exhaustive rank census over all nonzero (alpha, beta).
 
-    method="gram" uses the vectorized Gram-rank kernel on the orbit
-    representatives (see batch); method="phi" walks
-    every pair through the scalar phi-nullity path (small fields only).
-    Both refuse more than budget pairs (None: the default pair budget).
+    method="gram" counts the f ranks of the joint class census (the
+    vectorized Gram-rank kernel on the orbit representatives, see batch),
+    refusing a pass of more than budget Gram matrices; method="phi" walks
+    every pair through the scalar phi-nullity path (small fields only) and
+    refuses more than budget pairs.  None means :data:`PAIR_BUDGET`.
     The result must equal :func:`closed_rank_census`; the comparison is the
     caller's (test suite / verify command) job.
     """
+    counts = {params.s: 0, params.s - 1: 0, params.s - 2: 0}
     if method == "phi":
-        params.check_pair_budget(budget)
-        counts = {params.s: 0, params.s - 1: 0, params.s - 2: 0}
+        check_budget("phi rank census", params.pairs, "pairs", budget, PAIR_BUDGET)
         order = field.order
         for alpha in range(order):
             for beta in range(order):
                 if alpha == 0 and beta == 0:
                     continue
                 counts[rank(field, params, alpha, beta)] += 1
-        return RankCensus(
-            n0=counts[params.s], n1=counts[params.s - 1], n2=counts[params.s - 2]
-        )
-    from . import batch
+    else:
+        from .expsums import joint_class_census
 
-    hist = batch.class_histogram(batch.t_class_data(field, params, budget=budget))
-    n0 = hist[0] + hist[1]
-    n1 = hist[2] + hist[3]
-    n2 = hist[4] + hist[5]
-    return RankCensus(n0=n0, n1=n1, n2=n2)
+        for ((r, _), _), pairs in joint_class_census(field, params, budget=budget).items():
+            if r:
+                counts[r] += pairs
+    return RankCensus(n0=counts[params.s], n1=counts[params.s - 1], n2=counts[params.s - 2])
 
 
 @dataclass(frozen=True)
@@ -377,11 +368,3 @@ def discriminant_character(field: FiniteField, d: int, form: DiagonalForm) -> in
     for c in form.diagonal:
         prod = field.mul(prod, c)
     return 1 if form.rank == 0 else field.quadratic_character(prod, d)
-
-
-def gram_rank_disc(
-    field: FiniteField, params: CodeParams, alpha: int, beta: int
-) -> tuple[int, int]:
-    """(rank, discriminant character) of f via the Gram route."""
-    form = diagonalize(field, params.d, gram_matrix(field, params, alpha, beta))
-    return form.rank, discriminant_character(field, params.d, form)

@@ -177,7 +177,7 @@ def test_criterion_6_property_suite(code341, dists341, dists364, dists361):
         pr = classify_parameters(*args)
         joint = joint_class_census(fld, pr)
         bad = sum(
-            c for (cf, cg), c in joint.items() if cf != 6 and cg != 6 and cf >= 2 and cg >= 2
+            c for ((rf, _), (rg, _)), c in joint.items() if 0 < rf < pr.s and 0 < rg < pr.s
         )
         ok_max_rank &= bad == 0
     details.append(f"max-rank property max(r_f, r_g) = s: {ok_max_rank}")
@@ -206,7 +206,7 @@ def test_criterion_7_cli_contract(tmp_path):
     ok_invalid = run("analyze", 3, 2, 1).returncode == 2
     details.append(f"analyze 3 2 1 exits 2: {ok_invalid}")
 
-    ok_budget = run("weights", 3, 8, 2, "--engines", "brute").returncode == 3
+    ok_budget = run("weights", 3, 9, 3, "--engines", "brute").returncode == 3
     details.append(f"budget-refused brute run exits 3: {ok_budget}")
 
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

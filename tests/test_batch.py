@@ -9,18 +9,20 @@ import pytest
 
 from twozero import build_code, build_field, classify_parameters
 from twozero.batch import (
+    ClassData,
     batched_rank_disc,
     brute_weight_histogram,
-    class_histogram,
     joint_histogram,
     pair_classes,
     subfield_tables,
     t_class_data,
     trace_rows,
     twist_permutations,
+    unpack_class,
 )
 from twozero.codes import codeword_weight
-from twozero.expsums import t_fast, _class_value
+from twozero.errors import BudgetExceeded
+from twozero.expsums import t_fast, t_value
 from twozero.quadforms import diagonalize, discriminant_character
 
 
@@ -98,16 +100,16 @@ def _all_pairs(field):
     return alphas, betas
 
 
-def _exhaustive_histograms(field, params):
-    """Class and joint histograms from the kernel run over every pair and its twist."""
+def _exhaustive_joint(field, params):
+    """Joint census from the kernel run over every pair and its twist, weight 1 each."""
     alphas, betas = _all_pairs(field)
     pa, pb = twist_permutations(field, params)
-    f = pair_classes(field, params, alphas, betas)
-    g = pair_classes(field, params, pa[alphas], pb[betas])
-    return (
-        [int(c) for c in np.bincount(f, minlength=8)],
-        [int(c) for c in np.bincount(f.astype(np.int64) * 7 + g, minlength=49)],
+    data = ClassData(
+        f=pair_classes(field, params, alphas, betas),
+        g=pair_classes(field, params, pa[alphas], pb[betas]),
+        weight=np.ones(alphas.size, np.int64),
     )
+    return joint_histogram(field, params, data)
 
 
 class TestClassData:
@@ -117,7 +119,7 @@ class TestClassData:
         for a in range(81):
             for b in range(81):
                 expected = t_fast(field341, params341, a, b)
-                assert _class_value(params341, int(cls[a * 81 + b])) == expected
+                assert t_value(params341, *unpack_class(int(cls[a * 81 + b]))) == expected
 
     @pytest.mark.parametrize("pmk", [(3, 4, 1), (3, 5, 1), (5, 3, 1), (3, 6, 4)])
     def test_representatives_match_all_pairs(self, pmk):
@@ -125,18 +127,13 @@ class TestClassData:
         data = t_class_data(field, params)
         assert data.f.size == data.g.size == data.weight.size == 3 * field.order
         assert int(data.weight.sum()) == params.pairs
-        hist, joint = _exhaustive_histograms(field, params)
-        assert class_histogram(data) == hist
-        assert joint_histogram(field, params, data) == joint
+        assert joint_histogram(field, params, data) == _exhaustive_joint(field, params)
 
     def test_modulus_and_primitive_independence(self, field341, params341):
-        data = t_class_data(field341, params341)
-        hist = class_histogram(data)
-        joint = joint_histogram(field341, params341, data)
+        joint = joint_histogram(field341, params341, t_class_data(field341, params341))
         for choice in ({"modulus_index": 1}, {"primitive_index": 1}):
             field = build_field(3, 4, **choice)
             other = t_class_data(field, params341)
-            assert class_histogram(other) == hist, choice
             assert joint_histogram(field, params341, other) == joint, choice
 
     def test_memoized_on_the_field(self, params341):
@@ -156,21 +153,25 @@ class TestClassData:
         assert ref() is None
 
     def test_zero_pair_only_special_class(self, field341, params341):
-        data = t_class_data(field341, params341)
-        hist = class_histogram(data)
-        assert hist[6] == 1 and hist[7] == 0
-        assert sum(hist) == params341.pairs
-        for cls in (data.f, data.g):
-            assert np.flatnonzero(cls == 6).tolist() == [0]
+        joint = joint_histogram(field341, params341, t_class_data(field341, params341))
+        rank_zero = {key: n for key, n in joint.items() if key[0][0] == 0 or key[1][0] == 0}
+        assert rank_zero == {((0, 1), (0, 1)): 1}
 
     def test_joint_histogram_totals(self, field341, params341):
-        data = t_class_data(field341, params341)
-        joint = joint_histogram(field341, params341, data)
-        assert sum(joint) == params341.pairs
+        joint = joint_histogram(field341, params341, t_class_data(field341, params341))
+        assert sum(joint.values()) == params341.pairs
+        s = params341.s
+        ranks = {r for key in joint for r, _ in key}
+        assert ranks == {0, s - 2, s - 1, s}
         # The rank lemma: no pair has both ranks below s (outside (0, 0)).
-        for cf in range(2, 6):
-            for cg in range(2, 6):
-                assert joint[cf * 7 + cg] == 0
+        assert not [key for key in joint if 0 < key[0][0] < s and 0 < key[1][0] < s]
+
+    def test_budget_counts_the_gram_matrices(self, params341):
+        field = build_field(3, 4)
+        with pytest.raises(BudgetExceeded, match="486 Gram matrices > budget 485"):
+            t_class_data(field, params341, budget=6 * field.order - 1)
+        data = t_class_data(field, params341, budget=6 * field.order)
+        assert int(data.weight.sum()) == params341.pairs
 
 
 class TestBruteHistogram:
@@ -185,8 +186,8 @@ class TestBruteHistogram:
     def test_all_pairs_loop_531(self):
         code = build_code(5, 3, 1)
         field, n = code.field, code.n
-        ru = trace_rows(field, code.u_codes)
-        rw = trace_rows(field, code.w_codes)
+        ru = trace_rows(field, range(field.order), code.u_codes)
+        rw = trace_rows(field, range(field.order), code.w_codes)
         expected = [0] * (n + 1)
         for b in range(field.order):
             nonzero = ((ru + rw[b][None, :]) % field.p != 0).sum(axis=1)
@@ -201,7 +202,7 @@ class TestBruteHistogram:
 
     def test_trace_rows_shape(self, field341, code341):
         codes = [0] + code341.u_codes[:10]
-        rows = trace_rows(field341, codes)
+        rows = trace_rows(field341, range(81), codes)
         assert rows.shape == (81, 11)
         assert rows.dtype == np.uint8
         tr = field341.trace_table

@@ -61,9 +61,14 @@ class TestWeights:
         assert doc["rows"][0] == {"weight": 0, "frequency": 1}
 
     def test_budget_refusal_exits_3(self):
-        proc = run_cli("weights", 3, 8, 2, "--engines", "brute")
+        proc = run_cli("weights", 3, 9, 3, "--engines", "brute")
         assert proc.returncode == 3
-        assert "refused" in proc.stderr
+        assert "needs 1162202418 coordinate checks > budget 400000000" in proc.stderr
+
+    def test_brute_within_budget_382(self):
+        proc = run_cli("weights", 3, 8, 2, "--engines", "brute,closed")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["agreement"]["all_equal"] is True
 
     def test_unsupported_closed_exits_3(self):
         proc = run_cli("weights", 3, 3, 1, "--engines", "closed")
@@ -161,7 +166,7 @@ class TestVerify:
     def test_max_rank_respects_budget(self):
         proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 1000)
         assert proc.returncode == 3
-        assert "refused" in proc.stderr
+        assert "refused: pair pass needs 4374 Gram matrices > budget 1000" in proc.stderr
 
 
 class TestModulusAndWorkers:

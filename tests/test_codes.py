@@ -167,10 +167,13 @@ class TestEngines:
             assert weight_distribution_sums(alt).same_rows(dists341["sums"])
 
     def test_budget_refusals(self, code341):
-        with pytest.raises(BudgetExceeded):
-            weight_distribution_brute(code341, budget=1000)
-        with pytest.raises(BudgetExceeded):
-            weight_distribution_sums(code341, budget=1000)
+        # brute makes 3 p**m n = 19440 coordinate checks; sums eliminates
+        # 6 p**m = 486 Gram matrices.
+        with pytest.raises(BudgetExceeded, match="19440 coordinate checks"):
+            weight_distribution_brute(code341, budget=19439)
+        assert weight_distribution_brute(code341, budget=19440).total == 3**8
+        with pytest.raises(BudgetExceeded, match="486 Gram matrices"):
+            weight_distribution_sums(code341, budget=485)
 
 
 class TestWeightDistribution:

@@ -15,7 +15,6 @@ from twozero.expsums import (
     s_direct,
     s_distribution_closed,
     s_fast,
-    s_sum,
     t_census_direct,
     t_census_fast,
     t_direct,
@@ -115,8 +114,8 @@ class TestS:
                 )
 
     def test_mode_dispatch(self, field341, params341):
-        d = s_sum(field341, params341, 3, 5, "direct")
-        f = s_sum(field341, params341, 3, 5, "fast")
+        d = s_direct(field341, params341, 3, 5)
+        f = s_fast(field341, params341, 3, 5)
         assert f.cyclotomic() == d
 
     def test_values_in_case_a_table_364(self):
@@ -187,8 +186,9 @@ class TestClosedDistributions:
     def test_census_budget_refusal(self, field341, params341):
         with pytest.raises(BudgetExceeded):
             t_census_direct(field341, params341, budget=1000)
+        # The fast census is one pass of 6 p**m = 486 Gram matrices.
         with pytest.raises(BudgetExceeded):
-            t_census_fast(field341, params341, budget=1000)
+            t_census_fast(field341, params341, budget=485)
 
 
 class TestE1E2:
