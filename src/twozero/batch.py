@@ -48,7 +48,6 @@ BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
 class SubfieldTables:
     """GF(q) arithmetic on indices 0..q-1 (index 0 is the zero element)."""
 
-    q: int
     codes: np.ndarray      # subfield index -> field code
     add: np.ndarray        # (q, q) uint8
     sub: np.ndarray        # (q, q) uint8
@@ -74,7 +73,7 @@ def subfield_tables(field: FiniteField, d: int) -> SubfieldTables:
         if a:
             inv[i] = index[field.inv(a)]
             chi[i] = field.quadratic_character(a, d)
-    return SubfieldTables(q=q, codes=np.array(codes), add=add, sub=sub, mul=mul, inv=inv, chi=chi)
+    return SubfieldTables(codes=np.array(codes), add=add, sub=sub, mul=mul, inv=inv, chi=chi)
 
 
 def batched_rank_disc(mats: np.ndarray, tabs: SubfieldTables) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +162,23 @@ def _log_gather(field: FiniteField, by_log: np.ndarray, alphas, codes) -> np.nda
     return out
 
 
-def _gram_entry_tables(field: FiniteField, params: CodeParams, tabs: SubfieldTables):
+def trace_of_powers(field: FiniteField, d: int) -> np.ndarray:
+    """Subfield index of Tr_d(pi**e) for every exponent e, memoized on the field.
+
+    Indices are those of :func:`subfield_tables`; at d = 1 the index is the
+    trace value itself, since the codes of GF(p) are 0..p-1.
+    """
+
+    def compute() -> np.ndarray:
+        codes = field.subfield(d)
+        index = np.zeros(field.order, np.uint8)
+        index[list(codes)] = np.arange(len(codes))
+        return index[np.array(field.trace_to_table(d))[np.asarray(field.exp)]]
+
+    return field.memoized(("trace_of_powers", d), compute)
+
+
+def _gram_entry_tables(field: FiniteField, params: CodeParams):
     """Per-(i, j) lookup tables turning (alpha, beta) codes into Gram entries.
 
     A[i][j](alpha, beta) = Tr_d(alpha * u_ij) + Tr_d(beta * v_ij) with
@@ -172,10 +187,7 @@ def _gram_entry_tables(field: FiniteField, params: CodeParams, tabs: SubfieldTab
     """
     k = params.k
     basis = gram_basis(field, params)
-    index = np.zeros(field.order, np.uint8)
-    index[tabs.codes] = np.arange(tabs.q)
-    # Subfield index of Tr_d(pi**e) for every exponent e.
-    trace_of_power = index[np.array(field.trace_to_table(params.d))[field.exp]]
+    trace_of_power = trace_of_powers(field, params.d)
     every_code = np.arange(field.order)
     entries = []
     for i in range(params.s):
@@ -202,7 +214,7 @@ def pair_classes(
 ) -> np.ndarray:
     """Packed class of f at each pair (alphas[i], betas[i]), as a uint8 array."""
     tabs = subfield_tables(field, params.d)
-    entries = _gram_entry_tables(field, params, tabs)
+    entries = _gram_entry_tables(field, params)
     s = params.s
     out = np.empty(alphas.size, np.uint8)
     for lo in range(0, alphas.size, DEFAULT_CHUNK):
@@ -312,8 +324,7 @@ def joint_histogram(
 
 def trace_rows(field: FiniteField, alphas, codes) -> np.ndarray:
     """(len(alphas), len(codes)) uint8 matrix of Tr_1^m(alphas[i] * codes[j])."""
-    trace_of_power = np.array(field.trace_table, np.uint8)[field.exp]  # Tr(pi**j)
-    return _log_gather(field, trace_of_power, alphas, codes)
+    return _log_gather(field, trace_of_powers(field, 1), alphas, codes)
 
 
 def brute_weight_histogram(code) -> list[int]:

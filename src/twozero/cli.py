@@ -88,8 +88,8 @@ def _format_weights(documents, agreement, fmt: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    params = classify_parameters(args.p, args.m, args.k)
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
+    params = code.params
     doc = {
         "p": params.p,
         "m": params.m,
@@ -129,8 +129,8 @@ def cmd_weights(args) -> int:
     for engine in engines:
         if engine not in ENGINES:
             raise ParameterError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    params = classify_parameters(args.p, args.m, args.k)
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
+    params = code.params
     dists = {}
     for engine in engines:
         dists[engine] = run_engine(code, engine, budget=args.budget)
@@ -236,8 +236,8 @@ def cmd_sums(args) -> int:
 
 
 def cmd_census(args) -> int:
-    params = classify_parameters(args.p, args.m, args.k)
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
+    params = code.params
     census = rank_census(code.field, params, budget=args.budget)
     closed = closed_rank_census(params)
     doc = {

@@ -26,10 +26,6 @@ class NotOddPrime(ParameterError):
     """p must be an odd prime."""
 
 
-class DegreeTooLarge(ParameterError):
-    """p**m exceeds the configured table budget."""
-
-
 class NotADivisor(ParameterError):
     """Subfield degree does not divide the extension degree."""
 
@@ -58,11 +54,22 @@ class BudgetExceeded(Refusal):
     """Enumeration size exceeds the configured budget."""
 
 
-def check_budget(what: str, needed: int, unit: str, budget: int | None, default: int) -> None:
+class DegreeTooLarge(BudgetExceeded):
+    """p**m exceeds the configured table budget."""
+
+
+def check_budget(
+    what: str,
+    needed: int,
+    unit: str,
+    budget: int | None,
+    default: int,
+    error: type[BudgetExceeded] = BudgetExceeded,
+) -> None:
     """Refuse work of needed units when it exceeds budget (None: default)."""
     limit = default if budget is None else budget
     if needed > limit:
-        raise BudgetExceeded(f"{what} needs {needed} {unit} > budget {limit}")
+        raise error(f"{what} needs {needed} {unit} > budget {limit}")
 
 
 class UnsupportedCase(Refusal):

@@ -6,7 +6,14 @@ additive identity and code 1 the multiplicative identity.  A field carries
 a fixed monic irreducible modulus (the lexicographically smallest one, so
 rebuilding the same (p, m) is bit-for-bit reproducible), a fixed primitive
 element pi (the smallest code of multiplicative order p**m - 1), and eager
-exp/log/trace tables used by every hot path.
+tables used by every hot path.
+
+There is one arithmetic.  :class:`Polynomial` modulo the modulus finds pi
+and walks its powers once, which gives the exp/log tables; after that every
+operation is a table lookup.  Multiplication adds logarithms, and addition
+uses Zech logarithms, zech[i] = log(1 + pi**i), since a + b = a (1 + b/a).
+The trace to a subfield is GF(p)-linear, so each trace table is tabulated
+from the images of the basis x**j, one addition per code.
 
 The module also houses polynomials over GF(p) (needed for moduli, minimal
 polynomials and the generator of the cyclic code), the trace maps to
@@ -26,9 +33,14 @@ from .errors import (
     NotOddPrime,
     ParameterError,
     ZeroArgument,
+    check_budget,
 )
 
-DEFAULT_TABLE_BUDGET = 1 << 24
+# Largest field (in elements) whose tables are built.  The tables take about
+# 140 bytes per element (peak RSS of build_code, CPython 3.11: 85 MiB at
+# 3^12, 223 MiB at 3^13), so 2^21 elements bounds them near 300 MiB: 3^13 is
+# built and 3^14 (about 650 MiB) and larger are refused.
+DEFAULT_TABLE_BUDGET = 1 << 21
 
 T = TypeVar("T")
 
@@ -67,6 +79,15 @@ def prime_factors(n: int) -> list[int]:
         f += 1 if f == 2 else 2
     if n > 1:
         out.append(n)
+    return out
+
+
+def _digits(a: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of a, least significant first."""
+    out = []
+    for _ in range(m):
+        a, r = divmod(a, p)
+        out.append(r)
     return out
 
 
@@ -241,11 +262,7 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[Polynomial]:
     of the low-coefficient list read as a base-p integer c_0 + c_1 p + ...
     """
     for low in range(p**m):
-        digits, t = [], low
-        for _ in range(m):
-            t, r = divmod(t, p)
-            digits.append(r)
-        f = Polynomial(p, digits + [1])
+        f = Polynomial(p, _digits(low, p, m) + [1])
         if is_irreducible(f):
             yield f
 
@@ -254,9 +271,10 @@ class FiniteField:
     """GF(p**m) with a fixed modulus, primitive element and eager tables.
 
     Construct through :func:`build_field`.  All arithmetic is on integer
-    codes; the tables are immutable after construction.  Derived tables
-    (subfield traces, subfield codes, the log array, class data) are
-    memoized on the instance, so they live exactly as long as the field.
+    codes through the exp, log and zech tables, which are immutable after
+    construction.  Derived tables (subfield traces, subfield codes, the log
+    array, class data) are memoized on the instance, so they live exactly as
+    long as the field.
     """
 
     def __init__(self, p: int, m: int, modulus: Polynomial, primitive: int) -> None:
@@ -266,38 +284,30 @@ class FiniteField:
         self.n = self.order - 1  # size of the multiplicative group
         self.modulus = modulus
         self.primitive_element = primitive
-        self._mod_coeffs = modulus.coeffs
+        self._memo: dict = {}
 
         exp = [0] * self.n
         log = [-1] * self.order
-        cur = 1
+        pi = Polynomial(p, _digits(primitive, p, m))
+        cur = Polynomial.one(p)
         for i in range(self.n):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_raw(cur, primitive)
-        if cur != 1:
+            code = self.encode(cur.coeffs)
+            exp[i] = code
+            log[code] = i
+            cur = cur * pi % modulus
+        if cur != Polynomial.one(p):
             raise InternalInconsistency("primitive element order mismatch")
         self.exp = exp
         self.log = log
-        self.neg_one = exp[self.n // 2]  # p odd, so n is even
+        # zech[i] = log(1 + pi**i): adding 1 changes digit 0 only.  The entry
+        # at n/2 is log(0) = -1, since pi**(n/2) = -1 (p odd, so n is even).
+        self.zech = [log[e - e % p + (e + 1) % p] for e in exp]
+        self.neg_one = exp[self.n // 2]
         self.half = self.inv(2)
 
-        # Tr_1^m as a flat table of values in [0, p).
-        frob = [0] * self.order
-        for a in range(1, self.order):
-            frob[a] = exp[(log[a] * p) % self.n]
-        tr = [0] * self.order
-        for a in range(self.order):
-            acc, t = a, a
-            for _ in range(m - 1):
-                t = frob[t]
-                acc = self.add(acc, t)
-            if acc >= p:
-                raise InternalInconsistency("trace left the prime subfield")
-            tr[a] = acc
-        self.trace_table = tr
-        self._frob = frob
-        self._memo: dict = {}
+        self.trace_table = self.trace_to_table(1)  # Tr_1^m, values in [0, p)
+        if any(t >= p for t in self.trace_table):
+            raise InternalInconsistency("trace left the prime subfield")
 
     def memoized(self, key, compute: Callable[[], T]) -> T:
         """compute(), evaluated once per key for this field."""
@@ -309,11 +319,7 @@ class FiniteField:
 
     def coeffs(self, a: int) -> list[int]:
         """Base-p digits of a code (length m, ascending)."""
-        out = []
-        for _ in range(self.m):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
+        return _digits(a, self.p, self.m)
 
     def encode(self, digits) -> int:
         acc = 0
@@ -322,22 +328,16 @@ class FiniteField:
         return acc
 
     def add(self, a: int, b: int) -> int:
-        p, acc, scale = self.p, 0, 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            acc += (ra + rb) % p * scale
-            scale *= p
-        return acc
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self.n]
+        return 0 if z < 0 else self.exp[(la + z) % self.n]
 
     def neg(self, a: int) -> int:
-        p, acc, scale = self.p, 0, 1
-        while a:
-            a, r = divmod(a, p)
-            if r:
-                acc += (p - r) * scale
-            scale *= p
-        return acc
+        return self.exp[(self.log[a] + self.n // 2) % self.n] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -365,44 +365,35 @@ class FiniteField:
             return 0
         return self.exp[(self.log[a] * pow(self.p, j, self.n)) % self.n]
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free multiplication (used only to bootstrap the tables)."""
-        p, m = self.p, self.m
-        da, db = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self._mod_coeffs
-        for i in range(len(prod) - 1, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(m):
-                    prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
-        return self.encode(prod[:m])
-
     # -- traces, subfields, characters --------------------------------------
 
     def trace(self, a: int, l: int = 1) -> int:
         """Tr_l^m(a) = sum of a**(p**(l*i)); lands in the subfield GF(p**l)."""
-        if l < 1 or self.m % l:
-            raise NotADivisor(f"l={l} does not divide m={self.m}")
-        if l == 1:
-            return self.trace_table[a]
-        acc, t = a, a
-        for _ in range(self.m // l - 1):
-            t = self.frobenius(t, l)
-            acc = self.add(acc, t)
-        return acc
+        return self.trace_to_table(l)[a]
 
     def trace_to_table(self, d: int) -> tuple[int, ...]:
-        """Tr_d^m for every code, as a flat tuple."""
-        return self.memoized(
-            ("trace_to_table", d),
-            lambda: tuple(self.trace(a, d) for a in range(self.order)),
-        )
+        """Tr_d^m for every code, as a flat tuple.
+
+        Tr_d^m is GF(p)-linear, so the code c p**j + r (r < p**j) maps to
+        Tr_d^m(r) + c Tr_d^m(x**j); only the m images of the basis x**j are
+        Frobenius conjugate sums.
+        """
+        if d < 1 or self.m % d:
+            raise NotADivisor(f"d={d} does not divide m={self.m}")
+
+        def tabulate() -> tuple[int, ...]:
+            table = [0]
+            for j in range(self.m):
+                image = t = self.p**j  # the code of x**j
+                for _ in range(self.m // d - 1):
+                    t = self.frobenius(t, d)
+                    image = self.add(image, t)
+                for c in range(1, self.p):
+                    shift = self.mul(c, image)
+                    table += [self.add(r, shift) for r in table[: self.p**j]]
+            return tuple(table)
+
+        return self.memoized(("trace_to_table", d), tabulate)
 
     def subfield(self, d: int) -> tuple[int, ...]:
         """Sorted codes of the subfield GF(p**d) inside this field."""
@@ -495,8 +486,9 @@ def build_field(
         raise NotOddPrime(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
-    if p**m > max_order:
-        raise DegreeTooLarge(f"p^m = {p**m} exceeds the table budget {max_order}")
+    check_budget(
+        "field tables", p**m, "elements", max_order, DEFAULT_TABLE_BUDGET, DegreeTooLarge
+    )
 
     modulus = None
     for i, f in enumerate(irreducible_polynomials(p, m)):
@@ -506,31 +498,16 @@ def build_field(
     if modulus is None:
         raise ParameterError(f"fewer than {modulus_index + 1} irreducibles of degree {m}")
 
-    # Bootstrap: raw multiplication against the chosen modulus lets us test
-    # element orders before any tables exist.
-    shell = object.__new__(FiniteField)
-    shell.p, shell.m = p, m
-    shell.order, shell.n = p**m, p**m - 1
-    shell._mod_coeffs = modulus.coeffs
-
     n = p**m - 1
     checks = [n // ell for ell in prime_factors(n)] if n > 1 else []
-
-    def pow_raw(a: int, e: int) -> int:
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = FiniteField._mul_raw(shell, r, b)
-            b = FiniteField._mul_raw(shell, b, b)
-            e >>= 1
-        return r
-
+    one = Polynomial.one(p)
     found = -1
     primitive = None
     for g in range(1, p**m):
-        if pow_raw(g, n) != 1:
+        candidate = Polynomial(p, _digits(g, p, m))
+        if candidate.pow_mod(n, modulus) != one:
             raise InternalInconsistency("modulus is not irreducible")
-        if all(pow_raw(g, c) != 1 for c in checks):
+        if all(candidate.pow_mod(c, modulus) != one for c in checks):
             found += 1
             if found == primitive_index:
                 primitive = g

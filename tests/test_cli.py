@@ -36,6 +36,11 @@ class TestAnalyze:
     def test_bad_prime_exits_2(self):
         assert run_cli("analyze", 4, 6, 1).returncode == 2
 
+    def test_oversized_field_exits_3(self):
+        proc = run_cli("analyze", 3, 15, 1, timeout=30)
+        assert proc.returncode == 3
+        assert "field tables needs 14348907 elements > budget 2097152" in proc.stderr
+
     def test_json_format(self):
         proc = run_cli("analyze", 3, 4, 1, "--format", "json")
         doc = json.loads(proc.stdout)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -199,3 +201,13 @@ class TestCodeReport:
         assert "closed" in rep["unavailable"]
         assert "brute" in rep["distributions"]
         assert rep["case"] == "OddS-out-of-scope"
+
+
+def test_building_a_code_imports_no_numpy():
+    # Every CLI run pays for its imports; field and code construction must
+    # not pull in numpy (only the engines in batch need it).
+    script = "import sys, twozero; twozero.build_code(3, 6, 1); print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -13,6 +13,56 @@ from twozero.errors import (
 )
 from twozero.gf import Polynomial, irreducible_polynomials, is_irreducible
 
+# -- table-free references ---------------------------------------------------
+# Digit-loop addition and negation on base-p codes, and multiplication as a
+# polynomial product modulo the field's modulus.  None of them reads the
+# exp, log or zech tables, so they are independent oracles for the field.
+
+
+def digit_add(p: int, a: int, b: int) -> int:
+    acc, scale = 0, 1
+    while a or b:
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        acc += (ra + rb) % p * scale
+        scale *= p
+    return acc
+
+
+def digit_neg(p: int, a: int) -> int:
+    acc, scale = 0, 1
+    while a:
+        a, r = divmod(a, p)
+        if r:
+            acc += (p - r) * scale
+        scale *= p
+    return acc
+
+
+def poly(field, a: int) -> Polynomial:
+    return Polynomial(field.p, field.coeffs(a))
+
+
+def poly_mul(field, a: int, b: int) -> int:
+    return field.encode((poly(field, a) * poly(field, b) % field.modulus).coeffs)
+
+
+def conjugate_trace(field, a: int, d: int) -> int:
+    """Tr_d^m(a) as the sum of the conjugates a**(p**(d i)), in polynomials."""
+    acc = t = poly(field, a)
+    for _ in range(field.m // d - 1):
+        t = t.pow_mod(field.p**d, field.modulus)
+        acc = acc + t
+    return field.encode(acc.coeffs)
+
+
+SMALL_FIELDS = [
+    (p, m, mi, pi)
+    for p, m in ((3, 4), (5, 3), (7, 2))
+    for mi in range(3)
+    for pi in range(3)
+]
+
 
 @pytest.mark.parametrize("j,expected", [(1, 0), (4, 2), (6, 1), (2, 1), (96, 5)])
 def test_v2(j, expected):
@@ -57,7 +107,7 @@ class TestBuildField:
 
     def test_table_budget(self):
         with pytest.raises(DegreeTooLarge):
-            build_field(3, 16)  # 3^16 > 2^24
+            build_field(3, 16)  # 3^16 > 2^21
         build_field(3, 4, max_order=100)
         with pytest.raises(DegreeTooLarge):
             build_field(3, 5, max_order=100)
@@ -110,6 +160,26 @@ class TestArithmetic:
                 assert f.add(a, b) == f.add(b, a)
                 for c in (5, 28, 77):
                     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("p,m,modulus_index,primitive_index", SMALL_FIELDS)
+    def test_arithmetic_exhaustive(self, p, m, modulus_index, primitive_index):
+        f = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
+        for a in range(f.order):
+            assert f.neg(a) == digit_neg(p, a)
+            for b in range(f.order):
+                assert f.add(a, b) == digit_add(p, a, b)
+                assert f.sub(a, b) == digit_add(p, a, digit_neg(p, b))
+                assert f.mul(a, b) == poly_mul(f, a, b)
+
+    @pytest.mark.parametrize("p,m", [(3, 6), (5, 4)])
+    def test_trace_tables_are_conjugate_sums(self, p, m):
+        f = build_field(p, m)
+        for d in range(1, m + 1):
+            if m % d == 0:
+                expected = tuple(conjugate_trace(f, a, d) for a in range(f.order))
+                assert f.trace_to_table(d) == expected
 
 
 class TestTrace:

@@ -29,6 +29,8 @@ from twozero.expsums import (
 )
 from twozero.quadforms import closed_rank_census, rank_census, twist_pair
 
+from test_gf import digit_add
+
 SMALL_PMK = [
     (p, m, k)
     for p, m in ((3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (7, 3))
@@ -67,6 +69,18 @@ def test_orbit_action_keeps_classes_and_weight(code, data):
     assert cls[0] == cls[1]  # class of f
     assert cls[2] == cls[3]  # class of g
     assert codeword_weight(code, alpha, beta) == codeword_weight(code, *moved)
+
+
+@_settings(100)
+@given(code=codes, data=st.data())
+def test_addition_matches_digits_and_traces_are_additive(code, data):
+    field, p = code.field, code.params.p
+    element = st.integers(0, field.order - 1)
+    a, b = data.draw(element), data.draw(element)
+    total = field.add(a, b)
+    assert total == digit_add(p, a, b)
+    for tr in (field.trace_table, field.trace_to_table(code.params.d)):
+        assert tr[total] == digit_add(p, tr[a], tr[b])
 
 
 @_settings(40)
