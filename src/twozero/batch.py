@@ -300,11 +300,11 @@ def unpack_class(cls: int) -> tuple[int, int]:
 
 
 def joint_histogram(
-    field: FiniteField, params: CodeParams, data: ClassData
+    params: CodeParams, data: ClassData
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
     """Pairs by ((rank_f, eps_f), (rank_g, eps_g)), as Python ints.
 
-    data is the pass of :func:`t_class_data` for this field and params; its
+    data is the pass of :func:`t_class_data` for these params; its
     weights must account for all p**(2m) pairs.  Absent classes are omitted.
     """
     width = 2 * params.s + 2

@@ -586,7 +586,7 @@ def joint_class_census(
     """Pairs by ((rank_f, eps_f), (rank_g, eps_g)); see batch.joint_histogram."""
     from . import batch
 
-    return batch.joint_histogram(field, params, batch.t_class_data(field, params, budget=budget))
+    return batch.joint_histogram(params, batch.t_class_data(field, params, budget=budget))
 
 
 # -- E1 / E2 solution counts -------------------------------------------------

@@ -9,11 +9,14 @@ element pi (the smallest code of multiplicative order p**m - 1), and eager
 tables used by every hot path.
 
 There is one arithmetic.  :class:`Polynomial` modulo the modulus finds pi
-and walks its powers once, which gives the exp/log tables; after that every
+and the images of the basis x**j under multiplication by pi.  That map is
+GF(p)-linear, so it is tabulated on the low and the high half of a code's
+digits, and the walk over the powers of pi that gives the exp/log tables
+costs two divmods and four lookups per element.  After that every
 operation is a table lookup.  Multiplication adds logarithms, and addition
 uses Zech logarithms, zech[i] = log(1 + pi**i), since a + b = a (1 + b/a).
-The trace to a subfield is GF(p)-linear, so each trace table is tabulated
-from the images of the basis x**j, one addition per code.
+The trace to a subfield is GF(p)-linear too, so each trace table is
+tabulated from the images of the basis x**j, one addition per code.
 
 The module also houses polynomials over GF(p) (needed for moduli, minimal
 polynomials and the generator of the cyclic code), the trace maps to
@@ -23,6 +26,8 @@ valuation used by the parameter case split.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
 from typing import Callable, Iterator, TypeVar
 
 from .errors import (
@@ -38,7 +43,7 @@ from .errors import (
 
 # Largest field (in elements) whose tables are built.  The tables take about
 # 140 bytes per element (peak RSS of build_code, CPython 3.11: 85 MiB at
-# 3^12, 223 MiB at 3^13), so 2^21 elements bounds them near 300 MiB: 3^13 is
+# 3^12, 225 MiB at 3^13), so 2^21 elements bounds them near 300 MiB: 3^13 is
 # built and 3^14 (about 650 MiB) and larger are refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
 
@@ -267,10 +272,69 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[Polynomial]:
             yield f
 
 
+def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[list, list]:
+    """exp[i] = code of pi**i and log[code] = i, by walking the powers of pi.
+
+    Multiplication by pi is GF(p)-linear.  Split a code c = lo + p**h hi,
+    h = ceil(m/2); then pi c = pi lo + pi x**h hi.  t0[lo] and t1[hi] hold
+    the two images with their digits written in radix R = 2p - 1, so their
+    sum does not carry (each digit is at most 2p - 2).  n0 and n1 read the
+    low h and the high m - h radix-R digits of the sum and give the base-p
+    code of those digits reduced mod p, so one step is two divmods and four
+    lookups.  The tables hold p**h, p**(m-h), R**h and R**(m-h) machine
+    integers: at m = 1, n0 has 2p - 1 entries, which as a list of int
+    objects would outweigh exp and log.
+
+    Raises InternalInconsistency unless pi is primitive.
+    """
+    h, radix = (m + 1) // 2, 2 * p - 1
+    pi = Polynomial(p, _digits(primitive, p, m))
+
+    def images(shift: int, k: int) -> array:
+        # pi x**shift c for every c < p**k, from the k images of x**(shift+j):
+        # summed unreduced in radix b no digit carries, then each digit is
+        # reduced mod p and the digits are rewritten in radix R.
+        b = k * (p - 1) ** 2 + 1
+        sums = [0]
+        for j in range(k):
+            image = (Polynomial(p, [0] * (shift + j) + [1]) * pi % modulus).coeffs
+            step = sum(c * b**i for i, c in enumerate(image))
+            sums = [s + d * step for d in range(p) for s in sums]
+        return array("q", (sum(s // b**i % b % p * radix**i for i in range(m)) for s in sums))
+
+    def fold(k: int, scale: int) -> array:
+        # The k radix-R digits of an index, each reduced mod p, as base-p code.
+        codes = array("q", [0])
+        for j in range(k):
+            step = scale * p**j
+            codes = array("q", (c + d % p * step for d in range(radix) for c in codes))
+        return codes
+
+    half, radix_half = p**h, radix**h
+    t0, t1 = images(0, h), images(h, m - h)
+    n0, n1 = fold(h, 1), fold(m - h, half)
+    n = p**m - 1
+    exp = [0] * n
+    log = [-1] * (n + 1)
+    cur = 1
+    for i in range(n):
+        exp[i] = cur
+        log[cur] = i
+        hi, lo = divmod(cur, half)
+        hi, lo = divmod(t0[lo] + t1[hi], radix_half)
+        cur = n0[lo] + n1[hi]
+    # pi is primitive iff its first n powers are all the nonzero codes.
+    if -1 in islice(log, 1, None):
+        raise InternalInconsistency("primitive element order mismatch")
+    return exp, log
+
+
 class FiniteField:
     """GF(p**m) with a fixed modulus, primitive element and eager tables.
 
-    Construct through :func:`build_field`.  All arithmetic is on integer
+    Construct through :func:`build_field`.  The exp and log tables come
+    from one walk over the powers of the primitive element, which must be
+    primitive (else InternalInconsistency).  All arithmetic is on integer
     codes through the exp, log and zech tables, which are immutable after
     construction.  Derived tables (subfield traces, subfield codes, the log
     array, class data) are memoized on the instance, so they live exactly as
@@ -286,17 +350,7 @@ class FiniteField:
         self.primitive_element = primitive
         self._memo: dict = {}
 
-        exp = [0] * self.n
-        log = [-1] * self.order
-        pi = Polynomial(p, _digits(primitive, p, m))
-        cur = Polynomial.one(p)
-        for i in range(self.n):
-            code = self.encode(cur.coeffs)
-            exp[i] = code
-            log[code] = i
-            cur = cur * pi % modulus
-        if cur != Polynomial.one(p):
-            raise InternalInconsistency("primitive element order mismatch")
+        exp, log = _exp_log(p, m, modulus, primitive)
         self.exp = exp
         self.log = log
         # zech[i] = log(1 + pi**i): adding 1 changes digit 0 only.  The entry
@@ -499,15 +553,17 @@ def build_field(
         raise ParameterError(f"fewer than {modulus_index + 1} irreducibles of degree {m}")
 
     n = p**m - 1
-    checks = [n // ell for ell in prime_factors(n)] if n > 1 else []
+    first, *rest = prime_factors(n)  # n is even, so first == 2
     one = Polynomial.one(p)
     found = -1
     primitive = None
     for g in range(1, p**m):
         candidate = Polynomial(p, _digits(g, p, m))
-        if candidate.pow_mod(n, modulus) != one:
+        # candidate**n is the first-th power of candidate**(n/first).
+        head = candidate.pow_mod(n // first, modulus)
+        if head.pow_mod(first, modulus) != one:
             raise InternalInconsistency("modulus is not irreducible")
-        if all(candidate.pow_mod(c, modulus) != one for c in checks):
+        if head != one and all(candidate.pow_mod(n // ell, modulus) != one for ell in rest):
             found += 1
             if found == primitive_index:
                 primitive = g

@@ -109,7 +109,7 @@ def _exhaustive_joint(field, params):
         g=pair_classes(field, params, pa[alphas], pb[betas]),
         weight=np.ones(alphas.size, np.int64),
     )
-    return joint_histogram(field, params, data)
+    return joint_histogram(params, data)
 
 
 class TestClassData:
@@ -127,14 +127,14 @@ class TestClassData:
         data = t_class_data(field, params)
         assert data.f.size == data.g.size == data.weight.size == 3 * field.order
         assert int(data.weight.sum()) == params.pairs
-        assert joint_histogram(field, params, data) == _exhaustive_joint(field, params)
+        assert joint_histogram(params, data) == _exhaustive_joint(field, params)
 
     def test_modulus_and_primitive_independence(self, field341, params341):
-        joint = joint_histogram(field341, params341, t_class_data(field341, params341))
+        joint = joint_histogram(params341, t_class_data(field341, params341))
         for choice in ({"modulus_index": 1}, {"primitive_index": 1}):
             field = build_field(3, 4, **choice)
             other = t_class_data(field, params341)
-            assert joint_histogram(field, params341, other) == joint, choice
+            assert joint_histogram(params341, other) == joint, choice
 
     def test_memoized_on_the_field(self, params341):
         field = build_field(3, 4)
@@ -153,12 +153,12 @@ class TestClassData:
         assert ref() is None
 
     def test_zero_pair_only_special_class(self, field341, params341):
-        joint = joint_histogram(field341, params341, t_class_data(field341, params341))
+        joint = joint_histogram(params341, t_class_data(field341, params341))
         rank_zero = {key: n for key, n in joint.items() if key[0][0] == 0 or key[1][0] == 0}
         assert rank_zero == {((0, 1), (0, 1)): 1}
 
     def test_joint_histogram_totals(self, field341, params341):
-        joint = joint_histogram(field341, params341, t_class_data(field341, params341))
+        joint = joint_histogram(params341, t_class_data(field341, params341))
         assert sum(joint.values()) == params341.pairs
         s = params341.s
         ranks = {r for key in joint for r, _ in key}

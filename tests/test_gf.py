@@ -1,17 +1,27 @@
 from __future__ import annotations
 
+import hashlib
+from itertools import islice
+
 import pytest
 
 from twozero import build_field, v2
 from twozero.errors import (
     DegreeTooLarge,
     DivisionByZero,
+    InternalInconsistency,
     NotADivisor,
     NotOddPrime,
     ParameterError,
     ZeroArgument,
 )
-from twozero.gf import Polynomial, irreducible_polynomials, is_irreducible
+from twozero.gf import (
+    FiniteField,
+    Polynomial,
+    irreducible_polynomials,
+    is_irreducible,
+    prime_factors,
+)
 
 # -- table-free references ---------------------------------------------------
 # Digit-loop addition and negation on base-p codes, and multiplication as a
@@ -55,6 +65,43 @@ def conjugate_trace(field, a: int, d: int) -> int:
         acc = acc + t
     return field.encode(acc.coeffs)
 
+
+def polynomial_walk(field) -> list[int]:
+    """exp as the powers of pi, one polynomial product modulo the modulus each."""
+    pi, cur, exp = poly(field, field.primitive_element), Polynomial.one(field.p), []
+    for _ in range(field.n):
+        exp.append(field.encode(cur.coeffs))
+        cur = cur * pi % field.modulus
+    return exp
+
+
+def primitive_search(p: int, m: int, modulus: Polynomial, index: int) -> int:
+    """The index-th smallest code whose order, by its powers n/l, is n = p**m - 1."""
+    n, one = p**m - 1, Polynomial.one(p)
+    for g in range(1, p**m):
+        candidate = Polynomial(p, [g // p**i % p for i in range(m)])
+        if all(candidate.pow_mod(n // ell, modulus) != one for ell in prime_factors(n)):
+            if index == 0:
+                return g
+            index -= 1
+    raise AssertionError("too few primitive elements")
+
+
+def totient(n: int) -> int:
+    for ell in prime_factors(n):
+        n = n // ell * (ell - 1)
+    return n
+
+
+# m = 1 leaves the high half of a code empty, odd m splits it unevenly, and
+# p = 11, 13 give a wide radix 2p - 1.  Every modulus and primitive index
+# up to 2 that the field has.
+WALK_FIELDS = [
+    (p, m, mi, pi)
+    for p, m in ((3, 1), (5, 1), (3, 2), (3, 5), (5, 3), (7, 3), (11, 2), (13, 3), (3, 9))
+    for mi in range(len(list(islice(irreducible_polynomials(p, m), 3))))
+    for pi in range(min(3, totient(p**m - 1)))
+]
 
 SMALL_FIELDS = [
     (p, m, mi, pi)
@@ -160,6 +207,34 @@ class TestArithmetic:
                 assert f.add(a, b) == f.add(b, a)
                 for c in (5, 28, 77):
                     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+class TestExpWalk:
+    @pytest.mark.parametrize("p,m,modulus_index,primitive_index", WALK_FIELDS)
+    def test_matches_polynomial_walk(self, p, m, modulus_index, primitive_index):
+        f = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
+        assert f.primitive_element == primitive_search(p, m, f.modulus, primitive_index)
+        assert f.exp == polynomial_walk(f)
+        assert all(f.log[code] == i for i, code in enumerate(f.exp))
+
+    def test_tables_pinned_at_3_10(self):
+        # sha256 of the comma-joined tables, recorded from the polynomial walk.
+        f = build_field(3, 10)
+        digests = {
+            name: hashlib.sha256(",".join(map(str, getattr(f, name))).encode()).hexdigest()
+            for name in ("exp", "log", "zech")
+        }
+        assert digests == {
+            "exp": "9cc6265c9b4aa255d640d277c51664ec4226bc6292cfd2e949cfc9b490a8b247",
+            "log": "be7d4313c9c8b75a284755571c40cad59fdf93df0220d076002a58eb74e59fe8",
+            "zech": "f60d96464bf2d2324ea7cedfb2ac22ca0946fe6919238fb78b22ab22100d0b9f",
+        }
+
+    def test_non_primitive_element_is_refused(self):
+        # pi**2 has order 40 in GF(3^4): its powers reach half the nonzero codes.
+        f = build_field(3, 4)
+        with pytest.raises(InternalInconsistency):
+            FiniteField(3, 4, f.modulus, f.exp[2])
 
 
 class TestAgainstReferences:
