@@ -28,6 +28,12 @@ Classes.  The pass stores the (rank, discriminant character eps) class of a
 form as rank * 2 + (eps == -1) in a uint8; the zero pair is (0, +1).  Only
 :func:`joint_histogram` unpacks it (through :func:`unpack_class`): every
 consumer reads the census keyed by ((rank_f, eps_f), (rank_g, eps_g)).
+
+Direct oracles.  The last section runs over *all* p**(2m) pairs, in blocks,
+and shares neither the Gram matrices nor the representatives above: T and
+S come from trace tables and a bincount, the rank from the GF(p)-nullity
+of phi.  They are the independent check on everything the orbit-reduced
+pass computes.
 """
 
 from __future__ import annotations
@@ -38,10 +44,11 @@ import numpy as np
 
 from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
-from .quadforms import PAIR_BUDGET, CodeParams, gram_basis
+from .quadforms import PAIR_BUDGET, CodeParams, gram_basis, phi_matrix, twist_pair
 
 DEFAULT_CHUNK = 1 << 18   # pairs per Gram-elimination batch
 BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
+DIRECT_BLOCK = 1 << 16    # trace or phi-matrix entries per block of the direct passes
 
 
 @dataclass
@@ -349,3 +356,238 @@ def brute_weight_histogram(code) -> list[int]:
             zeros = (ru == neg_rw[:, r]).sum(axis=1)
             hist += weight * np.bincount(n - zeros, minlength=n + 1)
     return [int(h) for h in hist]
+
+
+# -- direct oracles over all pairs -------------------------------------------
+
+
+def check_int64(bound: int, what: str) -> None:
+    """Abort unless every value up to bound fits an int64 (never wrap silently)."""
+    if bound > np.iinfo(np.int64).max:
+        raise InternalInconsistency(f"{what} may reach {bound}, beyond int64")
+
+
+def _block_pairs(per_pair: int) -> int:
+    """Pairs per block when each pair holds per_pair entries."""
+    return max(1, DIRECT_BLOCK // per_pair)
+
+
+def pair_blocks(order: int, per_pair: int):
+    """(alphas, betas) over all order**2 pairs, about DIRECT_BLOCK entries a block.
+
+    Pairs run in the order alpha * order + beta, so (0, 0) comes first.
+    """
+    step = _block_pairs(per_pair)
+    total = order * order
+    for lo in range(0, total, step):
+        index = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        yield index // order, index % order
+
+
+def direct_trace_tables(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(alpha x**(p**k+1)) and Tr(beta x**2) at x = pi**t, uint8 (p**m, n).
+
+    Rows are element codes, column t stands for x = pi**t (x = 0 has no
+    column: its trace is 0).  Trace is additive, so the exponent of
+    zeta_p in T(alpha, beta) at x is row alpha of the first table plus row
+    beta of the second, mod p.  Memoized on the field per params.
+    """
+
+    def compute() -> tuple[np.ndarray, np.ndarray]:
+        n = field.n
+        trace = trace_of_powers(field, 1)  # at d = 1 the index is the trace
+        exp = np.asarray(field.exp, np.int64)
+        t = np.arange(n, dtype=np.int64)
+        every_code = np.arange(field.order)
+        e = (params.p**params.k + 1) % n
+        return (
+            _log_gather(field, trace, every_code, exp[t * e % n]),
+            _log_gather(field, trace, every_code, exp[2 * t % n]),
+        )
+
+    return field.memoized(("direct_trace_tables", params), compute)
+
+
+def twist_images(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Twisted alpha and beta of every code, from the scalar quadforms.twist_pair."""
+    order = field.order
+    pa = [twist_pair(field, params, a, 0)[0] for a in range(order)]
+    pb = [twist_pair(field, params, 0, b)[1] for b in range(order)]
+    return np.array(pa, np.int64), np.array(pb, np.int64)
+
+
+def _value_counts(values: np.ndarray, p: int) -> np.ndarray:
+    """(N, p) int64: how often each of 0..p-1 occurs in each row of values."""
+    rows = values.shape[0]
+    flat = values.astype(np.int64)
+    flat += np.arange(0, rows * p, p, dtype=np.int64)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * p).reshape(rows, p)
+
+
+def direct_counts(
+    field: FiniteField,
+    params: CodeParams,
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    twist: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """(N, p) counts c with T(alpha, beta) = sum c_j zeta_p**j, per pair.
+
+    With twist = :func:`twist_images`, the counts of S: those of T plus
+    those of T at the twisted pair.
+    """
+    p = params.p
+    a_tab, b_tab = direct_trace_tables(field, params)
+    # At most 2p - 2 in uint8: s >= 3 needs m >= 3, so the table budget keeps p < 128.
+    values = a_tab[alphas] + b_tab[betas]
+    if twist is not None:
+        pa, pb = twist
+        values = np.hstack([values, a_tab[pa[alphas]] + b_tab[pb[betas]]])
+    values %= p
+    counts = _value_counts(values, p)
+    counts[:, 0] += 1 if twist is None else 2  # x = 0, once per T
+    return counts
+
+
+def direct_census(
+    field: FiniteField, params: CodeParams, *, twisted: bool
+) -> dict[tuple[int, ...], int]:
+    """Pairs by the counts vector of T (of S when twisted), over all pairs in blocks."""
+    twist = twist_images(field, params) if twisted else None
+    width = field.n * (2 if twisted else 1)
+    out: dict[tuple[int, ...], int] = {}
+    for alphas, betas in pair_blocks(field.order, width):
+        rows, freq = np.unique(
+            direct_counts(field, params, alphas, betas, twist), axis=0, return_counts=True
+        )
+        for row, f in zip(map(tuple, rows.tolist()), freq.tolist()):
+            out[row] = out.get(row, 0) + f
+    return out
+
+
+def phi_tables(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
+    """GF(p) matrices of phi at (alpha, 0) and at (0, beta), uint8 (p**m, m, m).
+
+    phi is GF(p)-linear in alpha and in beta separately, so the matrix of a
+    code is the digit-weighted sum of the matrices of the basis codes p**j,
+    and the matrix at (alpha, beta) is row alpha of the first table plus row
+    beta of the second, mod p.  Memoized on the field per params.
+    """
+
+    def compute() -> tuple[np.ndarray, np.ndarray]:
+        p, m = field.p, field.m
+        digits = np.arange(field.order)[:, None] // p ** np.arange(m) % p
+
+        def tabulate(basis: list) -> np.ndarray:
+            return (np.tensordot(digits, np.array(basis), axes=1) % p).astype(np.uint8)
+
+        return (
+            tabulate([phi_matrix(field, params, p**j, 0) for j in range(m)]),
+            tabulate([phi_matrix(field, params, 0, p**j) for j in range(m)]),
+        )
+
+    return field.memoized(("phi_tables", params), compute)
+
+
+def nullity_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """GF(p)-nullity of each matrix of an (N, r, c) batch with entries in [0, p).
+
+    Row reduction column by column: each matrix takes its first row with a
+    nonzero entry in the column among the rows not yet used as a pivot,
+    and adds to every other row the multiple of it that clears the column.
+    Only the later columns are updated, since no earlier one is read again,
+    and entries are reduced mod p only where they are read: unreduced, they
+    stay below p + c p**2, far inside uint32.
+    """
+    a = mats.astype(np.uint32)
+    n, nrows, ncols = a.shape
+    mod = np.uint32(p)
+    inv = np.array([0] + [pow(c, -1, p) for c in range(1, p)], np.uint32)
+    free = np.ones((n, nrows), bool)
+    rank = np.zeros(n, np.int64)
+    every = np.arange(n)
+    for col in range(ncols):
+        column = a[:, :, col] % mod
+        candidates = (column != 0) & free
+        found = candidates.any(axis=1)
+        piv = candidates.argmax(axis=1)
+        if col + 1 < ncols:
+            # inv[0] = 0 clears the multipliers of a matrix without a pivot.
+            clear = (mod - column * inv[column[every, piv] * found][:, None] % mod) % mod
+            clear[every, piv] = 0
+            pivot_row = a[every, piv, col + 1 :] % mod
+            a[:, :, col + 1 :] += clear[:, :, None] * pivot_row[:, None, :]
+        free[every[found], piv[found]] = False
+        rank += found
+    return ncols - rank
+
+
+def phi_ranks(
+    field: FiniteField, params: CodeParams, alphas: np.ndarray, betas: np.ndarray
+) -> np.ndarray:
+    """Rank of f at each pair: s - (GF(p)-nullity of phi) / d.
+
+    Checked like quadforms.rank: every nullity is a multiple of d, and away
+    from the zero pair (rank 0) every rank lies in {s-2, s-1, s}.
+    """
+    d, s = params.d, params.s
+    ma, mb = phi_tables(field, params)
+    mats = ma[alphas] + mb[betas]
+    mats %= params.p
+    nullity = nullity_batch(mats, params.p)
+    if (nullity % d).any():
+        bad = int(nullity[np.argmax(nullity % d != 0)])
+        raise InternalInconsistency(f"phi-nullity {bad} not divisible by d={d}")
+    ranks = s - nullity // d
+    low = (ranks < s - 2) & ((alphas != 0) | (betas != 0))
+    if low.any():
+        bad = int(ranks[np.argmax(low)])
+        raise InternalInconsistency(f"rank {bad} outside the trichotomy at s={s}")
+    return ranks
+
+
+def phi_rank_histogram(field: FiniteField, params: CodeParams) -> dict[int, int]:
+    """Nonzero pairs by phi rank, over all pairs."""
+    counts = np.zeros(params.s + 1, np.int64)
+    for alphas, betas in pair_blocks(field.order, field.m * field.m):
+        counts += np.bincount(phi_ranks(field, params, alphas, betas), minlength=params.s + 1)
+    counts[0] -= 1  # the zero pair
+    return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
+
+
+def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cyclic convolution of two (N, p) arrays: the product in Z[C_p]."""
+    out = np.zeros_like(a)
+    for i in range(a.shape[1]):
+        out += a[:, i : i + 1] * np.roll(b, i, axis=1)
+    return out
+
+
+def direct_moments(field: FiniteField, params: CodeParams) -> dict[tuple[int, str], list[int]]:
+    """Sums of S, S**2 and S**3 over all pairs and over the rank regions.
+
+    Keys are (t, region) with t in {1, 2, 3} and region "all", "N1" (rank
+    s-1) or "N2" (rank s-2); values are counts c (Python ints) with
+    sum c_j zeta_p**j equal to the sum of S**t.  Per pair, S is the counts
+    vector of :func:`direct_counts` and its powers are cyclic convolutions
+    in int64; a counts entry of S**t is at most p**2 (2 p**m)**3 for every
+    t, and a block adds at most _block_pairs of them before the sum leaves
+    int64 for Python ints.
+    """
+    p, s = params.p, params.s
+    width = 2 * field.n
+    check_int64(_block_pairs(width) * p**2 * (2 * field.order) ** 3, "S**3 block sum")
+    twist = twist_images(field, params)
+    sums = {(t, region): [0] * p for t in (1, 2, 3) for region in ("all", "N1", "N2")}
+    for alphas, betas in pair_blocks(field.order, width):
+        s1 = direct_counts(field, params, alphas, betas, twist)
+        s2 = _cyclic_convolution(s1, s1)
+        s3 = _cyclic_convolution(s2, s1)
+        ranks = phi_ranks(field, params, alphas, betas)  # 0 only at (0, 0), and s - 2 >= 1
+        regions = (("all", slice(None)), ("N1", ranks == s - 1), ("N2", ranks == s - 2))
+        for t, power in ((1, s1), (2, s2), (3, s3)):
+            for region, rows in regions:
+                acc = sums[(t, region)]
+                for j, v in enumerate(power[rows].sum(axis=0).tolist()):
+                    acc[j] += v
+    return sums

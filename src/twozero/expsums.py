@@ -526,34 +526,47 @@ def s_distribution_closed(params: CodeParams) -> ValueDistribution:
 # -- enumerated censuses -----------------------------------------------------
 
 
+def _direct_census(
+    field: FiniteField, params: CodeParams, twisted: bool
+) -> dict[CyclotomicInteger, int]:
+    from . import batch
+
+    # Every counts vector sums to the number of terms, so distinct vectors
+    # are distinct elements of Z[zeta_p].
+    census = batch.direct_census(field, params, twisted=twisted)
+    return {CyclotomicInteger.from_counts(params.p, c): n for c, n in census.items()}
+
+
 def t_census_direct(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
-    """Census of T over all pairs by direct enumeration (p**(3m) terms)."""
+    """Census of T over all pairs by direct enumeration (p**(3m) terms).
+
+    Every pair and every x is visited, in blocked numpy passes (see
+    batch.direct_census): the trace of alpha x**(p**k+1) + beta x**2 is the
+    sum of two table entries mod p, and a bincount turns each pair's traces
+    into the coefficients of T in Z[zeta_p].  No Gram matrix and no orbit
+    representative is involved, so the census checks the fast route; the
+    scalar :func:`t_direct` is its per-pair reference.
+    """
     check_budget(
         "direct T census", params.pairs * field.order, "terms", budget, DEFAULT_DIRECT_BUDGET
     )
-    out: dict[CyclotomicInteger, int] = {}
-    for alpha in range(field.order):
-        for beta in range(field.order):
-            v = t_direct(field, params, alpha, beta)
-            out[v] = out.get(v, 0) + 1
-    return out
+    return _direct_census(field, params, twisted=False)
 
 
 def s_census_direct(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
-    """Census of S over all pairs by direct enumeration (2 p**(3m) terms)."""
+    """Census of S over all pairs by direct enumeration (2 p**(3m) terms).
+
+    As :func:`t_census_direct`, with each pair's counts added to those at
+    its twisted pair; the twist images come from the scalar twist_pair.
+    """
     check_budget(
         "direct S census", 2 * params.pairs * field.order, "terms", budget, DEFAULT_DIRECT_BUDGET
     )
-    out: dict[CyclotomicInteger, int] = {}
-    for alpha in range(field.order):
-        for beta in range(field.order):
-            v = s_direct(field, params, alpha, beta)
-            out[v] = out.get(v, 0) + 1
-    return out
+    return _direct_census(field, params, twisted=True)
 
 
 def t_census_fast(
@@ -733,29 +746,25 @@ def _identity_targets(params: CodeParams) -> list[tuple[str, int, str, int]]:
     raise UnsupportedCase(f"no closed identities for case {params.case}")
 
 
-def verify_power_identities(
+def power_moments(
     field: FiniteField,
     params: CodeParams,
-    mode: str = "auto",
+    mode: str,
     *,
     budget: int | None = None,
-) -> list[IdentityCheck]:
-    """Check the case's power-sum identities with exact arithmetic.
+) -> dict[tuple[int, str], tuple[int, int]]:
+    """Sums of S**t over all pairs ("all") and over the rank regions.
 
-    CaseA has two identities (on S**2), CaseB four (on S, S**2, S**3 and the
-    rank-restricted first moment).  mode="direct" accumulates S from the
-    enumerated sums in Z[zeta_p]; mode="fast" drives everything off the
-    joint (rank, sign) class census.  Both are exact.  mode="auto" picks
-    direct when its terms fit both the default direct budget and the
-    caller's budget, and fast otherwise.
+    Keys are (t, region) for t in {1, 2, 3} and region "all", "N1" (pairs
+    whose f has rank s-1) or "N2" (rank s-2); values are (A, B) with the
+    sum equal to A + B*sqrt(q*).  mode="direct" sums in Z[zeta_p] over all
+    pairs, S from the enumerated sums and the regions from the phi-nullity
+    rank (batch.direct_moments: blocked numpy passes that share nothing
+    with the Gram path), refusing more than budget 2 p**(3m) terms;
+    mode="fast" folds the joint (rank, sign) class census.  Both are exact
+    and must agree.
     """
-    targets = _identity_targets(params)
-    direct_terms = 2 * params.pairs * field.order
-    if mode == "auto":
-        fits = direct_terms <= DEFAULT_DIRECT_BUDGET and (budget is None or direct_terms <= budget)
-        mode = "direct" if fits else "fast"
-
-    sums: dict[tuple[int, str], tuple[int, int]] = {}
+    sums = {(t, region): (0, 0) for t in (1, 2, 3) for region in ("all", "N1", "N2")}
     if mode == "fast":
         joint = joint_class_census(field, params, budget=budget)
         for (cf, cg), count in joint.items():
@@ -768,43 +777,51 @@ def verify_power_identities(
             for t in (1, 2, 3):
                 pa, pb = _pow_pair(va, vb, params.q_star, t)
                 for region in regions:
-                    a0, b0 = sums.get((t, region), (0, 0))
+                    a0, b0 = sums[(t, region)]
                     sums[(t, region)] = (a0 + count * pa, b0 + count * pb)
     elif mode == "direct":
+        direct_terms = 2 * params.pairs * field.order
         check_budget("direct identity check", direct_terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
-        from .quadforms import rank as rank_of
+        from . import batch
 
-        acc: dict[tuple[int, str], CyclotomicInteger] = {}
-        for alpha in range(field.order):
-            for beta in range(field.order):
-                s_val = s_direct(field, params, alpha, beta)
-                regions = ["all"]
-                if alpha or beta:
-                    r = rank_of(field, params, alpha, beta)
-                    if r == params.s - 1:
-                        regions.append("N1")
-                    elif r == params.s - 2:
-                        regions.append("N2")
-                power = s_val
-                for t in (1, 2, 3):
-                    if t > 1:
-                        power = power * s_val
-                    for region in regions:
-                        key = (t, region)
-                        acc[key] = acc.get(key, CyclotomicInteger.zero(params.p)) + power
-        for key, val in acc.items():
-            sums[key] = (val.rational_value(), 0)
+        for key, counts in batch.direct_moments(field, params).items():
+            sums[key] = (CyclotomicInteger.from_counts(params.p, counts).rational_value(), 0)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
+    return sums
+
+
+def verify_power_identities(
+    field: FiniteField,
+    params: CodeParams,
+    mode: str = "auto",
+    *,
+    budget: int | None = None,
+) -> list[IdentityCheck]:
+    """Check the case's power-sum identities with exact arithmetic.
+
+    CaseA has two identities (on S**2), CaseB four (on S, S**2, S**3 and the
+    rank-restricted first moment), on the sums of :func:`power_moments`.
+    mode="direct" enumerates every pair; mode="fast" drives everything off
+    the joint (rank, sign) class census.  mode="auto" picks direct when its
+    2 p**(3m) terms fit both the default direct budget and the caller's
+    budget, and fast otherwise.
+    """
+    targets = _identity_targets(params)
+    if mode == "auto":
+        direct_terms = 2 * params.pairs * field.order
+        fits = direct_terms <= DEFAULT_DIRECT_BUDGET and (budget is None or direct_terms <= budget)
+        mode = "direct" if fits else "fast"
+    sums = power_moments(field, params, mode, budget=budget)
 
     pd = params.p**params.d
     checks = []
     for name, t, region, rhs in targets:
         if region == "all":
-            a, b = sums.get((t, "all"), (0, 0))
+            a, b = sums[(t, "all")]
         else:
-            a1, b1 = sums.get((t, "N1"), (0, 0))
-            a2, b2 = sums.get((t, "N2"), (0, 0))
+            a1, b1 = sums[(t, "N1")]
+            a2, b2 = sums[(t, "N2")]
             a = (pd - 1) * a1 + (pd * pd - 1) * a2
             b = (pd - 1) * b1 + (pd * pd - 1) * b2
         if b:

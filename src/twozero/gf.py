@@ -436,15 +436,19 @@ class FiniteField:
             raise NotADivisor(f"d={d} does not divide m={self.m}")
 
         def tabulate() -> tuple[int, ...]:
-            table = [0]
+            mul, add = self.mul, self.add
+            table: list[int] = []
             for j in range(self.m):
                 image = t = self.p**j  # the code of x**j
                 for _ in range(self.m // d - 1):
                     t = self.frobenius(t, d)
-                    image = self.add(image, t)
-                for c in range(1, self.p):
-                    shift = self.mul(c, image)
-                    table += [self.add(r, shift) for r in table[: self.p**j]]
+                    image = add(image, t)
+                if j == 0:  # the codes c < p, in one comprehension
+                    table = [mul(c, image) for c in range(self.p)]
+                else:
+                    for c in range(1, self.p):
+                        shift = mul(c, image)
+                        table += [add(r, shift) for r in table[: self.p**j]]
             return tuple(table)
 
         return self.memoized(("trace_to_table", d), tabulate)

@@ -239,21 +239,19 @@ def rank_census(
 
     method="gram" counts the f ranks of the joint class census (the
     vectorized Gram-rank kernel on the orbit representatives, see batch),
-    refusing a pass of more than budget Gram matrices; method="phi" walks
-    every pair through the scalar phi-nullity path (small fields only) and
-    refuses more than budget pairs.  None means :data:`PAIR_BUDGET`.
+    refusing a pass of more than budget Gram matrices; method="phi" takes
+    the GF(p)-nullity of phi at every pair, in blocked batches of phi
+    matrices (batch.phi_rank_histogram, with the checks of :func:`rank`),
+    and refuses more than budget pairs.  None means :data:`PAIR_BUDGET`.
     The result must equal :func:`closed_rank_census`; the comparison is the
     caller's (test suite / verify command) job.
     """
     counts = {params.s: 0, params.s - 1: 0, params.s - 2: 0}
     if method == "phi":
         check_budget("phi rank census", params.pairs, "pairs", budget, PAIR_BUDGET)
-        order = field.order
-        for alpha in range(order):
-            for beta in range(order):
-                if alpha == 0 and beta == 0:
-                    continue
-                counts[rank(field, params, alpha, beta)] += 1
+        from . import batch
+
+        counts.update(batch.phi_rank_histogram(field, params))
     else:
         from .expsums import joint_class_census
 

@@ -44,3 +44,23 @@ def dists364(code364):
 @pytest.fixture(scope="session")
 def dists361(code361):
     return {engine: run_engine(code361, engine) for engine in ENGINES}
+
+
+# Points of the direct-oracle equivalence tests: CaseB-odd-k (3, 4, 1) and the
+# OddS points (5, 3, 1) and (3, 3, 1), each under a non-default modulus and
+# under a non-default primitive element.
+_DIRECT_POINTS = [
+    ((p, m, k), {hook: 1})
+    for p, m, k in [(3, 4, 1), (5, 3, 1), (3, 3, 1)]
+    for hook in ("modulus_index", "primitive_index")
+]
+
+
+@pytest.fixture(
+    scope="session",
+    params=_DIRECT_POINTS,
+    ids=[f"{p}{m}{k}-{next(iter(kw))}" for (p, m, k), kw in _DIRECT_POINTS],
+)
+def direct_point(request):
+    (p, m, k), field_kw = request.param
+    return build_field(p, m, **field_kw), classify_parameters(p, m, k)

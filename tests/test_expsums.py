@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from twozero import build_field, classify_parameters
-from twozero.errors import BudgetExceeded, UnsupportedCase
+from twozero import batch, build_field, classify_parameters, expsums, quadforms
+from twozero.errors import BudgetExceeded, InternalInconsistency, UnsupportedCase
 from twozero.expsums import (
     CyclotomicInteger,
     count_e1,
     count_e2,
+    power_moments,
     s_census_direct,
     s_census_fast,
     s_direct,
@@ -22,6 +24,7 @@ from twozero.expsums import (
     t_fast,
     verify_power_identities,
 )
+from twozero.quadforms import closed_rank_census, rank_census
 
 
 def _t_oracle(field, params, alpha, beta):
@@ -284,3 +287,105 @@ class TestIdentities:
         f = build_field(3, 3)
         with pytest.raises(UnsupportedCase):
             verify_power_identities(f, classify_parameters(3, 3, 1))
+
+
+class TestVectorizedDirect:
+    def test_censuses_equal_scalar_loops(self, direct_point):
+        # s_direct(a, b) is t_direct(a, b) + t_direct(twist_pair(a, b)); the
+        # S loop reads both terms from the table of the T loop.
+        f, pr = direct_point
+        t_table = {(a, b): t_direct(f, pr, a, b) for a in range(f.order) for b in range(f.order)}
+        t_ref: dict = {}
+        s_ref: dict = {}
+        for pair, t in t_table.items():
+            t_ref[t] = t_ref.get(t, 0) + 1
+            s = t + t_table[quadforms.twist_pair(f, pr, *pair)]
+            s_ref[s] = s_ref.get(s, 0) + 1
+        assert t_census_direct(f, pr) == t_ref
+        assert s_census_direct(f, pr) == s_ref
+
+    def test_identities_direct_equal_fast_341(self, field341, params341):
+        direct = verify_power_identities(field341, params341, "direct")
+        fast = verify_power_identities(field341, params341, "fast")
+        assert [str(c) for c in direct] == [str(c) for c in fast]
+        assert all(c.passed for c in direct)
+
+    @pytest.mark.parametrize("pmk", [(3, 4, 1), (5, 3, 1)], ids=["341", "531"])
+    def test_power_moments_direct_equal_fast(self, pmk):
+        # (5, 3, 1) is OddS: it has no identity targets, but its moments
+        # and rank regions are defined all the same.
+        p, m, k = pmk
+        f, pr = build_field(p, m), classify_parameters(p, m, k)
+        assert power_moments(f, pr, "direct") == power_moments(f, pr, "fast")
+
+    def test_int64_guard(self):
+        batch.check_int64(int(np.iinfo(np.int64).max), "bound")
+        with pytest.raises(InternalInconsistency):
+            batch.check_int64(int(np.iinfo(np.int64).max) + 1, "bound")
+
+    def test_moments_refuse_a_block_that_could_overflow(self, monkeypatch):
+        # The guard runs before the first int64 product.
+        monkeypatch.setattr(batch, "DIRECT_BLOCK", 1 << 62)
+        with pytest.raises(InternalInconsistency):
+            batch.direct_moments(build_field(3, 3), classify_parameters(3, 3, 1))
+
+
+# Entry points of the Gram-matrix and orbit-representative route.  The direct
+# oracles must run with every one of them broken.
+_GRAM_PATH = {
+    batch: (
+        "pair_classes",
+        "batched_rank_disc",
+        "t_class_data",
+        "subfield_tables",
+        "representative_rows",
+        "twist_permutations",
+    ),
+    quadforms: ("gram_matrix", "diagonalize"),
+    expsums: ("gram_matrix", "diagonalize", "joint_class_census"),
+}
+
+
+def _block_gram_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a direct oracle reached the Gram path")
+
+    for module, names in _GRAM_PATH.items():
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+
+
+class TestDirectIndependence:
+    def test_direct_oracles_run_without_gram_path(self, monkeypatch):
+        _block_gram_path(monkeypatch)
+        f, pr = build_field(3, 4), classify_parameters(3, 4, 1)
+        assert t_census_direct(f, pr) == t_distribution_closed(pr).cyclotomic_counts()
+        assert s_census_direct(f, pr) == s_distribution_closed(pr).cyclotomic_counts()
+        checks = verify_power_identities(f, pr, "direct")
+        assert len(checks) == 4 and all(c.passed for c in checks)
+        assert rank_census(f, pr, method="phi") == closed_rank_census(pr)
+        with pytest.raises(AssertionError):
+            t_census_fast(f, pr)
+
+    @pytest.mark.parametrize(
+        ("pmk", "budget"),
+        [((3, 5, 1), 30_000_000), ((5, 3, 1), None), ((3, 4, 1), None)],
+        ids=["351", "531", "341"],
+    )
+    def test_censuses_direct_equal_fast(self, monkeypatch, pmk, budget):
+        # Catches a wrong orbit weight or representative, which brute ==
+        # sums cannot: both engines share the representatives.  The T check
+        # matters: a square beta0 in place of the nonsquare pi keeps the S
+        # census (the twist swaps the two beta rows when -1 is a square) but
+        # not the T census at (5, 3, 1) and (3, 4, 1).
+        p, m, k = pmk
+        pr = classify_parameters(p, m, k)
+        field = build_field(p, m)
+        fast_t, fast_s = t_census_fast(field, pr), s_census_fast(field, pr)
+        _block_gram_path(monkeypatch)
+        field = build_field(p, m)
+        direct_t = t_census_direct(field, pr, budget=budget)
+        direct_s = s_census_direct(field, pr, budget=budget)
+        assert direct_t == fast_t.cyclotomic_counts()
+        assert direct_s == fast_s.cyclotomic_counts()
+        assert sum(direct_t.values()) == sum(direct_s.values()) == pr.pairs

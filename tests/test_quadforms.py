@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from twozero import build_field, classify_parameters
+from twozero import batch, build_field, classify_parameters
 from twozero.errors import BothZero, NotOddPrime, STooSmall, ZeroArgument
 from twozero.quadforms import (
     Case,
@@ -139,6 +140,21 @@ class TestRank:
             pm = pr.p**pr.m
             assert (pr.q - 1) * c.n1 + (pr.q**2 - 1) * c.n2 == (pm - 1) ** 2
             assert c.total == pm * pm - 1
+
+    def test_batched_phi_ranks_equal_scalar_rank(self, direct_point):
+        f, pr = direct_point
+        alphas = np.repeat(np.arange(f.order), f.order)
+        betas = np.tile(np.arange(f.order), f.order)
+        ranks = batch.phi_ranks(f, pr, alphas, betas).tolist()
+        assert ranks[0] == 0  # the zero pair: phi vanishes
+        for a, b, r in zip(alphas.tolist()[1:], betas.tolist()[1:], ranks[1:]):
+            assert r == rank(f, pr, a, b)
+
+    def test_phi_census_364(self):
+        # CaseA with d = 2: 531441 pairs, each through the phi nullity.
+        f = build_field(3, 6)
+        pr = classify_parameters(3, 6, 4)
+        assert rank_census(f, pr, method="phi") == closed_rank_census(pr)
 
     def test_closed_census_364(self):
         c = closed_rank_census(classify_parameters(3, 6, 4))
