@@ -32,8 +32,10 @@ consumer reads the census keyed by ((rank_f, eps_f), (rank_g, eps_g)).
 Direct oracles.  The last section runs over *all* p**(2m) pairs, in blocks,
 and shares neither the Gram matrices nor the representatives above: T and
 S come from trace tables and a bincount, the rank from the GF(p)-nullity
-of phi.  They are the independent check on everything the orbit-reduced
-pass computes.
+of phi.  :func:`direct_census` counts the pairs by the value of T or S,
+optionally joined with the phi rank; the power-sum identities fold that
+(S, rank) census, so no per-pair product is ever formed.  They are the
+independent check on everything the orbit-reduced pass computes.
 """
 
 from __future__ import annotations
@@ -361,23 +363,12 @@ def brute_weight_histogram(code) -> list[int]:
 # -- direct oracles over all pairs -------------------------------------------
 
 
-def check_int64(bound: int, what: str) -> None:
-    """Abort unless every value up to bound fits an int64 (never wrap silently)."""
-    if bound > np.iinfo(np.int64).max:
-        raise InternalInconsistency(f"{what} may reach {bound}, beyond int64")
-
-
-def _block_pairs(per_pair: int) -> int:
-    """Pairs per block when each pair holds per_pair entries."""
-    return max(1, DIRECT_BLOCK // per_pair)
-
-
 def pair_blocks(order: int, per_pair: int):
     """(alphas, betas) over all order**2 pairs, about DIRECT_BLOCK entries a block.
 
     Pairs run in the order alpha * order + beta, so (0, 0) comes first.
     """
-    step = _block_pairs(per_pair)
+    step = max(1, DIRECT_BLOCK // per_pair)
     total = order * order
     for lo in range(0, total, step):
         index = np.arange(lo, min(lo + step, total), dtype=np.int64)
@@ -395,14 +386,13 @@ def direct_trace_tables(field: FiniteField, params: CodeParams) -> tuple[np.ndar
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         n = field.n
-        trace = trace_of_powers(field, 1)  # at d = 1 the index is the trace
         exp = np.asarray(field.exp, np.int64)
         t = np.arange(n, dtype=np.int64)
         every_code = np.arange(field.order)
         e = (params.p**params.k + 1) % n
         return (
-            _log_gather(field, trace, every_code, exp[t * e % n]),
-            _log_gather(field, trace, every_code, exp[2 * t % n]),
+            trace_rows(field, every_code, exp[t * e % n]),
+            trace_rows(field, every_code, exp[2 * t % n]),
         )
 
     return field.memoized(("direct_trace_tables", params), compute)
@@ -450,16 +440,23 @@ def direct_counts(
 
 
 def direct_census(
-    field: FiniteField, params: CodeParams, *, twisted: bool
+    field: FiniteField, params: CodeParams, *, twisted: bool, ranked: bool = False
 ) -> dict[tuple[int, ...], int]:
-    """Pairs by the counts vector of T (of S when twisted), over all pairs in blocks."""
+    """Pairs by the counts vector of T (of S when twisted), over all pairs in blocks.
+
+    Each key is the p counts of :func:`direct_counts`; with ranked, the
+    :func:`phi_ranks` rank of f at the pair follows them as one more entry,
+    so the census is joint in value and rank.  The pass touches no Gram
+    matrix and no orbit representative.
+    """
     twist = twist_images(field, params) if twisted else None
     width = field.n * (2 if twisted else 1)
     out: dict[tuple[int, ...], int] = {}
     for alphas, betas in pair_blocks(field.order, width):
-        rows, freq = np.unique(
-            direct_counts(field, params, alphas, betas, twist), axis=0, return_counts=True
-        )
+        counts = direct_counts(field, params, alphas, betas, twist)
+        if ranked:
+            counts = np.column_stack([counts, phi_ranks(field, params, alphas, betas)])
+        rows, freq = np.unique(counts, axis=0, return_counts=True)
         for row, f in zip(map(tuple, rows.tolist()), freq.tolist()):
             out[row] = out.get(row, 0) + f
     return out
@@ -554,40 +551,3 @@ def phi_rank_histogram(field: FiniteField, params: CodeParams) -> dict[int, int]
     counts[0] -= 1  # the zero pair
     return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
 
-
-def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cyclic convolution of two (N, p) arrays: the product in Z[C_p]."""
-    out = np.zeros_like(a)
-    for i in range(a.shape[1]):
-        out += a[:, i : i + 1] * np.roll(b, i, axis=1)
-    return out
-
-
-def direct_moments(field: FiniteField, params: CodeParams) -> dict[tuple[int, str], list[int]]:
-    """Sums of S, S**2 and S**3 over all pairs and over the rank regions.
-
-    Keys are (t, region) with t in {1, 2, 3} and region "all", "N1" (rank
-    s-1) or "N2" (rank s-2); values are counts c (Python ints) with
-    sum c_j zeta_p**j equal to the sum of S**t.  Per pair, S is the counts
-    vector of :func:`direct_counts` and its powers are cyclic convolutions
-    in int64; a counts entry of S**t is at most p**2 (2 p**m)**3 for every
-    t, and a block adds at most _block_pairs of them before the sum leaves
-    int64 for Python ints.
-    """
-    p, s = params.p, params.s
-    width = 2 * field.n
-    check_int64(_block_pairs(width) * p**2 * (2 * field.order) ** 3, "S**3 block sum")
-    twist = twist_images(field, params)
-    sums = {(t, region): [0] * p for t in (1, 2, 3) for region in ("all", "N1", "N2")}
-    for alphas, betas in pair_blocks(field.order, width):
-        s1 = direct_counts(field, params, alphas, betas, twist)
-        s2 = _cyclic_convolution(s1, s1)
-        s3 = _cyclic_convolution(s2, s1)
-        ranks = phi_ranks(field, params, alphas, betas)  # 0 only at (0, 0), and s - 2 >= 1
-        regions = (("all", slice(None)), ("N1", ranks == s - 1), ("N2", ranks == s - 2))
-        for t, power in ((1, s1), (2, s2), (3, s3)):
-            for region, rows in regions:
-                acc = sums[(t, region)]
-                for j, v in enumerate(power[rows].sum(axis=0).tolist()):
-                    acc[j] += v
-    return sums

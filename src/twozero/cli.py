@@ -363,9 +363,10 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 def cmd_verify(args) -> int:
-    code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
-    if args.checks:
+    if args.checks is not None:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not selected:
+            raise ParameterError("at least one check must be selected")
         for name in selected:
             if name not in CHECKS:
                 raise ParameterError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
@@ -374,6 +375,7 @@ def cmd_verify(args) -> int:
         selected = list(CHECK_NAMES)
         explicit = False
 
+    code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
     lines = []
     all_ok = True
     for name in selected:

@@ -23,6 +23,7 @@ identity checks that the S-distribution rests on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -605,6 +606,18 @@ def joint_class_census(
 # -- E1 / E2 solution counts -------------------------------------------------
 
 
+def _power_tables(field: FiniteField, e: int) -> tuple[list[int], list[int]]:
+    """x**2 and x**e for every element code x."""
+    codes = range(field.order)
+    return [field.pow(x, 2) for x in codes], [field.pow(x, e) for x in codes]
+
+
+def _bucket_join(left, right) -> int:
+    """Pairs (l, r) of left x right with l == r: Counter(left) summed over right."""
+    buckets = Counter(left)
+    return sum(buckets[key] for key in right)
+
+
 def count_e1(
     field: FiniteField,
     params: CodeParams,
@@ -628,17 +641,10 @@ def count_e1(
     if mode != "brute":
         raise ParameterError(f"unknown mode {mode!r}")
     check_budget("E1 brute force", params.pairs, "pairs", budget, DEFAULT_E1_BUDGET)
-    pk1 = p**k + 1
-    buckets: dict[tuple[int, int], int] = {}
-    for y in range(field.order):
-        key = (field.pow(y, 2) if y else 0, field.pow(y, pk1) if y else 0)
-        buckets[key] = buckets.get(key, 0) + 1
-    total = 0
-    for x in range(field.order):
-        sq = field.pow(x, 2) if x else 0
-        hi = field.pow(x, pk1) if x else 0
-        total += buckets.get((field.neg(sq), field.neg(hi)), 0)
-    return total
+    squares, highs = _power_tables(field, p**k + 1)
+    return _bucket_join(
+        zip(squares, highs), ((field.neg(x2), field.neg(xh)) for x2, xh in zip(squares, highs))
+    )
 
 
 def count_e2(
@@ -664,24 +670,17 @@ def count_e2(
     check_budget(
         "E2 brute force", params.pairs * field.order, "triples", budget, DEFAULT_E2_BUDGET
     )
-    pk1 = p**k + 1
+    squares, highs = _power_tables(field, p**k + 1)
     pi = field.primitive_element
     pi_e = field.pow(pi, params.twist_exponent)
-    buckets: dict[tuple[int, int], int] = {}
-    for x in range(field.order):
-        x2, xh = field.pow(x, 2) if x else 0, field.pow(x, pk1) if x else 0
-        for y in range(field.order):
-            key = (
-                field.add(x2, field.pow(y, 2) if y else 0),
-                field.add(xh, field.pow(y, pk1) if y else 0),
-            )
-            buckets[key] = buckets.get(key, 0) + 1
-    total = 0
-    for z in range(field.order):
-        z2, zh = field.pow(z, 2) if z else 0, field.pow(z, pk1) if z else 0
-        key = (field.mul(pi, z2), field.neg(field.mul(pi_e, zh)))
-        total += buckets.get(key, 0)
-    return total
+    return _bucket_join(
+        (
+            (field.add(x2, y2), field.add(xh, yh))
+            for x2, xh in zip(squares, highs)
+            for y2, yh in zip(squares, highs)
+        ),
+        ((field.mul(pi, z2), field.neg(field.mul(pi_e, zh))) for z2, zh in zip(squares, highs)),
+    )
 
 
 # -- power-sum identities ----------------------------------------------------
@@ -699,17 +698,6 @@ class IdentityCheck:
     def __str__(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"{mark} {self.name}: lhs = {self.lhs}, rhs = {self.rhs}"
-
-
-def _pow_pair(a: int, b: int, q_star: int, t: int) -> tuple[int, int]:
-    """(a + b sqrt(q*))**t expanded, for t in {1, 2, 3}."""
-    if t == 1:
-        return a, b
-    if t == 2:
-        return a * a + b * b * q_star, 2 * a * b
-    if t == 3:
-        return a**3 + 3 * a * b * b * q_star, 3 * a * a * b + b**3 * q_star
-    raise ParameterError(f"unsupported power {t}")
 
 
 def _identity_targets(params: CodeParams) -> list[tuple[str, int, str, int]]:
@@ -746,49 +734,63 @@ def _identity_targets(params: CodeParams) -> list[tuple[str, int, str, int]]:
     raise UnsupportedCase(f"no closed identities for case {params.case}")
 
 
+def _fold_moments(params: CodeParams, census) -> dict[tuple[int, str], int]:
+    """Sums of S**t per region from ((S in Z[zeta_p], rank of f), pairs) rows.
+
+    Powers are exact products in Z[zeta_p]; every sum must be rational.
+    """
+    regions = {params.s - 1: "N1", params.s - 2: "N2"}
+    zero, one = CyclotomicInteger.zero(params.p), CyclotomicInteger.from_int(params.p, 1)
+    sums = {(t, region): zero for t in (1, 2, 3) for region in ("all", "N1", "N2")}
+    for (value, rank), count in census:
+        power = one
+        for t in (1, 2, 3):
+            power = power * value
+            for region in ("all", regions.get(rank)):
+                if region:
+                    sums[(t, region)] += power * count
+    return {key: total.rational_value() for key, total in sums.items()}
+
+
 def power_moments(
     field: FiniteField,
     params: CodeParams,
     mode: str,
     *,
     budget: int | None = None,
-) -> dict[tuple[int, str], tuple[int, int]]:
+) -> dict[tuple[int, str], int]:
     """Sums of S**t over all pairs ("all") and over the rank regions.
 
     Keys are (t, region) for t in {1, 2, 3} and region "all", "N1" (pairs
-    whose f has rank s-1) or "N2" (rank s-2); values are (A, B) with the
-    sum equal to A + B*sqrt(q*).  mode="direct" sums in Z[zeta_p] over all
-    pairs, S from the enumerated sums and the regions from the phi-nullity
-    rank (batch.direct_moments: blocked numpy passes that share nothing
-    with the Gram path), refusing more than budget 2 p**(3m) terms;
-    mode="fast" folds the joint (rank, sign) class census.  Both are exact
-    and must agree.
+    whose f has rank s-1) or "N2" (rank s-2); values are the sums, which are
+    rational integers (checked).  Both modes fold a census of pairs by (S,
+    rank of f), with the powers taken exactly in Z[zeta_p].  mode="direct"
+    takes it from batch.direct_census: S from the enumerated sums and the
+    rank from the phi-nullity, blocked numpy passes over all pairs that
+    share nothing with the Gram path, refusing more than budget 2 p**(3m)
+    terms.  mode="fast" takes it from the joint (rank, sign) class census.
+    Both are exact and must agree.
     """
-    sums = {(t, region): (0, 0) for t in (1, 2, 3) for region in ("all", "N1", "N2")}
     if mode == "fast":
         joint = joint_class_census(field, params, budget=budget)
-        for (cf, cg), count in joint.items():
-            va, vb = (t_value(params, *cf) + t_value(params, *cg)).expanded()
-            regions = ["all"]
-            if cf[0] == params.s - 1:
-                regions.append("N1")
-            elif cf[0] == params.s - 2:
-                regions.append("N2")
-            for t in (1, 2, 3):
-                pa, pb = _pow_pair(va, vb, params.q_star, t)
-                for region in regions:
-                    a0, b0 = sums[(t, region)]
-                    sums[(t, region)] = (a0 + count * pa, b0 + count * pb)
+        census = (
+            (((t_value(params, *cf) + t_value(params, *cg)).cyclotomic(), cf[0]), count)
+            for (cf, cg), count in joint.items()
+        )
     elif mode == "direct":
         direct_terms = 2 * params.pairs * field.order
         check_budget("direct identity check", direct_terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
         from . import batch
 
-        for key, counts in batch.direct_moments(field, params).items():
-            sums[key] = (CyclotomicInteger.from_counts(params.p, counts).rational_value(), 0)
+        p = params.p
+        ranked = batch.direct_census(field, params, twisted=True, ranked=True)
+        census = (
+            ((CyclotomicInteger.from_counts(p, key[:p]), key[p]), count)
+            for key, count in ranked.items()
+        )
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    return sums
+    return _fold_moments(params, census)
 
 
 def verify_power_identities(
@@ -801,7 +803,8 @@ def verify_power_identities(
     """Check the case's power-sum identities with exact arithmetic.
 
     CaseA has two identities (on S**2), CaseB four (on S, S**2, S**3 and the
-    rank-restricted first moment), on the sums of :func:`power_moments`.
+    rank-restricted first moment), on the sums of :func:`power_moments`,
+    which is one fold of an (S, rank) census on either route.
     mode="direct" enumerates every pair; mode="fast" drives everything off
     the joint (rank, sign) class census.  mode="auto" picks direct when its
     2 p**(3m) terms fit both the default direct budget and the caller's
@@ -818,13 +821,8 @@ def verify_power_identities(
     checks = []
     for name, t, region, rhs in targets:
         if region == "all":
-            a, b = sums[(t, "all")]
+            lhs = sums[(t, "all")]
         else:
-            a1, b1 = sums[(t, "N1")]
-            a2, b2 = sums[(t, "N2")]
-            a = (pd - 1) * a1 + (pd * pd - 1) * a2
-            b = (pd - 1) * b1 + (pd * pd - 1) * b2
-        if b:
-            raise NonRationalSum(f"identity {name} accumulated an irrational part")
-        checks.append(IdentityCheck(name=name, lhs=str(a), rhs=str(rhs), passed=a == rhs))
+            lhs = (pd - 1) * sums[(t, "N1")] + (pd * pd - 1) * sums[(t, "N2")]
+        checks.append(IdentityCheck(name=name, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs))
     return checks

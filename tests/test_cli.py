@@ -160,6 +160,13 @@ class TestVerify:
     def test_unknown_check_exits_2(self):
         assert run_cli("verify", 3, 4, 1, "--checks", "nonsense").returncode == 2
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_check_list_exits_2(self, checks):
+        proc = run_cli("verify", 3, 4, 1, "--checks", checks)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "at least one check must be selected" in proc.stderr
+
     def test_identities_take_fast_mode_within_a_small_budget(self):
         args = ("verify", 3, 4, 1, "--checks", "identities")
         base = run_cli(*args)

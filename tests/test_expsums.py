@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-import numpy as np
 import pytest
 
 from twozero import batch, build_field, classify_parameters, expsums, quadforms
-from twozero.errors import BudgetExceeded, InternalInconsistency, UnsupportedCase
+from twozero.errors import BudgetExceeded, UnsupportedCase
 from twozero.expsums import (
     CyclotomicInteger,
     count_e1,
@@ -318,16 +318,50 @@ class TestVectorizedDirect:
         f, pr = build_field(p, m), classify_parameters(p, m, k)
         assert power_moments(f, pr, "direct") == power_moments(f, pr, "fast")
 
-    def test_int64_guard(self):
-        batch.check_int64(int(np.iinfo(np.int64).max), "bound")
-        with pytest.raises(InternalInconsistency):
-            batch.check_int64(int(np.iinfo(np.int64).max) + 1, "bound")
+    @pytest.mark.parametrize("pmk", [(3, 3, 1), (3, 4, 1)], ids=["331", "341"])
+    def test_power_moments_direct_equal_pair_by_pair_sums(self, pmk):
+        p, m, k = pmk
+        f, pr = build_field(p, m), classify_parameters(p, m, k)
+        assert power_moments(f, pr, "direct") == _moments_pair_by_pair(f, pr)
 
-    def test_moments_refuse_a_block_that_could_overflow(self, monkeypatch):
-        # The guard runs before the first int64 product.
-        monkeypatch.setattr(batch, "DIRECT_BLOCK", 1 << 62)
-        with pytest.raises(InternalInconsistency):
-            batch.direct_moments(build_field(3, 3), classify_parameters(3, 3, 1))
+    def test_power_moments_direct_equal_fast_at_every_point(self, direct_point):
+        f, pr = direct_point
+        assert power_moments(f, pr, "direct") == power_moments(f, pr, "fast")
+
+    def test_ranked_census_marginals(self, direct_point):
+        f, pr = direct_point
+        by_value: Counter = Counter()
+        by_rank: Counter = Counter()
+        for key, pairs in batch.direct_census(f, pr, twisted=True, ranked=True).items():
+            by_value[CyclotomicInteger.from_counts(pr.p, key[: pr.p])] += pairs
+            by_rank[key[pr.p]] += pairs
+        assert by_value == Counter(s_census_direct(f, pr))
+        phi = rank_census(f, pr, method="phi")
+        assert by_rank == Counter({0: 1, pr.s: phi.n0, pr.s - 1: phi.n1, pr.s - 2: phi.n2})
+
+
+def _moments_pair_by_pair(field, params):
+    """Sums of S**t per rank region from the scalar oracles, one pair at a time.
+
+    S is t_direct at the pair plus t_direct at its twist_pair, the region
+    comes from the scalar phi-nullity rank, and S**t is S multiplied by
+    itself t - 1 times; no census is formed.
+    """
+    codes = range(field.order)
+    t_of = {(a, b): t_direct(field, params, a, b) for a in codes for b in codes}
+    regions = {params.s - 1: "N1", params.s - 2: "N2"}
+    zero = CyclotomicInteger.zero(params.p)
+    sums = {(t, r): zero for t in (1, 2, 3) for r in ("all", "N1", "N2")}
+    for (a, b), t_ab in t_of.items():
+        value = t_ab + t_of[quadforms.twist_pair(field, params, a, b)]
+        region = regions.get(quadforms.rank(field, params, a, b)) if a or b else None
+        power = value
+        for t in (1, 2, 3):
+            sums[(t, "all")] += power
+            if region:
+                sums[(t, region)] += power
+            power = power * value
+    return {key: total.rational_value() for key, total in sums.items()}
 
 
 # Entry points of the Gram-matrix and orbit-representative route.  The direct
