@@ -66,12 +66,10 @@ from .gf import FiniteField, Polynomial, build_field, v2
 from .quadforms import (
     Case,
     CodeParams,
-    DiagonalForm,
     RankCensus,
     classify_parameters,
     closed_rank_census,
     diagonalize,
-    discriminant_character,
     gram_matrix,
     phi,
     psi,

@@ -3,10 +3,11 @@
 Everything here is exact integer work in numpy: subfield arithmetic becomes
 table gathers, the Gram matrix of every pair in a chunk is assembled from
 per-basis-entry trace tables, and a batched symmetric Gaussian elimination
-reads off rank and discriminant character for the whole chunk at once.
-Scalar reference implementations of the same operations live in quadforms
-and expsums; the test suite checks the two routes against each other
-exhaustively on small fields.
+reads off rank and discriminant character for the whole chunk at once, by
+the pivot rule of the scalar quadforms.diagonalize and with the same
+(rank, eps) result.  Scalar reference implementations of the same
+operations live in quadforms and expsums; the test suite checks the two
+routes against each other exhaustively on small fields.
 
 Representatives.  The substitution x -> c x (c in GF(p**m)*) sends
 (alpha, beta) to (alpha c**(p**k+1), beta c**2).  It keeps the class of f,
@@ -89,9 +90,11 @@ def batched_rank_disc(mats: np.ndarray, tabs: SubfieldTables) -> tuple[np.ndarra
     """Rank and discriminant character of a batch of symmetric matrices.
 
     mats: (N, s, s) uint8 subfield indices, symmetric; consumed destructively
-    on a copy.  Returns (rank uint8, disc int8).  Mirrors the scalar
-    diagonalizer in quadforms: diagonal swap first, then the char != 2
-    row+column-add fix-up when the whole trailing diagonal vanishes.
+    on a copy.  Returns (rank uint8, disc int8), per matrix the (rank, eps)
+    of the scalar quadforms.diagonalize, by the same pivot rule: a zero
+    pivot over a nonzero column takes c times the first row t below it with
+    a[t][j] != 0 (and then c times column t), c = -1 where
+    2 a[t][j] + a[t][t] = 0 and c = 1 elsewhere; a zero column is skipped.
     """
     a = mats.copy()
     n, s, _ = a.shape
@@ -99,52 +102,28 @@ def batched_rank_disc(mats: np.ndarray, tabs: SubfieldTables) -> tuple[np.ndarra
     disc = np.ones(n, np.int8)
     add, sub, mul, inv, chi = tabs.add, tabs.sub, tabs.mul, tabs.inv, tabs.chi
     for j in range(s):
-        # Bring a nonzero diagonal entry to (j, j) where one exists.
-        for t in range(j + 1, s):
-            idx = np.nonzero((a[:, j, j] == 0) & (a[:, t, t] != 0))[0]
-            if idx.size:
-                block = a[idx]
-                block[:, [j, t], :] = block[:, [t, j], :]
-                block[:, :, [j, t]] = block[:, :, [t, j]]
-                a[idx] = block
-        # Trailing diagonal all zero but block nonzero: plant 2*A[t][u].
-        zero_diag = a[:, j, j] == 0
-        if zero_diag.any():
-            nonzero_block = a[:, j:, j:].reshape(n, -1).any(axis=1)
-            idx = np.nonzero(zero_diag & nonzero_block)[0]
-            if idx.size:
-                flat = a[idx][:, j:, j:].reshape(idx.size, -1)
-                first = np.argmax(flat != 0, axis=1)
-                width = s - j
-                # Row-major first nonzero of a symmetric zero-diagonal block
-                # always sits strictly above the diagonal.
-                trow = j + first // width
-                ucol = j + first % width
-                if not (trow < ucol).all():
-                    raise InternalInconsistency("fix-up pivot not above the diagonal")
-                rows = np.arange(idx.size)
-                block = a[idx]
-                block[rows, trow, :] = add[block[rows, trow, :], block[rows, ucol, :]]
-                block[rows, :, trow] = add[block[rows, :, trow], block[rows, :, ucol]]
-                a[idx] = block
-                moved = np.nonzero(trow != j)[0]
-                if moved.size:
-                    sel = idx[moved]
-                    tr = trow[moved]
-                    rows2 = np.arange(sel.size)
-                    blk = a[sel]
-                    tmp = blk[rows2, j, :].copy()
-                    blk[rows2, j, :] = blk[rows2, tr, :]
-                    blk[rows2, tr, :] = tmp
-                    tmp = blk[rows2, :, j].copy()
-                    blk[rows2, :, j] = blk[rows2, :, tr]
-                    blk[rows2, :, tr] = tmp
-                    a[sel] = blk
+        below = a[:, j + 1 :, j] != 0
+        column = below.any(axis=1)
+        idx = np.nonzero((a[:, j, j] == 0) & column)[0]
+        if idx.size:
+            rows = np.arange(idx.size)
+            t = j + 1 + below[idx].argmax(axis=1)
+            block = a[idx]
+            atj = block[rows, t, j]
+            minus = (add[add[atj, atj], block[rows, t, t]] == 0)[:, None]
+            # row j += c row t, then column j += c column t; entries before
+            # column (row) j are already cleared, so only the rest is updated.
+            line, other = block[:, j, j:], block[rows, t, j:]
+            block[:, j, j:] = np.where(minus, sub[line, other], add[line, other])
+            line, other = block[:, j:, j], block[rows, j:, t]
+            block[:, j:, j] = np.where(minus, sub[line, other], add[line, other])
+            a[idx] = block
         piv = a[:, j, j]
         active = piv != 0
+        if (~active & column).any():
+            raise InternalInconsistency("pivot fix-up failed")
         if j + 1 < s:
-            # factors vanish automatically for inactive matrices: their whole
-            # trailing block (hence the column below the pivot) is zero.
+            # inv[0] = 0: a skipped zero column clears nothing.
             factors = mul[a[:, j + 1 :, j], inv[piv][:, None]]
             prod = mul[factors[:, :, None], a[:, None, j, j:]]
             a[:, j + 1 :, j:] = sub[a[:, j + 1 :, j:], prod]

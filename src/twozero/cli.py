@@ -475,6 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ParameterError("worker count must be at least 1")
+        if args.budget is not None and args.budget < 0:
+            raise ParameterError(f"budget must be nonnegative, got {args.budget}")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)

@@ -40,7 +40,6 @@ from .quadforms import (
     Case,
     CodeParams,
     diagonalize,
-    discriminant_character,
     gram_matrix,
     twist_pair,
 )
@@ -354,9 +353,8 @@ def t_fast(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> Sym
     """T(alpha, beta) through Gram diagonalization (O(s**3) subfield ops)."""
     if alpha == 0 and beta == 0:
         return t_value(params, 0, 1)
-    form = diagonalize(field, params.d, gram_matrix(field, params, alpha, beta))
-    eps = discriminant_character(field, params.d, form)
-    return t_value(params, form.rank, eps)
+    r, eps = diagonalize(field, params.d, gram_matrix(field, params, alpha, beta))
+    return t_value(params, r, eps)
 
 
 def s_direct(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> CyclotomicInteger:

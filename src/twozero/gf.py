@@ -544,6 +544,9 @@ def build_field(
         raise NotOddPrime(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
+    for name, index in (("modulus_index", modulus_index), ("primitive_index", primitive_index)):
+        if index < 0:
+            raise ParameterError(f"{name} must be nonnegative, got {index}")
     check_budget(
         "field tables", p**m, "elements", max_order, DEFAULT_TABLE_BUDGET, DegreeTooLarge
     )

@@ -14,8 +14,9 @@ polynomial
     phi(x) = alpha**(p**k) x**(p**(2k)) + 2 beta**(p**k) x**(p**k) + alpha x.
 
 Two independent rank routes are implemented: GF(p)-nullity of phi (no basis
-choice) and the rank of the Gram matrix over GF(q) (which additionally
-yields the discriminant character needed by the fast character-sum path).
+choice) and the rank of the Gram matrix over GF(q).  The Gram route,
+:func:`diagonalize`, returns the class (rank, eps) of f, eps the
+discriminant character that the fast character-sum path needs.
 """
 
 from __future__ import annotations
@@ -261,15 +262,6 @@ def rank_census(
     return RankCensus(n0=counts[params.s], n1=counts[params.s - 1], n2=counts[params.s - 2])
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
-    """Nonzero diagonal entries of a congruence-diagonalized form."""
-
-    rank: int
-    diagonal: tuple[int, ...]  # field codes, all nonzero, lying in GF(q)
-    dim: int
-
-
 def gram_basis(field: FiniteField, params: CodeParams) -> list[int]:
     """The fixed GF(q)-basis {pi**0, ..., pi**(s-1)} of GF(p**m)."""
     return [field.exp[i] for i in range(params.s)]
@@ -305,48 +297,37 @@ def gram_matrix(field: FiniteField, params: CodeParams, alpha: int, beta: int) -
     return a
 
 
-def diagonalize(field: FiniteField, d: int, matrix: list[list[int]]) -> DiagonalForm:
-    """Congruence-diagonalize a symmetric matrix over GF(p**d) (char != 2).
+def diagonalize(field: FiniteField, d: int, matrix: list[list[int]]) -> tuple[int, int]:
+    """(rank, eps) of a symmetric matrix over GF(p**d) (char != 2).
 
-    Symmetric Gaussian elimination: bring a nonzero entry onto the pivot by
-    a diagonal swap when possible, otherwise (all trailing diagonal zero but
-    A != 0) add one row+column to another, which plants 2*A[t][u] != 0 on
-    the diagonal.  Returns the nonzero diagonal of T A T'; the rank equals
-    the matrix rank and eta_d(prod of diagonal) is a congruence invariant.
+    Symmetric Gaussian elimination, one column at a time.  When the pivot
+    a[j][j] is zero, the first row t > j with a[t][j] != 0 is added c times
+    to row j, then column t c times to column j, which plants
+    2 c a[t][j] + a[t][t] on the diagonal: c = 1 unless that is zero, then
+    c = -1 (both vanish only if 4 a[t][j] = 0, impossible in odd
+    characteristic).  A column with no such t is zero and is skipped.  The
+    rank counts the pivots and eps is eta_d of their product (+1 at rank 0);
+    both are congruence invariants.  batch.batched_rank_disc runs the same
+    rule on a batch of matrices.
     """
     a = [row[:] for row in matrix]
     s = len(a)
-    diag: list[int] = []
+    r, eps = 0, 1
     for j in range(s):
         if a[j][j] == 0:
-            t = next((t for t in range(j + 1, s) if a[t][t]), None)
-            if t is not None:
-                a[j], a[t] = a[t], a[j]
-                for row in a:
-                    row[j], row[t] = row[t], row[j]
-            else:
-                spot = next(
-                    (
-                        (t, u)
-                        for t in range(j, s)
-                        for u in range(t + 1, s)
-                        if a[t][u]
-                    ),
-                    None,
-                )
-                if spot is None:
-                    break  # trailing block is zero
-                t, u = spot
-                a[t] = [field.add(x, y) for x, y in zip(a[t], a[u])]
-                for row in a:
-                    row[t] = field.add(row[t], row[u])
-                if t != j:
-                    a[j], a[t] = a[t], a[j]
-                    for row in a:
-                        row[j], row[t] = row[t], row[j]
+            t = next((t for t in range(j + 1, s) if a[t][j]), None)
+            if t is None:
+                continue  # column j is zero
+            twice = field.add(a[t][j], a[t][j])
+            op = field.sub if field.add(twice, a[t][t]) == 0 else field.add
+            a[j] = [op(x, y) for x, y in zip(a[j], a[t])]
+            for row in a:
+                row[j] = op(row[j], row[t])
         piv = a[j][j]
         if piv == 0:
             raise InternalInconsistency("pivot fix-up failed")
+        if not field.in_subfield(piv, d):
+            raise InternalInconsistency("diagonal entry left the subfield")
         inv = field.inv(piv)
         for t in range(j + 1, s):
             c = field.mul(a[t][j], inv)
@@ -354,15 +335,6 @@ def diagonalize(field: FiniteField, d: int, matrix: list[list[int]]) -> Diagonal
                 a[t] = [field.sub(x, field.mul(c, y)) for x, y in zip(a[t], a[j])]
         for t in range(j + 1, s):
             a[j][t] = 0
-        diag.append(piv)
-    if any(not field.in_subfield(c, d) for c in diag):
-        raise InternalInconsistency("diagonal entry left the subfield")
-    return DiagonalForm(rank=len(diag), diagonal=tuple(diag), dim=s)
-
-
-def discriminant_character(field: FiniteField, d: int, form: DiagonalForm) -> int:
-    """eta_d of the product of the diagonal entries (+1 for rank 0)."""
-    prod = 1
-    for c in form.diagonal:
-        prod = field.mul(prod, c)
-    return 1 if form.rank == 0 else field.quadratic_character(prod, d)
+        r += 1
+        eps *= field.quadratic_character(piv, d)
+    return r, eps

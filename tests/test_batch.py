@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -22,8 +23,8 @@ from twozero.batch import (
 )
 from twozero.codes import codeword_weight
 from twozero.errors import BudgetExceeded
-from twozero.expsums import t_fast, t_value
-from twozero.quadforms import diagonalize, discriminant_character
+from twozero.expsums import CyclotomicInteger, t_fast, t_value
+from twozero.quadforms import Case, CodeParams, diagonalize
 
 
 def _to_index_matrix(tabs, mat):
@@ -31,68 +32,109 @@ def _to_index_matrix(tabs, mat):
     return np.array([[index[c] for c in row] for row in mat], np.uint8)
 
 
+def _symmetric_3x3_gf3():
+    """All 729 symmetric 3x3 matrices over GF(3), as field codes."""
+    mats = []
+    for packed in range(3**6):
+        vals, t = [], packed
+        for _ in range(6):
+            t, r = divmod(t, 3)
+            vals.append(r)
+        a, b, c, d, e, g = vals
+        mats.append([[a, b, c], [b, d, e], [c, e, g]])
+    return mats
+
+
+def _random_symmetric(elements, size, count, seed):
+    """count seeded random symmetric size x size matrices with entries from elements."""
+    rng = random.Random(seed)
+    mats = []
+    for _ in range(count):
+        mat = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                mat[i][j] = mat[j][i] = rng.choice(elements)
+        mats.append(mat)
+    return mats
+
+
+def _both_kernels(field, d, mats):
+    """(rank, eps) of each matrix from the batched and from the scalar kernel."""
+    tabs = subfield_tables(field, d)
+    ranks, discs = batched_rank_disc(np.stack([_to_index_matrix(tabs, m) for m in mats]), tabs)
+    batched = [(int(r), int(e)) for r, e in zip(ranks, discs)]
+    return batched, [diagonalize(field, d, mat) for mat in mats]
+
+
 class TestBatchedDiagonalizer:
     def test_exhaustive_symmetric_3x3_gf3(self, field341):
         # All 729 symmetric 3x3 matrices over GF(3), batch vs scalar.
-        f = field341
-        tabs = subfield_tables(f, 1)
-        mats, scalars = [], []
-        for packed in range(3**6):
-            vals, t = [], packed
-            for _ in range(6):
-                t, r = divmod(t, 3)
-                vals.append(r)
-            a, b, c, d, e, g = vals
-            mat = [[a, b, c], [b, d, e], [c, e, g]]
-            scalars.append(mat)
-            mats.append(_to_index_matrix(tabs, mat))
-        ranks, discs = batched_rank_disc(np.stack(mats), tabs)
-        for i, mat in enumerate(scalars):
-            form = diagonalize(f, 1, [row[:] for row in mat])
-            assert ranks[i] == form.rank
-            expected = discriminant_character(f, 1, form) if form.rank else 1
-            assert discs[i] == expected
+        batched, scalar = _both_kernels(field341, 1, _symmetric_3x3_gf3())
+        assert batched == scalar
 
     def test_zero_diagonal_fixup_cases(self, field341):
-        f = field341
-        tabs = subfield_tables(f, 1)
         cases = [
-            [[0, 1], [1, 0]],
-            [[0, 2], [2, 0]],
-            [[0, 0, 1], [0, 0, 2], [1, 2, 0]],
-            [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+            ([[0, 1], [1, 0]], (2, -1)),
+            ([[0, 2], [2, 0]], (2, -1)),
+            ([[0, 0, 1], [0, 0, 2], [1, 2, 0]], (2, -1)),
+            ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (2, -1)),
+            # 2 a[1][0] + a[1][1] = 0: the pivot rule needs c = -1.
+            ([[0, 1], [1, 1]], (2, -1)),
+            # A zero first column is skipped, not the end of the elimination.
+            ([[0, 0, 0], [0, 1, 0], [0, 0, 2]], (2, -1)),
         ]
-        mats = np.stack(
-            [np.pad(_to_index_matrix(tabs, m), ((0, 3 - len(m)), (0, 3 - len(m)))) for m in cases]
-        )
-        ranks, discs = batched_rank_disc(mats, tabs)
-        for i, mat in enumerate(cases):
-            padded = [row + [0] * (3 - len(row)) for row in mat] + [[0] * 3] * (3 - len(mat))
-            form = diagonalize(f, 1, padded)
-            assert ranks[i] == form.rank
-            if form.rank:
-                assert discs[i] == discriminant_character(f, 1, form)
+        padded = [
+            [row + [0] * (3 - len(row)) for row in mat] + [[0] * 3] * (3 - len(mat))
+            for mat, _ in cases
+        ]
+        expected = [e for _, e in cases]
+        assert _both_kernels(field341, 1, padded) == (expected, expected)
+        for mat, e in cases:
+            assert _both_kernels(field341, 1, [mat]) == ([e], [e])
 
     def test_random_4x4_gf9(self):
         f = build_field(3, 4)
-        tabs = subfield_tables(f, 2)
-        sub = f.subfield(2)
-        rng = random.Random(31337)
-        scalars = []
-        mats = []
-        for _ in range(300):
-            mat = [[0] * 4 for _ in range(4)]
-            for i in range(4):
-                for j in range(i, 4):
-                    mat[i][j] = mat[j][i] = sub[rng.randrange(9)]
-            scalars.append(mat)
-            mats.append(_to_index_matrix(tabs, mat))
-        ranks, discs = batched_rank_disc(np.stack(mats), tabs)
-        for i, mat in enumerate(scalars):
-            form = diagonalize(f, 2, [row[:] for row in mat])
-            assert ranks[i] == form.rank
-            if form.rank:
-                assert discs[i] == discriminant_character(f, 2, form)
+        mats = _random_symmetric(f.subfield(2), 4, 300, seed=31337)
+        batched, scalar = _both_kernels(f, 2, mats)
+        assert batched == scalar
+
+
+def _character_sum(field, mat):
+    """Sum of zeta_p**Tr(x A x') over every x in GF(q)**s, GF(q) = field, by enumeration."""
+    p, elements = field.p, list(field.subfield(field.m))
+    index = {c: i for i, c in enumerate(elements)}
+    add = np.array([[index[field.add(a, b)] for b in elements] for a in elements])
+    mul = np.array([[index[field.mul(a, b)] for b in elements] for a in elements])
+    trace = np.array([field.trace_to_table(1)[c] for c in elements])
+    s = len(mat)
+    xs = np.array(list(itertools.product(range(len(elements)), repeat=s)))
+    value = np.zeros(len(xs), np.int64)
+    for i in range(s):
+        for j in range(s):
+            value = add[value, mul[mul[xs[:, i], xs[:, j]], index[mat[i][j]]]]
+    return CyclotomicInteger.from_counts(p, np.bincount(trace[value], minlength=p).tolist())
+
+
+class TestKernelsAgainstEnumeration:
+    """T = eps G**r q**(s-r) with (r, eps) from each kernel, against a plain sum over x."""
+
+    @pytest.mark.parametrize(
+        "p, d, count",
+        [(3, 1, None), (3, 2, 80), (5, 1, 80)],
+        ids=["gf3-all", "gf9-random", "gf5-random"],
+    )
+    def test_character_sum(self, p, d, count):
+        field = build_field(p, d)
+        if count is None:
+            mats = _symmetric_3x3_gf3()
+        else:
+            mats = _random_symmetric(field.subfield(d), 3, count, seed=4242 + p * d)
+        params = CodeParams(
+            p=p, m=3 * d, k=d, d=d, s=3, q=p**d, case=Case.ODD_S_OUT_OF_SCOPE
+        )
+        for kernel in _both_kernels(field, d, mats):
+            for mat, (r, eps) in zip(mats, kernel):
+                assert t_value(params, r, eps).cyclotomic() == _character_sum(field, mat), mat
 
 
 def _all_pairs(field):

@@ -206,6 +206,18 @@ class TestModulusAndWorkers:
         assert proc.returncode == 2
         assert not proc.stdout
 
+    def test_negative_budget_exits_2(self):
+        proc = run_cli("census", 3, 4, 1, "--budget", -5)
+        assert proc.returncode == 2
+        assert "budget must be nonnegative, got -5" in proc.stderr
+        assert not proc.stdout
+
+    def test_negative_modulus_index_exits_2(self):
+        proc = run_cli("analyze", 3, 4, 1, "--modulus-index", -1)
+        assert proc.returncode == 2
+        assert "modulus_index must be nonnegative, got -1" in proc.stderr
+        assert not proc.stdout
+
 
 class TestFormats:
     @pytest.mark.parametrize(

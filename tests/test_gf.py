@@ -167,6 +167,13 @@ class TestBuildField:
         assert a.exp == b.exp
         assert a.trace_table == b.trace_table
 
+    @pytest.mark.parametrize(
+        "hook", [{"modulus_index": -1}, {"primitive_index": -1}], ids=["modulus", "primitive"]
+    )
+    def test_rejects_negative_index(self, hook):
+        with pytest.raises(ParameterError, match="_index must be nonnegative, got -1"):
+            build_field(3, 4, **hook)
+
     def test_modulus_index_hook(self):
         first = build_field(3, 4).modulus
         second = build_field(3, 4, modulus_index=1).modulus
