@@ -30,13 +30,14 @@ form as rank * 2 + (eps == -1) in a uint8; the zero pair is (0, +1).  Only
 :func:`joint_histogram` unpacks it (through :func:`unpack_class`): every
 consumer reads the census keyed by ((rank_f, eps_f), (rank_g, eps_g)).
 
-Direct oracles.  The last section runs over *all* p**(2m) pairs, in blocks,
-and shares neither the Gram matrices nor the representatives above: T and
-S come from trace tables and a bincount, the rank from the GF(p)-nullity
-of phi.  :func:`direct_census` counts the pairs by the value of T or S,
-optionally joined with the phi rank; the power-sum identities fold that
-(S, rank) census, so no per-pair product is ever formed.  They are the
-independent check on everything the orbit-reduced pass computes.
+Direct oracles.  The last section runs over *all* p**(2m) pairs, in blocks
+of alpha rows, and shares neither the Gram matrices nor the representatives
+above: T and S come from one exact additive Fourier transform over GF(p)**m
+per block, the rank from the GF(p)-nullity of phi.  :func:`direct_census`
+counts the pairs by the value of T or S, optionally joined with the phi
+rank; the power-sum identities fold that (S, rank) census, so no per-pair
+product is ever formed.  They are the independent check on everything the
+orbit-reduced pass computes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .quadforms import PAIR_BUDGET, CodeParams, gram_basis, phi_matrix, twist_pa
 
 DEFAULT_CHUNK = 1 << 18   # pairs per Gram-elimination batch
 BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
-DIRECT_BLOCK = 1 << 16    # trace or phi-matrix entries per block of the direct passes
+DIRECT_BLOCK = 1 << 16    # counts or phi-matrix entries per block of the direct passes
 
 
 @dataclass
@@ -342,101 +343,100 @@ def brute_weight_histogram(code) -> list[int]:
 # -- direct oracles over all pairs -------------------------------------------
 
 
-def pair_blocks(order: int, per_pair: int):
-    """(alphas, betas) over all order**2 pairs, about DIRECT_BLOCK entries a block.
+def alpha_blocks(order: int, per_pair: int):
+    """Blocks of alpha rows with every beta, about DIRECT_BLOCK entries a block.
 
-    Pairs run in the order alpha * order + beta, so (0, 0) comes first.
+    A pair holds per_pair entries and a block at least one row.  Yields the
+    rows and their pairs (alphas, betas) in the order alpha * order + beta.
     """
-    step = max(1, DIRECT_BLOCK // per_pair)
-    total = order * order
-    for lo in range(0, total, step):
-        index = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        yield index // order, index % order
-
-
-def direct_trace_tables(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Tr(alpha x**(p**k+1)) and Tr(beta x**2) at x = pi**t, uint8 (p**m, n).
-
-    Rows are element codes, column t stands for x = pi**t (x = 0 has no
-    column: its trace is 0).  Trace is additive, so the exponent of
-    zeta_p in T(alpha, beta) at x is row alpha of the first table plus row
-    beta of the second, mod p.  Memoized on the field per params.
-    """
-
-    def compute() -> tuple[np.ndarray, np.ndarray]:
-        n = field.n
-        exp = np.asarray(field.exp, np.int64)
-        t = np.arange(n, dtype=np.int64)
-        every_code = np.arange(field.order)
-        e = (params.p**params.k + 1) % n
-        return (
-            trace_rows(field, every_code, exp[t * e % n]),
-            trace_rows(field, every_code, exp[2 * t % n]),
-        )
-
-    return field.memoized(("direct_trace_tables", params), compute)
+    step = max(1, DIRECT_BLOCK // (order * per_pair))
+    every = np.arange(order, dtype=np.int64)
+    for lo in range(0, order, step):
+        rows = every[lo : lo + step]
+        yield rows, (np.repeat(rows, order), np.tile(every, rows.size))
 
 
 def twist_images(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
     """Twisted alpha and beta of every code, from the scalar quadforms.twist_pair."""
-    order = field.order
-    pa = [twist_pair(field, params, a, 0)[0] for a in range(order)]
-    pb = [twist_pair(field, params, 0, b)[1] for b in range(order)]
-    return np.array(pa, np.int64), np.array(pb, np.int64)
+    return tuple(np.array([twist_pair(field, params, c, c) for c in range(field.order)]).T)
 
 
-def _value_counts(values: np.ndarray, p: int) -> np.ndarray:
-    """(N, p) int64: how often each of 0..p-1 occurs in each row of values."""
-    rows = values.shape[0]
-    flat = values.astype(np.int64)
-    flat += np.arange(0, rows * p, p, dtype=np.int64)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * p).reshape(rows, p)
+def _fourier(counts: np.ndarray, p: int, m: int) -> np.ndarray:
+    """sum_z counts[z] zeta_p**(w . z) at every w in GF(p)**m, as zeta-power counts.
+
+    counts is (power of zeta_p, rows, code of z); the digits of a code are
+    its vector.  One digit axis at a time, innermost first, out[w] = sum_c
+    in[c] zeta_p**(w c): a factor zeta_p**j moves the count at power s to
+    s + j.  Each output digit goes in front of the rows, so the result is
+    (power, code of w, rows).  Nothing is reduced mod the cyclotomic
+    polynomial, so the counts stay exact term counts.
+    """
+    powers = np.arange(p)
+    for _ in range(m):
+        counts = counts.reshape(p, -1, p)
+        out = np.empty((p, p, counts.shape[1]), counts.dtype)
+        for w in range(p):
+            out[:, w] = sum(counts[(powers - w * c) % p, :, c] for c in range(p))
+        counts = out
+    return counts.reshape(p, p**m, -1)
 
 
 def direct_counts(
     field: FiniteField,
     params: CodeParams,
     alphas: np.ndarray,
-    betas: np.ndarray,
     twist: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """(N, p) counts c with T(alpha, beta) = sum c_j zeta_p**j, per pair.
+    """(len(alphas), p**m, p) counts c with T(alpha, beta) = sum c_j zeta_p**j.
 
-    With twist = :func:`twist_images`, the counts of S: those of T plus
-    those of T at the twisted pair.
+    Entry [i, beta] is the pair (alphas[i], beta).  Row alpha is the Fourier
+    transform of g(z) = sum of zeta_p**Tr(alpha x**(p**k+1)) over x**2 = z,
+    read at w = M b, M_ij = Tr(x**i x**j), since Tr(beta z) = b . M z for
+    digit vectors.  With twist = :func:`twist_images`, the counts of S.
     """
-    p = params.p
-    a_tab, b_tab = direct_trace_tables(field, params)
-    # At most 2p - 2 in uint8: s >= 3 needs m >= 3, so the table budget keeps p < 128.
-    values = a_tab[alphas] + b_tab[betas]
-    if twist is not None:
-        pa, pb = twist
-        values = np.hstack([values, a_tab[pa[alphas]] + b_tab[pb[betas]]])
-    values %= p
-    counts = _value_counts(values, p)
-    counts[:, 0] += 1 if twist is None else 2  # x = 0, once per T
-    return counts
+    p, n, order = params.p, field.n, field.order
+    exp = np.asarray(field.exp, np.int64)
+    t = np.arange(n, dtype=np.int64)
+    powers = p ** np.arange(field.m)
+    at_beta = trace_rows(field, np.arange(order), powers) @ powers  # M b, as Tr(beta x**j)
+    twisted = [] if twist is None else [(twist[0][alphas], at_beta[twist[1]])]
+    counts = 0
+    for rows, read in [(alphas, at_beta), *twisted]:
+        values = trace_rows(field, rows, exp[t * ((p**params.k + 1) % n) % n]).astype(np.int64)
+        index = (values * rows.size + np.arange(rows.size)[:, None]) * order + exp[2 * t % n]
+        g = np.bincount(index.ravel(), minlength=p * rows.size * order).reshape(p, -1, order)
+        g[0, :, 0] += 1  # x = 0
+        counts = counts + _fourier(g, p, field.m)[:, read]
+    return counts.transpose(2, 1, 0)
 
 
 def direct_census(
     field: FiniteField, params: CodeParams, *, twisted: bool, ranked: bool = False
 ) -> dict[tuple[int, ...], int]:
-    """Pairs by the counts vector of T (of S when twisted), over all pairs in blocks.
+    """Pairs by the counts vector of T (of S when twisted), over all pairs.
 
-    Each key is the p counts of :func:`direct_counts`; with ranked, the
-    :func:`phi_ranks` rank of f at the pair follows them as one more entry,
-    so the census is joint in value and rank.  The pass touches no Gram
-    matrix and no orbit representative.
+    Each key is the p counts of :func:`direct_counts`, one transform per
+    block of alpha rows; with ranked, the :func:`phi_ranks` rank of f at the
+    pair follows them as one more entry, so the census is joint in value and
+    rank.  The pass touches no Gram matrix and no orbit representative.
     """
     twist = twist_images(field, params) if twisted else None
-    width = field.n * (2 if twisted else 1)
+    per_pair = params.p * (2 if twisted else 1) + (field.m * field.m if ranked else 0)
     out: dict[tuple[int, ...], int] = {}
-    for alphas, betas in pair_blocks(field.order, width):
-        counts = direct_counts(field, params, alphas, betas, twist)
+    for alphas, pairs in alpha_blocks(field.order, per_pair):
+        rows = direct_counts(field, params, alphas, twist).reshape(-1, params.p)
         if ranked:
-            counts = np.column_stack([counts, phi_ranks(field, params, alphas, betas)])
-        rows, freq = np.unique(counts, axis=0, return_counts=True)
-        for row, f in zip(map(tuple, rows.tolist()), freq.tolist()):
+            rows = np.column_stack([rows, phi_ranks(field, params, *pairs)])
+        # One int64 key per row; re-ranked to 0..distinct-1 before an overflow.
+        key, span = np.zeros(len(rows), np.int64), 1
+        for column in rows.T:
+            width = int(column.max()) + 1
+            if span * width >= 1 << 62:
+                _, key = np.unique(key, return_inverse=True)
+                span = int(key.max()) + 1
+            key, span = key * width + column, span * width
+        _, first, freq = np.unique(key, return_index=True, return_counts=True)
+        for row, f in zip(map(tuple, rows[first].tolist()), freq.tolist()):
             out[row] = out.get(row, 0) + f
     return out
 
@@ -525,8 +525,8 @@ def phi_ranks(
 def phi_rank_histogram(field: FiniteField, params: CodeParams) -> dict[int, int]:
     """Nonzero pairs by phi rank, over all pairs."""
     counts = np.zeros(params.s + 1, np.int64)
-    for alphas, betas in pair_blocks(field.order, field.m * field.m):
-        counts += np.bincount(phi_ranks(field, params, alphas, betas), minlength=params.s + 1)
+    for _, pairs in alpha_blocks(field.order, field.m * field.m):
+        counts += np.bincount(phi_ranks(field, params, *pairs), minlength=params.s + 1)
     counts[0] -= 1  # the zero pair
     return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
 

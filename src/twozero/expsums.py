@@ -526,10 +526,13 @@ def s_distribution_closed(params: CodeParams) -> ValueDistribution:
 
 
 def _direct_census(
-    field: FiniteField, params: CodeParams, twisted: bool
+    field: FiniteField, params: CodeParams, which: str, budget: int | None
 ) -> dict[CyclotomicInteger, int]:
     from . import batch
 
+    twisted = which == "S"
+    terms = (2 if twisted else 1) * params.pairs * field.order
+    check_budget(f"direct {which} census", terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
     # Every counts vector sums to the number of terms, so distinct vectors
     # are distinct elements of Z[zeta_p].
     census = batch.direct_census(field, params, twisted=twisted)
@@ -539,33 +542,26 @@ def _direct_census(
 def t_census_direct(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
-    """Census of T over all pairs by direct enumeration (p**(3m) terms).
+    """Census of T over all pairs, budgeted as direct enumeration (p**(3m) terms).
 
-    Every pair and every x is visited, in blocked numpy passes (see
-    batch.direct_census): the trace of alpha x**(p**k+1) + beta x**2 is the
-    sum of two table entries mod p, and a bincount turns each pair's traces
-    into the coefficients of T in Z[zeta_p].  No Gram matrix and no orbit
-    representative is involved, so the census checks the fast route; the
-    scalar :func:`t_direct` is its per-pair reference.
+    batch.direct_census takes T(alpha, .) exactly in Z[zeta_p] by one additive
+    Fourier transform over GF(p)**m per alpha row, with no Gram matrix and no
+    orbit representative, so the census checks the fast route; the scalar
+    :func:`t_direct` is its per-pair reference.
     """
-    check_budget(
-        "direct T census", params.pairs * field.order, "terms", budget, DEFAULT_DIRECT_BUDGET
-    )
-    return _direct_census(field, params, twisted=False)
+    return _direct_census(field, params, "T", budget)
 
 
 def s_census_direct(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[CyclotomicInteger, int]:
-    """Census of S over all pairs by direct enumeration (2 p**(3m) terms).
+    """Census of S over all pairs, budgeted as 2 p**(3m) terms.
 
-    As :func:`t_census_direct`, with each pair's counts added to those at
-    its twisted pair; the twist images come from the scalar twist_pair.
+    As :func:`t_census_direct`, with the transform of each twisted alpha
+    row read at the twisted betas; the twist images come from the scalar
+    twist_pair.
     """
-    check_budget(
-        "direct S census", 2 * params.pairs * field.order, "terms", budget, DEFAULT_DIRECT_BUDGET
-    )
-    return _direct_census(field, params, twisted=True)
+    return _direct_census(field, params, "S", budget)
 
 
 def t_census_fast(
@@ -763,7 +759,7 @@ def power_moments(
     whose f has rank s-1) or "N2" (rank s-2); values are the sums, which are
     rational integers (checked).  Both modes fold a census of pairs by (S,
     rank of f), with the powers taken exactly in Z[zeta_p].  mode="direct"
-    takes it from batch.direct_census: S from the enumerated sums and the
+    takes it from batch.direct_census: S from the Fourier transform and the
     rank from the phi-nullity, blocked numpy passes over all pairs that
     share nothing with the Gram path, refusing more than budget 2 p**(3m)
     terms.  mode="fast" takes it from the joint (rank, sign) class census.

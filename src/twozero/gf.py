@@ -27,7 +27,8 @@ valuation used by the parameter case split.
 from __future__ import annotations
 
 from array import array
-from itertools import islice
+from itertools import combinations, islice
+from math import prod
 from typing import Callable, Iterator, TypeVar
 
 from .errors import (
@@ -270,6 +271,16 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[Polynomial]:
         f = Polynomial(p, _digits(low, p, m) + [1])
         if is_irreducible(f):
             yield f
+
+
+def irreducible_count(p: int, m: int) -> int:
+    """Monic irreducibles of degree m over GF(p): (1/m) sum_{e | m} mu(e) p**(m/e).
+
+    mu(e) is nonzero only at the products e of distinct primes of m.
+    """
+    primes = prime_factors(m)
+    subsets = (c for r in range(len(primes) + 1) for c in combinations(primes, r))
+    return sum((-1) ** len(c) * p ** (m // prod(c)) for c in subsets) // m
 
 
 def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[list, list]:
@@ -538,7 +549,8 @@ def build_field(
     degree m (index 0 by default, giving the lexicographically smallest);
     the primitive element is likewise the (primitive_index)-th smallest code
     of multiplicative order p**m - 1.  The nonzero indices exist as test
-    hooks for modulus/primitive-independence checks.
+    hooks for modulus/primitive-independence checks; an index past the
+    count of irreducibles (or of primitive elements) is refused unsearched.
     """
     if not is_prime(p) or p == 2:
         raise NotOddPrime(f"p must be an odd prime, got {p}")
@@ -551,31 +563,23 @@ def build_field(
         "field tables", p**m, "elements", max_order, DEFAULT_TABLE_BUDGET, DegreeTooLarge
     )
 
-    modulus = None
-    for i, f in enumerate(irreducible_polynomials(p, m)):
-        if i == modulus_index:
-            modulus = f
-            break
-    if modulus is None:
+    if modulus_index >= irreducible_count(p, m):
         raise ParameterError(f"fewer than {modulus_index + 1} irreducibles of degree {m}")
-
     n = p**m - 1
-    first, *rest = prime_factors(n)  # n is even, so first == 2
+    first, *rest = primes = prime_factors(n)  # n is even, so first == 2
+    if primitive_index >= n // prod(primes) * prod(ell - 1 for ell in primes):  # phi(n)
+        raise ParameterError(f"fewer than {primitive_index + 1} primitive elements")
+
+    modulus = next(islice(irreducible_polynomials(p, m), modulus_index, None))
     one = Polynomial.one(p)
-    found = -1
-    primitive = None
-    for g in range(1, p**m):
+
+    def is_primitive(g: int) -> bool:
         candidate = Polynomial(p, _digits(g, p, m))
         # candidate**n is the first-th power of candidate**(n/first).
         head = candidate.pow_mod(n // first, modulus)
         if head.pow_mod(first, modulus) != one:
             raise InternalInconsistency("modulus is not irreducible")
-        if head != one and all(candidate.pow_mod(n // ell, modulus) != one for ell in rest):
-            found += 1
-            if found == primitive_index:
-                primitive = g
-                break
-    if primitive is None:
-        raise ParameterError(f"fewer than {primitive_index + 1} primitive elements")
+        return head != one and all(candidate.pow_mod(n // ell, modulus) != one for ell in rest)
 
+    primitive = next(islice(filter(is_primitive, range(1, p**m)), primitive_index, None))
     return FiniteField(p, m, modulus, primitive)

@@ -218,6 +218,12 @@ class TestModulusAndWorkers:
         assert "modulus_index must be nonnegative, got -1" in proc.stderr
         assert not proc.stdout
 
+    def test_too_large_modulus_index_exits_2(self):
+        proc = run_cli("analyze", 3, 8, 1, "--modulus-index", 100000)
+        assert proc.returncode == 2
+        assert "fewer than 100001 irreducibles of degree 8" in proc.stderr
+        assert not proc.stdout
+
 
 class TestFormats:
     @pytest.mark.parametrize(

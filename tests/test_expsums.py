@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from twozero import batch, build_field, classify_parameters, expsums, quadforms
@@ -304,6 +305,47 @@ class TestVectorizedDirect:
         assert t_census_direct(f, pr) == t_ref
         assert s_census_direct(f, pr) == s_ref
 
+    @pytest.mark.parametrize("pmk", [(3, 3, 1), (3, 4, 1), (5, 3, 1)], ids=["331", "341", "531"])
+    def test_direct_counts_equal_scalar_t_direct_per_pair(self, pmk):
+        # The censuses cannot see a wrong beta map of the transform: reading
+        # beta at w = b instead of w = M b keeps the T census at (3, 4, 1)
+        # and (5, 3, 1).  Each row is compared with its own pair here.
+        p, m, k = pmk
+        f, pr = build_field(p, m), classify_parameters(p, m, k)
+        every = np.arange(f.order)
+        t_rows = batch.direct_counts(f, pr, every)
+        s_rows = batch.direct_counts(f, pr, every, batch.twist_images(f, pr))
+        assert t_rows.shape == s_rows.shape == (f.order, f.order, p)
+        assert (t_rows.sum(axis=2) == f.order).all()
+        assert (s_rows.sum(axis=2) == 2 * f.order).all()
+        # Counts with a fixed total are equal iff their values in Z[zeta_p] are.
+        t_of = {(a, b): t_direct(f, pr, a, b) for a in range(f.order) for b in range(f.order)}
+        for (a, b), t in t_of.items():
+            assert CyclotomicInteger.from_counts(p, t_rows[a, b].tolist()) == t, (a, b)
+            s = t + t_of[quadforms.twist_pair(f, pr, a, b)]
+            assert CyclotomicInteger.from_counts(p, s_rows[a, b].tolist()) == s, (a, b)
+
+    def test_census_key_survives_wide_columns(self, monkeypatch):
+        # With column maxima 2**32 - 1 the packed key of the first two
+        # columns alone spans 2**64, so (1, 0, 0) and (2, 0, 0) would share
+        # a wrapped key if the keys were not re-ranked before the fold.
+        f, pr = build_field(3, 3), classify_parameters(3, 3, 1)
+        wide = 2**32 - 1
+        rows = np.array([(1, 0, 0), (2, 0, 0), (wide, wide, wide)], np.int64)
+        table = rows[np.arange(f.order**2) % 3].reshape(f.order, f.order, 3)
+        monkeypatch.setattr(batch, "direct_counts", lambda f, pr, alphas, twist: table[alphas])
+        census = batch.direct_census(f, pr, twisted=False)
+        assert census == {(1, 0, 0): 243, (2, 0, 0): 243, (wide, wide, wide): 243}
+
+    def test_direct_route_memoizes_nothing_pair_sized(self):
+        f, pr = build_field(3, 4), classify_parameters(3, 4, 1)
+        t_census_direct(f, pr)
+        s_census_direct(f, pr)
+        power_moments(f, pr, "direct")
+        for key, value in f._memo.items():
+            for part in value if isinstance(value, tuple) else (value,):
+                assert np.size(part) < f.order**2, key
+
     def test_identities_direct_equal_fast_341(self, field341, params341):
         direct = verify_power_identities(field341, params341, "direct")
         fast = verify_power_identities(field341, params341, "fast")
@@ -403,8 +445,13 @@ class TestDirectIndependence:
 
     @pytest.mark.parametrize(
         ("pmk", "budget"),
-        [((3, 5, 1), 30_000_000), ((5, 3, 1), None), ((3, 4, 1), None)],
-        ids=["351", "531", "341"],
+        [
+            ((3, 5, 1), 30_000_000),
+            ((5, 3, 1), None),
+            ((3, 4, 1), None),
+            ((3, 6, 4), 774_840_978),  # CaseA: 2 p**(3m) terms for S, p**(3m) for T
+        ],
+        ids=["351", "531", "341", "364"],
     )
     def test_censuses_direct_equal_fast(self, monkeypatch, pmk, budget):
         # Catches a wrong orbit weight or representative, which brute ==

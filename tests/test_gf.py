@@ -18,6 +18,7 @@ from twozero.errors import (
 from twozero.gf import (
     FiniteField,
     Polynomial,
+    irreducible_count,
     irreducible_polynomials,
     is_irreducible,
     prime_factors,
@@ -179,6 +180,47 @@ class TestBuildField:
         second = build_field(3, 4, modulus_index=1).modulus
         assert first != second
         assert is_irreducible(second)
+
+    @pytest.mark.parametrize(
+        ("p", "m"), [(3, 1), (3, 2), (3, 4), (3, 6), (5, 1), (5, 3), (7, 2), (7, 3)]
+    )
+    def test_irreducible_count_equals_enumeration(self, p, m):
+        # An off-by-one in the count would refuse the last valid index or
+        # let an index past the end reach the enumeration.
+        assert irreducible_count(p, m) == sum(1 for _ in irreducible_polynomials(p, m))
+
+    def test_irreducible_count_at_3_8(self):
+        assert irreducible_count(3, 8) == (3**8 - 3**4) // 8 == 810
+
+    def test_last_modulus_index_builds_and_next_is_refused(self):
+        last = irreducible_count(3, 3) - 1
+        assert build_field(3, 3, modulus_index=last).modulus == list(
+            irreducible_polynomials(3, 3)
+        )[last]
+        with pytest.raises(ParameterError, match=r"^fewer than 9 irreducibles of degree 3$"):
+            build_field(3, 3, modulus_index=last + 1)
+
+    def test_last_primitive_index_builds_and_next_is_refused(self):
+        # phi(3**3 - 1) = phi(26) = 12 primitive elements; the largest code
+        # of order 26 is the last of them.
+        f = build_field(3, 3, primitive_index=11)
+        assert f.primitive_element == max(
+            g for g in range(1, 27) if len({f.pow(g, e) for e in range(26)}) == 26
+        )
+        with pytest.raises(ParameterError, match=r"^fewer than 13 primitive elements$"):
+            build_field(3, 3, primitive_index=12)
+
+    @pytest.mark.parametrize(
+        ("hook", "message"),
+        [
+            ({"modulus_index": 10**5}, "fewer than 100001 irreducibles of degree 8"),
+            ({"primitive_index": 10**6}, "fewer than 1000001 primitive elements"),
+        ],
+        ids=["modulus", "primitive"],
+    )
+    def test_too_large_index_refused_with_message(self, hook, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            build_field(3, 8, **hook)
 
 
 class TestArithmetic:
