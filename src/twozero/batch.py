@@ -23,7 +23,9 @@ row * p**m + alpha_code, so (0, 0) is index 0):
   with c**2 = beta0 / beta; -1 acts trivially because p**k + 1 is even,
   so each representative of these rows stands for (p**m - 1) / 2 pairs.
 
-The weights sum to p**m + p**m (p**m - 1) = p**(2m).
+The weights sum to p**m + p**m (p**m - 1) = p**(2m).  The twist of a
+representative lies in the orbit of another one, so the class of g is read
+off f there (:func:`twist_index`): one Gram matrix per representative.
 
 Classes.  The pass stores the (rank, discriminant character eps) class of a
 form as rank * 2 + (eps == -1) in a uint8; the zero pair is (0, +1).  Only
@@ -231,7 +233,7 @@ class ClassData:
     """Classes of f and g at every representative, and the pairs each stands for."""
 
     f: np.ndarray       # (3 p**m,) uint8 packed class of f
-    g: np.ndarray       # (3 p**m,) uint8 packed class of g (f at the twisted pair)
+    g: np.ndarray       # (3 p**m,) uint8 packed class of g: f at the twist's representative
     weight: np.ndarray  # (3 p**m,) int64 orbit size; sums to p**(2m)
 
 
@@ -240,16 +242,16 @@ def t_class_data(
 ) -> ClassData:
     """Classes of f and g at every representative pair, with orbit weights.
 
-    The class of g is the kernel run on the twist images of the
-    representatives, since the twist commutes with the orbit action.  Rank 0
-    may occur only at the zero pair (index 0) and every other rank must lie
-    in the trichotomy {s-2, s-1, s}; any violation aborts.  A pass of more
-    than budget Gram matrices (None: :data:`PAIR_BUDGET`) is refused, before
-    any reuse.  The result is memoized on the field per params, since
-    several censuses share the same pass.
+    The kernel runs on the representatives only; g is f read at
+    :func:`twist_index`.  Rank 0 may occur only at the zero pair (index 0)
+    and every other rank, of f and of g, must lie in the trichotomy
+    {s-2, s-1, s}; any violation aborts.  A pass of more than budget Gram
+    matrices (None: :data:`PAIR_BUDGET`) is refused, before any reuse.  The
+    result is memoized on the field per params, since several censuses share
+    the same pass.
     """
     rows = representative_rows(field)
-    matrices = 2 * len(rows) * field.order  # f and g at every representative
+    matrices = len(rows) * field.order  # f at every representative
     check_budget("pair pass", matrices, "Gram matrices", budget, PAIR_BUDGET)
 
     def compute() -> ClassData:
@@ -257,14 +259,8 @@ def t_class_data(
         alphas = np.tile(np.arange(order, dtype=np.int64), len(rows))
         betas = np.repeat(np.array([b for b, _ in rows], np.int64), order)
         weight = np.repeat(np.array([w for _, w in rows], np.int64), order)
-        pa, pb = twist_permutations(field, params)
-        both = pair_classes(
-            field,
-            params,
-            np.concatenate([alphas, pa[alphas]]),
-            np.concatenate([betas, pb[betas]]),
-        )
-        data = ClassData(f=both[: alphas.size], g=both[alphas.size :], weight=weight)
+        f = pair_classes(field, params, alphas, betas)
+        data = ClassData(f=f, g=f[twist_index(field, params)], weight=weight)
         for cls in (data.f, data.g):
             ranks = cls >> 1
             if ranks[0] != 0 or (ranks[1:] < params.s - 2).any():
@@ -274,13 +270,28 @@ def t_class_data(
     return field.memoized(("t_class_data", params), compute)
 
 
-def twist_permutations(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Code permutations alpha -> pi**((p**k+1)/2) alpha and beta -> -pi beta."""
+def twist_index(field: FiniteField, params: CodeParams) -> np.ndarray:
+    """Index of the representative whose orbit holds the twist of each representative.
+
+    The twist sends (alpha, beta0) to (pi**e alpha, beta'), beta' = -pi beta0
+    and e = (p**k + 1) / 2.  For beta' = 0 that is a representative of row
+    0.  Otherwise its row is the beta0 in {1, pi} with the quadratic
+    character of beta', the parity of log beta' (log 1 = 0, log pi = 1),
+    reached by x -> c x with c**2 = beta0 / beta'; that scales alpha by
+    c**(p**k + 1) = (c**2)**e, so the alpha there is (pi c**2)**e alpha.
+    """
+    rows = representative_rows(field)
     pi = field.primitive_element
-    multipliers = [field.pow(pi, params.twist_exponent), field.neg(pi)]
+    targets, multipliers = [], []
+    for beta0, _ in rows:
+        twisted = field.neg(field.mul(pi, beta0))
+        row = 1 + field.log[twisted] % 2 if twisted else 0
+        c2 = field.mul(rows[row][0], field.inv(twisted)) if twisted else 1
+        targets.append(row)
+        multipliers.append(field.pow(field.mul(pi, c2), params.twist_exponent))
     exp = np.array(field.exp, np.int64)
-    pa, pb = _log_gather(field, exp, np.arange(field.order), multipliers).T
-    return pa, pb
+    alphas = _log_gather(field, exp, np.arange(field.order), multipliers)
+    return (alphas + field.order * np.array(targets)).T.ravel()
 
 
 def unpack_class(cls: int) -> tuple[int, int]:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .codes import ENGINES, build_code, run_engine
+from .codes import ENGINES, build_code, code_header, run_engine
 from .errors import InternalInconsistency, ParameterError, Refusal
 from .expsums import (
     IdentityCheck,
@@ -90,23 +90,8 @@ def _format_weights(documents, agreement, fmt: str) -> str:
 def cmd_analyze(args) -> int:
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
     params = code.params
-    doc = {
-        "p": params.p,
-        "m": params.m,
-        "k": params.k,
-        "d": params.d,
-        "s": params.s,
-        "q": params.q,
-        "q_star": params.q_star,
-        "case": params.case.value,
-        "n": code.n,
-        "dimension": code.dimension,
-        "h1": list(code.h1.coeffs),
-        "h2": list(code.h2.coeffs),
-        "generator": list(code.generator.coeffs),
-    }
     if args.format == "json":
-        _emit(_json_dumps(doc), args.output)
+        _emit(_json_dumps(code_header(code)), args.output)
         return EXIT_OK
     lines = [
         f"parameters      p={params.p} m={params.m} k={params.k}",

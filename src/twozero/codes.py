@@ -382,6 +382,21 @@ def run_engine(
     raise UnsupportedCase(f"unknown engine {engine!r}")
 
 
+def code_header(code: CyclicCode) -> dict:
+    """Parameters, derived constants, length, dimension and polynomials of a code."""
+    params = code.params
+    header = {key: getattr(params, key) for key in ("p", "m", "k", "d", "s", "q", "q_star")}
+    return {
+        **header,
+        "case": params.case.value,
+        "n": code.n,
+        "dimension": code.dimension,
+        "h1": list(code.h1.coeffs),
+        "h2": list(code.h2.coeffs),
+        "generator": list(code.generator.coeffs),
+    }
+
+
 def code_report(
     code: CyclicCode,
     *,
@@ -394,7 +409,6 @@ def code_report(
     as unavailable rather than failing the whole report; at least one must
     run.
     """
-    params = code.params
     dists: dict[str, WeightDistribution] = {}
     unavailable: dict[str, str] = {}
     for engine in engines:
@@ -411,20 +425,8 @@ def code_report(
             agreement[f"{e1}~{e2}"] = dists[e1].same_rows(dists[e2])
     any_dist = dists[ran[0]]
     return {
-        "p": params.p,
-        "m": params.m,
-        "k": params.k,
-        "d": params.d,
-        "s": params.s,
-        "q": params.q,
-        "q_star": params.q_star,
-        "case": params.case.value,
-        "n": code.n,
-        "dimension": code.dimension,
+        **code_header(code),
         "min_distance": any_dist.min_distance,
-        "h1": list(code.h1.coeffs),
-        "h2": list(code.h2.coeffs),
-        "generator": list(code.generator.coeffs),
         "distributions": {e: list(d.rows) for e, d in dists.items()},
         "unavailable": unavailable,
         "agreement": agreement,

@@ -244,8 +244,8 @@ def rank_census(
     the GF(p)-nullity of phi at every pair, in blocked batches of phi
     matrices (batch.phi_rank_histogram, with the checks of :func:`rank`),
     and refuses more than budget pairs.  None means :data:`PAIR_BUDGET`.
-    The result must equal :func:`closed_rank_census`; the comparison is the
-    caller's (test suite / verify command) job.
+    Any other method is a ParameterError.  The caller (test suite, verify
+    command) checks the result against :func:`closed_rank_census`.
     """
     counts = {params.s: 0, params.s - 1: 0, params.s - 2: 0}
     if method == "phi":
@@ -253,12 +253,14 @@ def rank_census(
         from . import batch
 
         counts.update(batch.phi_rank_histogram(field, params))
-    else:
+    elif method == "gram":
         from .expsums import joint_class_census
 
         for ((r, _), _), pairs in joint_class_census(field, params, budget=budget).items():
             if r:
                 counts[r] += pairs
+    else:
+        raise ParameterError(f"unknown method {method!r}")
     return RankCensus(n0=counts[params.s], n1=counts[params.s - 1], n2=counts[params.s - 2])
 
 

@@ -15,10 +15,11 @@ from twozero.batch import (
     brute_weight_histogram,
     joint_histogram,
     pair_classes,
+    representative_rows,
     subfield_tables,
     t_class_data,
     trace_rows,
-    twist_permutations,
+    twist_images,
     unpack_class,
 )
 from twozero.codes import codeword_weight
@@ -143,15 +144,22 @@ def _all_pairs(field):
 
 
 def _exhaustive_joint(field, params):
-    """Joint census from the kernel run over every pair and its twist, weight 1 each."""
+    """Joint census from the kernel run over every pair and its twist, weight 1 each.
+
+    The twist comes from the scalar quadforms.twist_pair, so this oracle
+    shares nothing with the lookup that gives t_class_data its g.
+    """
     alphas, betas = _all_pairs(field)
-    pa, pb = twist_permutations(field, params)
+    ta, tb = twist_images(field, params)
     data = ClassData(
         f=pair_classes(field, params, alphas, betas),
-        g=pair_classes(field, params, pa[alphas], pb[betas]),
+        g=pair_classes(field, params, ta[alphas], tb[betas]),
         weight=np.ones(alphas.size, np.int64),
     )
     return joint_histogram(params, data)
+
+
+_FIELD_CHOICES = ({}, {"modulus_index": 1}, {"primitive_index": 1})
 
 
 class TestClassData:
@@ -165,11 +173,30 @@ class TestClassData:
 
     @pytest.mark.parametrize("pmk", [(3, 4, 1), (3, 5, 1), (5, 3, 1), (3, 6, 4)])
     def test_representatives_match_all_pairs(self, pmk):
-        field, params = build_field(pmk[0], pmk[1]), classify_parameters(*pmk)
-        data = t_class_data(field, params)
-        assert data.f.size == data.g.size == data.weight.size == 3 * field.order
-        assert int(data.weight.sum()) == params.pairs
-        assert joint_histogram(params, data) == _exhaustive_joint(field, params)
+        params = classify_parameters(*pmk)
+        for choice in _FIELD_CHOICES:
+            field = build_field(pmk[0], pmk[1], **choice)
+            data = t_class_data(field, params)
+            assert data.f.size == data.g.size == data.weight.size == 3 * field.order
+            assert int(data.weight.sum()) == params.pairs
+            assert joint_histogram(params, data) == _exhaustive_joint(field, params), choice
+
+    @pytest.mark.parametrize("choice", _FIELD_CHOICES, ids=["default", "modulus1", "primitive1"])
+    @pytest.mark.parametrize(
+        "pmk",
+        [(3, 3, 1), (3, 4, 1), (3, 5, 1), (5, 3, 1), (5, 4, 1), (7, 3, 1), (3, 6, 4), (3, 8, 2)],
+        ids=lambda pmk: "".join(map(str, pmk)),
+    )
+    def test_looked_up_g_is_the_kernel_at_the_twist(self, pmk, choice):
+        # Per representative, not per census: the class of g read off f
+        # equals the kernel run on the scalar twist of that representative.
+        field, params = build_field(pmk[0], pmk[1], **choice), classify_parameters(*pmk)
+        rows = representative_rows(field)
+        alphas = np.tile(np.arange(field.order, dtype=np.int64), len(rows))
+        betas = np.repeat(np.array([b for b, _ in rows], np.int64), field.order)
+        ta, tb = twist_images(field, params)
+        expected = pair_classes(field, params, ta[alphas], tb[betas])
+        assert np.array_equal(t_class_data(field, params).g, expected)
 
     def test_modulus_and_primitive_independence(self, field341, params341):
         joint = joint_histogram(params341, t_class_data(field341, params341))
@@ -210,9 +237,9 @@ class TestClassData:
 
     def test_budget_counts_the_gram_matrices(self, params341):
         field = build_field(3, 4)
-        with pytest.raises(BudgetExceeded, match="486 Gram matrices > budget 485"):
-            t_class_data(field, params341, budget=6 * field.order - 1)
-        data = t_class_data(field, params341, budget=6 * field.order)
+        with pytest.raises(BudgetExceeded, match="243 Gram matrices > budget 242"):
+            t_class_data(field, params341, budget=3 * field.order - 1)
+        data = t_class_data(field, params341, budget=3 * field.order)
         assert int(data.weight.sum()) == params341.pairs
 
 

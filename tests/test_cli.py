@@ -178,7 +178,7 @@ class TestVerify:
     def test_max_rank_respects_budget(self):
         proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 1000)
         assert proc.returncode == 3
-        assert "refused: pair pass needs 4374 Gram matrices > budget 1000" in proc.stderr
+        assert "refused: pair pass needs 2187 Gram matrices > budget 1000" in proc.stderr
 
 
 class TestModulusAndWorkers:

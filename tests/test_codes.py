@@ -170,12 +170,12 @@ class TestEngines:
 
     def test_budget_refusals(self, code341):
         # brute makes 3 p**m n = 19440 coordinate checks; sums eliminates
-        # 6 p**m = 486 Gram matrices.
+        # 3 p**m = 243 Gram matrices.
         with pytest.raises(BudgetExceeded, match="19440 coordinate checks"):
             weight_distribution_brute(code341, budget=19439)
         assert weight_distribution_brute(code341, budget=19440).total == 3**8
-        with pytest.raises(BudgetExceeded, match="486 Gram matrices"):
-            weight_distribution_sums(code341, budget=485)
+        with pytest.raises(BudgetExceeded, match="243 Gram matrices"):
+            weight_distribution_sums(code341, budget=242)
 
 
 class TestWeightDistribution:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twozero import batch, build_field, classify_parameters
-from twozero.errors import BothZero, NotOddPrime, STooSmall, ZeroArgument
+from twozero.errors import BothZero, NotOddPrime, ParameterError, STooSmall, ZeroArgument
 from twozero.quadforms import (
     Case,
     closed_rank_census,
@@ -129,6 +129,12 @@ class TestRank:
         # The three counts of the rank trichotomy at (3, 4, 1): 4140 pairs
         # of rank s, 2160 of rank s-1, 260 of rank s-2.
         assert (closed.n0, closed.n1, closed.n2) == (4140, 2160, 260)
+
+    def test_census_unknown_method_rejected(self, field341, params341):
+        # Like the modes of count_e1 and power_moments: no silent fallback
+        # to the Gram route.
+        with pytest.raises(ParameterError, match="unknown method 'bogus'"):
+            rank_census(field341, params341, method="bogus")
 
     def test_closed_census_double_counting(self):
         # (q-1) n1 + (q^2-1) n2 = (p^m-1)^2: each nonzero x contributes one
