@@ -59,9 +59,9 @@ def _header(params) -> dict:
     }
 
 
-def _distribution_document(params, code, engine: str, dist) -> dict:
+def _distribution_document(code, engine: str, dist) -> dict:
     return {
-        **_header(params),
+        **_header(code.params),
         "n": code.n,
         "dimension": code.dimension,
         "engine": engine,
@@ -115,11 +115,10 @@ def cmd_weights(args) -> int:
         if engine not in ENGINES:
             raise ParameterError(f"unknown engine {engine!r}; choose from {ENGINES}")
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
-    params = code.params
     dists = {}
     for engine in engines:
         dists[engine] = run_engine(code, engine, budget=args.budget)
-    documents = [_distribution_document(params, code, e, dists[e]) for e in engines]
+    documents = [_distribution_document(code, e, dists[e]) for e in engines]
     names = sorted(dists)
     disagreements = []
     for i, e1 in enumerate(names):
@@ -205,18 +204,14 @@ def cmd_sums(args) -> int:
     }
     if args.format == "json":
         _emit(_json_dumps(doc), args.output)
-    elif args.format == "csv":
-        lines = ["value,frequency"]
-        for row in rows:
-            val = row["value"].get("display") or str(row["value"]["zeta_coefficients"])
-            lines.append(f"\"{val}\",{row['frequency']}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        lines = ["| value | frequency |", "| --- | --- |"]
-        for row in rows:
-            val = row["value"].get("display") or str(row["value"]["zeta_coefficients"])
-            lines.append(f"| {val} | {row['frequency']} |")
-        _emit("\n".join(lines) + "\n", args.output)
+        return EXIT_OK
+    csv = args.format == "csv"
+    lines = ["value,frequency"] if csv else ["| value | frequency |", "| --- | --- |"]
+    for row in rows:
+        val = row["value"].get("display") or str(row["value"]["zeta_coefficients"])
+        freq = row["frequency"]
+        lines.append(f"\"{val}\",{freq}" if csv else f"| {val} | {freq} |")
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 

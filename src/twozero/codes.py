@@ -385,9 +385,14 @@ def run_engine(
 def code_header(code: CyclicCode) -> dict:
     """Parameters, derived constants, length, dimension and polynomials of a code."""
     params = code.params
-    header = {key: getattr(params, key) for key in ("p", "m", "k", "d", "s", "q", "q_star")}
     return {
-        **header,
+        "p": params.p,
+        "m": params.m,
+        "k": params.k,
+        "d": params.d,
+        "s": params.s,
+        "q": params.q,
+        "q_star": params.q_star,
         "case": params.case.value,
         "n": code.n,
         "dimension": code.dimension,

@@ -5,11 +5,10 @@ every named test on an unmutated copy of src/ and tests/, where they must
 all pass.  Then, for each mutation, it applies the replacement to a fresh
 copy and runs only that mutation's tests, each of which must fail.
 
-    python tests/run_mutations.py            # every mutation
-    python tests/run_mutations.py twist-row  # only the named ones
+    python tests/run_mutations.py
 
-Exit status 0 when every selected mutation is caught by all its tests, 1
-when a test misses one.  The copies live in a temporary directory that is
+Exit status 0 when every mutation is caught by all its tests, 1 when a
+test misses one.  The copies live in a temporary directory that is
 removed at the end.  pytest does not collect this file; each mutant costs
 one pytest run.
 """
@@ -65,12 +64,8 @@ def apply(workdir: Path, mutation: dict) -> None:
     path.write_text(text.replace(mutation["old"], mutation["new"]), encoding="utf-8")
 
 
-def main(names: list[str]) -> int:
-    record = json.loads(RECORD.read_text(encoding="utf-8"))
-    unknown = set(names) - {m["name"] for m in record}
-    if unknown:
-        raise SystemExit(f"no such mutation: {', '.join(sorted(unknown))}")
-    mutations = [m for m in record if not names or m["name"] in names]
+def main() -> int:
+    mutations = json.loads(RECORD.read_text(encoding="utf-8"))
     missed = 0
     with tempfile.TemporaryDirectory(prefix="twozero-mutants-") as tmp:
         named = sorted({t for m in mutations for t in m["tests"]})
@@ -91,4 +86,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
