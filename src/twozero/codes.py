@@ -27,7 +27,10 @@ vanishes identically, which build_code asserts via h1(0), h2(0) != 0).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field as dataclass_field
+from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -126,15 +129,19 @@ def build_code(
 
     h1 = minpoly(-pi**(-1)) and h2 = minpoly(pi**(-(p**k+1)/2)) must be
     distinct of degree m, their product must divide x**n - 1 exactly, and
-    both must have nonzero constant term; all of this is verified.
+    both must have nonzero constant term; all of this is verified.  The
+    generator g = (x**n - 1)/(h1 h2) is read off the partial fractions of
+    1/(h1 h2), with no polynomial division, and the divisibility check is
+    that g h1 h2 == x**n - 1, every coefficient compared, by one exact
+    big-integer product (see _check_generator).
     """
     params = classify_parameters(p, m, k)
     field = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
     pi = field.primitive_element
     n = field.n
 
-    h1 = field.minimal_polynomial(field.neg(field.inv(pi)))
-    h2 = field.minimal_polynomial(field.inv(field.pow(pi, params.twist_exponent)))
+    gammas = (field.neg(field.inv(pi)), field.inv(field.pow(pi, params.twist_exponent)))
+    h1, h2 = (field.minimal_polynomial(gamma) for gamma in gammas)
     if h1.degree != m or h2.degree != m:
         raise InternalInconsistency(
             f"deg h1 = {h1.degree}, deg h2 = {h2.degree}; both must equal m = {m}"
@@ -144,10 +151,25 @@ def build_code(
     if h1(0) == 0 or h2(0) == 0:
         raise InternalInconsistency("h1, h2 must have nonzero constant term")
 
-    x_n_minus_1 = Polynomial(p, [-1] + [0] * (n - 1) + [1])
-    quot, rem = divmod(x_n_minus_1, h1 * h2)
-    if not rem.is_zero:
-        raise InternalInconsistency("h1 h2 does not divide x^n - 1")
+    # h = h1 h2 divides x**n - 1, so g is minus the power series 1/h cut at
+    # degree n - 2m.  Partial fractions over the 2m distinct roots rho of h
+    # give g_i = sum of rho**(-i) / (rho h'(rho)).  h' has GF(p) coefficients,
+    # so the roots conjugate to gamma sum to Tr(c gamma**(-i)) with
+    # c = 1/(gamma h'(gamma)): the trace of pi**j at j = log c - i log gamma.
+    h = h1 * h2
+    derivative = [i * c % p for i, c in enumerate(h.coeffs)][1:]
+    tr, exp = field.trace_table, field.exp
+    terms = []
+    for gamma in gammas:
+        value = 0  # h'(gamma), by Horner
+        for c in reversed(derivative):
+            value = field.add(field.mul(value, gamma), c)
+        step = -field.log[gamma] % n  # log of 1/gamma
+        start = (step - field.log[value]) % n  # log of c
+        stop = start + step * (n - 2 * m + 1)
+        terms.append([tr[exp[j % n]] for j in range(start, stop, step)])
+    generator = Polynomial(p, map(add, *terms))
+    _check_generator(generator, h, n)
 
     # Coordinate sequences u_i = pi**(e i) and w_i = (-pi)**i, with the sign
     # folded into the exponent via -1 = pi**(n/2).
@@ -162,11 +184,33 @@ def build_code(
         n=n,
         h1=h1,
         h2=h2,
-        generator=quot,
+        generator=generator,
         dimension=2 * m,
         u_codes=u_codes,
         w_codes=w_codes,
     )
+
+
+def _check_generator(generator: Polynomial, h: Polynomial, n: int) -> None:
+    """Raise InternalInconsistency unless generator * h == x**n - 1 over GF(p).
+
+    One Kronecker substitution: each polynomial becomes one integer with a
+    coefficient per fixed-width field, wide enough that no coefficient of
+    the integer product (at most min(len) (p-1)**2) carries into the next.
+    The product of a long by a short integer takes linear time.
+    """
+    p = generator.p
+    bound = min(len(generator.coeffs), len(h.coeffs)) * (p - 1) ** 2
+    typecode = next(t for t in "BHIQ" if bound < 256 ** array(t).itemsize)
+    a, b = (
+        int.from_bytes(array(typecode, poly.coeffs).tobytes(), sys.byteorder)
+        for poly in (generator, h)
+    )
+    product = array(typecode)
+    size = len(generator.coeffs) + len(h.coeffs) - 1
+    product.frombytes((a * b).to_bytes(size * product.itemsize, sys.byteorder))
+    if [c % p for c in product] != [p - 1] + [0] * (n - 1) + [1]:
+        raise InternalInconsistency("h1 h2 does not divide x^n - 1")
 
 
 def codeword(code: CyclicCode, alpha: int, beta: int) -> list[int]:

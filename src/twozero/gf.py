@@ -19,9 +19,10 @@ The trace to a subfield is GF(p)-linear too, so each trace table is
 tabulated from the images of the basis x**j, one addition per code.
 
 The module also houses polynomials over GF(p) (needed for moduli, minimal
-polynomials and the generator of the cyclic code), the trace maps to
-arbitrary subfields, the quadratic character of a subfield, and the 2-adic
-valuation used by the parameter case split.
+polynomials and the parity-check polynomial h1 h2 of the cyclic code; the
+generator is read off traces, not divided out, see codes.build_code), the
+trace maps to arbitrary subfields, the quadratic character of a subfield,
+and the 2-adic valuation used by the parameter case split.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 from twozero import build_code
 from twozero.codes import (
     WeightDistribution,
+    _check_generator,
     codeword,
     codeword_weight,
     codeword_weight_via_sums,
@@ -17,7 +18,7 @@ from twozero.codes import (
     weight_distribution_closed,
     weight_distribution_sums,
 )
-from twozero.errors import BudgetExceeded, UnsupportedCase
+from twozero.errors import BudgetExceeded, InternalInconsistency, UnsupportedCase
 from twozero.expsums import s_direct
 from twozero.gf import Polynomial
 
@@ -58,6 +59,93 @@ class TestBuildCode:
             for c in reversed(poly.coeffs):
                 acc = f.add(f.mul(acc, root), c)
             assert acc == 0
+
+
+NOT_A_DIVISOR = r"h1 h2 does not divide x\^n - 1"
+
+
+def x_n_minus_1(p: int, n: int) -> Polynomial:
+    return Polynomial(p, [-1] + [0] * (n - 1) + [1])
+
+
+# Points of the generator oracle: every case flavour, p up to 13 and fields
+# up to 3^8, each built at the default field and at one other modulus and
+# primitive element.
+_GENERATOR_POINTS = [
+    (3, 3, 1), (5, 3, 1), (7, 3, 1), (3, 4, 1), (5, 4, 1),
+    (3, 5, 1), (3, 6, 4), (3, 8, 2), (11, 3, 1), (13, 3, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "hook", [{}, {"modulus_index": 1}, {"primitive_index": 1}],
+    ids=["default", "modulus1", "primitive1"],
+)
+@pytest.mark.parametrize("pmk", _GENERATOR_POINTS, ids=lambda t: "".join(map(str, t)))
+def test_generator_is_the_dense_quotient(pmk, hook):
+    code = build_code(*pmk, **hook)
+    quot, rem = divmod(x_n_minus_1(pmk[0], code.n), code.h1 * code.h2)
+    assert rem.is_zero
+    assert code.generator == quot
+
+
+def _synthetic_127():
+    # x^126 - 1 = prod (x - a) over GF(127)*; this h has 6 of its roots.
+    h = Polynomial(127, [1])
+    for a in (15, 24, 44, 52, 57, 78):
+        h = h * Polynomial(127, [-a, 1])
+    return h, 126
+
+
+def _code_341():
+    code = build_code(3, 4, 1)
+    return code.h1 * code.h2, code.n
+
+
+class TestGeneratorCheck:
+    """_check_generator compares every coefficient of g h with x^n - 1."""
+
+    @pytest.fixture(params=[_code_341, _synthetic_127], ids=["gf3-341", "gf127-synthetic"])
+    def case(self, request):
+        h, n = request.param()
+        quot, rem = divmod(x_n_minus_1(h.p, n), h)
+        assert rem.is_zero
+        return quot, h, n
+
+    def test_accepts_the_quotient(self, case):
+        _check_generator(*case)
+
+    def test_gf127_product_passes_16_bits(self):
+        # The packed fields must hold a coefficient of the integer product
+        # above 2^16, or carries would corrupt the neighbouring fields.
+        h, n = _synthetic_127()
+        g = divmod(x_n_minus_1(127, n), h)[0]
+        top = max(
+            sum(g.coeffs[i - j] * c for j, c in enumerate(h.coeffs) if 0 <= i - j <= g.degree)
+            for i in range(n + 1)
+        )
+        assert top > 1 << 16
+
+    def test_rejects_flipped_middle_coefficient(self, case):
+        g, h, n = case
+        coeffs = list(g.coeffs)
+        coeffs[len(coeffs) // 2] += 1
+        with pytest.raises(InternalInconsistency, match=NOT_A_DIVISOR):
+            _check_generator(Polynomial(g.p, coeffs), h, n)
+
+    def test_rejects_wrong_degree(self, case):
+        g, h, n = case
+        for coeffs in (g.coeffs + (1,), g.coeffs[:-1]):
+            with pytest.raises(InternalInconsistency, match=NOT_A_DIVISOR):
+                _check_generator(Polynomial(g.p, coeffs), h, n)
+
+    def test_rejects_non_divisor(self, case):
+        _, h, n = case
+        bad = h + Polynomial.one(h.p)
+        quot, rem = divmod(x_n_minus_1(h.p, n), bad)
+        assert not rem.is_zero
+        with pytest.raises(InternalInconsistency, match=NOT_A_DIVISOR):
+            _check_generator(quot, bad, n)
 
 
 class TestCodewords:
