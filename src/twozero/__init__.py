@@ -5,8 +5,8 @@ package builds the cyclic code of length p**m - 1 whose parity-check
 polynomial is the product of the minimal polynomials of -pi**(-1) and
 pi**(-(p**k+1)/2), evaluates the underlying exponential character sums
 exactly in Z[zeta_p], and computes the code's weight distribution by three
-independent engines (direct enumeration, character-sum evaluation, and
-closed-form tables), cross-verifying them against each other.
+independent engines (direct enumeration, character-sum evaluation, and the
+closed-form S distribution), cross-verifying them against each other.
 """
 
 from .codes import (

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import coordinate_exponents
 from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
 from .quadforms import PAIR_BUDGET, CodeParams, gram_basis, phi_matrix, twist_pair
@@ -339,12 +340,14 @@ def brute_weight_histogram(code) -> list[int]:
     """
     field = code.field
     n = code.n
+    exp, steps = np.asarray(field.exp, np.int64), np.arange(n, dtype=np.int64)
+    u_codes, w_codes = (exp[e * steps % n] for e in coordinate_exponents(code))
     rows = representative_rows(field)
-    neg_rw = (field.p - trace_rows(field, code.w_codes, [beta for beta, _ in rows])) % field.p
+    neg_rw = (field.p - trace_rows(field, w_codes, [beta for beta, _ in rows])) % field.p
     hist = np.zeros(n + 1, np.int64)
     step = max(1, BRUTE_CHUNK // n)
     for lo in range(0, field.order, step):
-        ru = trace_rows(field, np.arange(lo, min(lo + step, field.order)), code.u_codes)
+        ru = trace_rows(field, np.arange(lo, min(lo + step, field.order)), u_codes)
         for r, (_, weight) in enumerate(rows):
             zeros = (ru == neg_rw[:, r]).sum(axis=1)
             hist += weight * np.bincount(n - zeros, minlength=n + 1)

@@ -16,8 +16,9 @@ Three engines compute the weight distribution:
   of S(u alpha, u beta), with every constituent T evaluated through the
   quadratic-form fast path.  The per-case simplifications of the u-sum are
   deliberately not used, so this engine is uniform across all cases;
-* closed -- the per-case closed-form weight/frequency tables (merged on
-  colliding weights), available for CaseA and both CaseB flavours.
+* closed -- the closed-form S value distribution (CaseA and both CaseB
+  flavours) read through the same weight formula, each u-sum taken as the
+  Galois sum of the S value in Z[zeta_p]; there is no separate weight table.
 
 All three must agree exactly; every produced distribution is self-checked
 against the code size, the zero-word row and the first power moment
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from operator import add
 
 from .errors import (
@@ -37,13 +38,19 @@ from .errors import (
     DistinctnessViolated,
     InternalInconsistency,
     NonIntegralWeight,
-    NonRationalSum,
     UnsupportedCase,
     check_budget,
 )
-from .expsums import _exact_div, joint_class_census, t_value
+from .expsums import (
+    CyclotomicInteger,
+    SymbolicSumValue,
+    joint_class_census,
+    s_distribution_closed,
+    s_fast,
+    t_value,
+)
 from .gf import FiniteField, Polynomial, build_field
-from .quadforms import Case, CodeParams, classify_parameters
+from .quadforms import CodeParams, classify_parameters
 
 DEFAULT_BRUTE_BUDGET = 400_000_000   # coordinate checks, 3 p**m * n
 
@@ -109,8 +116,6 @@ class CyclicCode:
     h2: Polynomial
     generator: Polynomial
     dimension: int
-    u_codes: list[int] = dataclass_field(repr=False, default_factory=list)
-    w_codes: list[int] = dataclass_field(repr=False, default_factory=list)
 
     def __repr__(self) -> str:
         pr = self.params
@@ -171,13 +176,6 @@ def build_code(
     generator = Polynomial(p, map(add, *terms))
     _check_generator(generator, h, n)
 
-    # Coordinate sequences u_i = pi**(e i) and w_i = (-pi)**i, with the sign
-    # folded into the exponent via -1 = pi**(n/2).
-    e = params.twist_exponent % n
-    neg_step = (n // 2 + 1) % n
-    u_codes = [field.exp[(e * i) % n] for i in range(n)]
-    w_codes = [field.exp[(neg_step * i) % n] for i in range(n)]
-
     return CyclicCode(
         params=params,
         field=field,
@@ -186,8 +184,6 @@ def build_code(
         h2=h2,
         generator=generator,
         dimension=2 * m,
-        u_codes=u_codes,
-        w_codes=w_codes,
     )
 
 
@@ -213,54 +209,68 @@ def _check_generator(generator: Polynomial, h: Polynomial, n: int) -> None:
         raise InternalInconsistency("h1 h2 does not divide x^n - 1")
 
 
+def coordinate_exponents(code: CyclicCode) -> tuple[int, int]:
+    """Logs of the coordinate steps u_i = pi**(e i) and w_i = (-pi)**i = pi**((n/2 + 1) i)."""
+    n = code.n
+    return code.params.twist_exponent % n, (n // 2 + 1) % n
+
+
 def codeword(code: CyclicCode, alpha: int, beta: int) -> list[int]:
     """The trace sequence of the pair, one value in [0, p) per coordinate."""
-    f = code.field
-    tr = f.trace_table
-    p = f.p
+    f, n = code.field, code.n
+    tr, exp = f.trace_table, f.exp
+    e_u, e_w = coordinate_exponents(code)
     return [
-        (tr[f.mul(alpha, u)] + tr[f.mul(beta, w)]) % p
-        for u, w in zip(code.u_codes, code.w_codes)
+        (tr[f.mul(alpha, exp[e_u * i % n])] + tr[f.mul(beta, exp[e_w * i % n])]) % f.p
+        for i in range(n)
     ]
 
 
 def codeword_weight(code: CyclicCode, alpha: int, beta: int) -> int:
     """Number of nonzero coordinates (n minus the zero count)."""
-    f = code.field
-    tr = f.trace_table
-    p = f.p
-    zeros = 0
-    for u, w in zip(code.u_codes, code.w_codes):
-        if (tr[f.mul(alpha, u)] + tr[f.mul(beta, w)]) % p == 0:
-            zeros += 1
-    return code.n - zeros
+    return code.n - codeword(code, alpha, beta).count(0)
+
+
+def _weight_from_u_sum(code: CyclicCode, usum: SymbolicSumValue | CyclotomicInteger) -> int:
+    """The weight p**m - p**(m-1) - usum/(2p) of a pair.
+
+    usum is the exact sum over u in GF(p)* of S(u alpha, u beta).  It must
+    be rational and divisible by 2p, and the weight must lie in [0, n]; a
+    failure would falsify the weight formula itself.
+    """
+    p, m = code.params.p, code.params.m
+    a = usum.rational_value()
+    if a % (2 * p):
+        raise NonIntegralWeight(f"u-sum {a} not divisible by 2p")
+    w = p**m - p ** (m - 1) - a // (2 * p)
+    if not 0 <= w <= code.n:
+        raise NonIntegralWeight(f"weight {w} out of range [0, {code.n}]")
+    return w
+
+
+def _galois_u_sum(value: SymbolicSumValue) -> CyclotomicInteger:
+    """sum over u in GF(p)* of sigma_u(value), sigma_u: zeta -> zeta**u, in Z[zeta_p].
+
+    S(u alpha, u beta) = sigma_u(S(alpha, beta)), so this is the u-sum of the
+    weight formula at every pair whose S equals value.
+    """
+    z = value.cyclotomic()
+    return sum((z.galois(u) for u in range(1, value.p)), CyclotomicInteger.zero(value.p))
 
 
 def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
     """Weight through the character-sum formula, one literal T per (u, side).
 
     Evaluates all 2(p-1) constituent values T(u alpha, u beta) and
-    T(u pi**e alpha, -u pi beta) through the fast path, sums them, asserts
-    the aggregate is rational, and applies
-    weight = p**m - p**(m-1) - (sum)/(2p).
+    T(u pi**e alpha, -u pi beta) through the fast path and reads the weight
+    off their sum.
     """
-    from .expsums import s_fast
-
     f, params = code.field, code.params
-    p = params.p
-    acc_a = acc_b = 0
-    for u in range(1, p):
-        va, vb = s_fast(f, params, f.mul(u, alpha), f.mul(u, beta)).expanded()
-        acc_a += va
-        acc_b += vb
-    if acc_b:
-        raise NonRationalSum(f"u-sum of S at ({alpha}, {beta}) is irrational")
-    if acc_a % (2 * p):
-        raise NonIntegralWeight(f"u-sum {acc_a} not divisible by 2p")
-    w = p**params.m - p ** (params.m - 1) - acc_a // (2 * p)
-    if not 0 <= w <= code.n:
-        raise NonIntegralWeight(f"weight {w} out of range [0, {code.n}]")
-    return w
+    usum = sum(
+        (s_fast(f, params, f.mul(u, alpha), f.mul(u, beta)) for u in range(1, params.p)),
+        SymbolicSumValue.from_parts(params.p, params.d, 0),
+    )
+    return _weight_from_u_sum(code, usum)
 
 
 def weight_distribution_brute(
@@ -276,32 +286,25 @@ def weight_distribution_brute(
     from . import batch
 
     hist = batch.brute_weight_histogram(code)
-    dist = WeightDistribution.from_counts(
-        ((w, f) for w, f in enumerate(hist)), source="brute"
-    )
-    return dist.validate(code)
+    return WeightDistribution.from_counts(enumerate(hist), source="brute").validate(code)
 
 
-def _u_sum_table(code: CyclicCode) -> dict[tuple[int, int], tuple[int, int]]:
+def _u_sum_table(code: CyclicCode) -> dict[tuple[int, int], SymbolicSumValue]:
     """sum over u in GF(p)* of the T value of class (r, eps), for every r <= s.
 
     Scaling a pair by u multiplies the Gram matrix by u, so the rank is
     unchanged and the discriminant character picks up eta_d(u)**rank; the
-    per-class u-sum is therefore well-defined.  Entries are expanded (A, B)
-    integer pairs.
+    per-class u-sum is therefore well-defined.
     """
     f, params = code.field, code.params
     out = {}
     for r in range(params.s + 1):
         for eps in (1, -1):
-            acc_a = acc_b = 0
+            acc = SymbolicSumValue.from_parts(params.p, params.d, 0)
             for u in range(1, params.p):
                 eta_u = f.quadratic_character(u, params.d)
-                eps_u = eps * (eta_u if r % 2 else 1)
-                va, vb = t_value(params, r, eps_u).expanded()
-                acc_a += va
-                acc_b += vb
-            out[(r, eps)] = (acc_a, acc_b)
+                acc = acc + t_value(params, r, eps * (eta_u if r % 2 else 1))
+            out[(r, eps)] = acc
     return out
 
 
@@ -313,99 +316,34 @@ def weight_distribution_sums(
     Joins the (rank, sign) class of f at every pair with the class of its
     twisted companion, sums the 2(p-1) constituent T values per joint class,
     and reads the weight off the formula.  Uniform across all parameter
-    cases; rationality and integrality are asserted, since their failure
-    would falsify the weight formula itself.
+    cases.
     """
-    params = code.params
-    joint = joint_class_census(code.field, params, budget=budget)
+    joint = joint_class_census(code.field, code.params, budget=budget)
     usum = _u_sum_table(code)
-    p = params.p
-    base = p**params.m - p ** (params.m - 1)
-    counts: dict[int, int] = {}
-    for (cf, cg), count in joint.items():
-        a = usum[cf][0] + usum[cg][0]
-        b = usum[cf][1] + usum[cg][1]
-        if b:
-            raise NonRationalSum(f"u-sum of class pair ({cf}, {cg}) is irrational")
-        if a % (2 * p):
-            raise NonIntegralWeight(f"u-sum {a} of class pair ({cf}, {cg}) not divisible by 2p")
-        w = base - a // (2 * p)
-        if not 0 <= w <= code.n:
-            raise NonIntegralWeight(f"weight {w} out of range [0, {code.n}]")
-        counts[w] = counts.get(w, 0) + count
-    return WeightDistribution.from_counts(counts, source="sums").validate(code)
+    return WeightDistribution.from_counts(
+        (
+            (_weight_from_u_sum(code, usum[cf] + usum[cg]), count)
+            for (cf, cg), count in joint.items()
+        ),
+        source="sums",
+    ).validate(code)
 
 
 def weight_distribution_closed(code: CyclicCode) -> WeightDistribution:
-    """The closed-form weight table for the code's parameter case.
+    """The closed-form S distribution read through the weight formula.
 
-    Evaluates each table row with exact integer arithmetic (every division
-    must be exact) and merges rows whose weights collide.
+    Every row (value, frequency) of :func:`s_distribution_closed` stands for
+    frequency pairs whose u-sum is the Galois sum of value; rows whose
+    weights collide are merged.  Cases without closed forms raise
+    UnsupportedCase.
     """
-    params = code.params
-    if not params.has_closed_forms:
-        raise UnsupportedCase(f"no closed weight table for case {params.case}")
-    p, m, d = params.p, params.m, params.d
-    pm = p**m
-    base = p ** (m - 1) * (p - 1)
-    half_p1 = (p - 1) // 2
-    root = p ** (m // 2 - 1)  # p**(m/2 - 1); m is even in every supported case
-
-    rows: list[tuple[int, int]] = [(0, 1)]
-    zero_s_freq = _exact_div((p ** (m + d) - 3 * pm + p**d + 1) * (pm - 1), 2 * (p**d - 1))
-    rows.append((base, zero_s_freq))
-
-    if params.case is Case.CASE_A:
-        off_edge = half_p1 * (p**d - 1) * root
-        f_edge = _exact_div((p ** (m - d) - 1) * (pm - 1), p ** (2 * d) - 1)
-        rows += [(base + off_edge, f_edge), (base - off_edge, f_edge)]
-        h = p ** ((m - d) // 2)
-        rt = p ** (d // 2)
-        f_minus = _exact_div(h * (h - 1) * (pm - 1), 2)
-        f_plus = _exact_div(h * (h + 1) * (pm - 1), 2)
-        rows += [
-            (base + half_p1 * (rt - 1) * root, f_minus),
-            (base + half_p1 * (rt + 1) * root, f_minus),
-            (base - half_p1 * (rt + 1) * root, f_plus),
-            (base - half_p1 * (rt - 1) * root, f_plus),
-        ]
-        f_two = _exact_div((p**d - 1) * (pm * pm - 1), 4 * (p**d + 1))
-        rows += [(base + (p - 1) * root, f_two), (base - (p - 1) * root, f_two)]
-    else:
-        half = p ** (m // 2 - d)
-        mroot = p ** (m // 2)
-        den = p ** (2 * d) - 1
-        off_edge = half_p1 * (p**d - 1) * root
-        rows += [
-            (base - off_edge, _exact_div((half + 1) * (mroot - 1) * (pm - 1), den)),
-            (base + off_edge, _exact_div((half - 1) * (mroot + 1) * (pm - 1), den)),
-        ]
-        if params.case is Case.CASE_B_ODD_K:
-            rows += [
-                (base + half_p1 * root, half * (mroot - 1) * (pm - 1)),
-                (base - half_p1 * root, half * (mroot + 1) * (pm - 1)),
-            ]
-        else:
-            rt = p ** (d // 2)
-            f_lo = _exact_div(half * (mroot - 1) * (pm - 1), 2)
-            f_hi = _exact_div(half * (mroot + 1) * (pm - 1), 2)
-            rows += [
-                (base - half_p1 * (rt - 1) * root, f_lo),
-                (base + half_p1 * (rt + 1) * root, f_lo),
-                (base - half_p1 * (rt + 1) * root, f_hi),
-                (base + half_p1 * (rt - 1) * root, f_hi),
-            ]
-        rows += [
-            (
-                base + (p - 1) * root,
-                _exact_div((mroot - 1) ** 2 * (p**d - 1) * (pm - 1), 4 * (p**d + 1)),
-            ),
-            (
-                base - (p - 1) * root,
-                _exact_div((mroot + 1) ** 2 * (p**d - 1) * (pm - 1), 4 * (p**d + 1)),
-            ),
-        ]
-    return WeightDistribution.from_counts(rows, source="closed").validate(code)
+    return WeightDistribution.from_counts(
+        (
+            (_weight_from_u_sum(code, _galois_u_sum(value)), freq)
+            for value, freq in s_distribution_closed(code.params)
+        ),
+        source="closed",
+    ).validate(code)
 
 
 ENGINES = ("brute", "sums", "closed")

@@ -525,13 +525,18 @@ def s_distribution_closed(params: CodeParams) -> ValueDistribution:
 # -- enumerated censuses -----------------------------------------------------
 
 
+def _direct_terms(field: FiniteField, params: CodeParams, twisted: bool) -> int:
+    """Terms a direct pass enumerates: p**m per pair and per T it takes."""
+    return (2 if twisted else 1) * params.pairs * field.order
+
+
 def _direct_census(
     field: FiniteField, params: CodeParams, which: str, budget: int | None
 ) -> dict[CyclotomicInteger, int]:
     from . import batch
 
     twisted = which == "S"
-    terms = (2 if twisted else 1) * params.pairs * field.order
+    terms = _direct_terms(field, params, twisted)
     check_budget(f"direct {which} census", terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
     # Every counts vector sums to the number of terms, so distinct vectors
     # are distinct elements of Z[zeta_p].
@@ -772,8 +777,8 @@ def power_moments(
             for (cf, cg), count in joint.items()
         )
     elif mode == "direct":
-        direct_terms = 2 * params.pairs * field.order
-        check_budget("direct identity check", direct_terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
+        terms = _direct_terms(field, params, twisted=True)
+        check_budget("direct identity check", terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
         from . import batch
 
         p = params.p
@@ -806,8 +811,8 @@ def verify_power_identities(
     """
     targets = _identity_targets(params)
     if mode == "auto":
-        direct_terms = 2 * params.pairs * field.order
-        fits = direct_terms <= DEFAULT_DIRECT_BUDGET and (budget is None or direct_terms <= budget)
+        terms = _direct_terms(field, params, twisted=True)
+        fits = terms <= DEFAULT_DIRECT_BUDGET and (budget is None or terms <= budget)
         mode = "direct" if fits else "fast"
     sums = power_moments(field, params, mode, budget=budget)
 

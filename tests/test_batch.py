@@ -255,8 +255,10 @@ class TestBruteHistogram:
     def test_all_pairs_loop_531(self):
         code = build_code(5, 3, 1)
         field, n = code.field, code.n
-        ru = trace_rows(field, range(field.order), code.u_codes)
-        rw = trace_rows(field, range(field.order), code.w_codes)
+        pi = field.primitive_element
+        u_step, w_step = field.pow(pi, code.params.twist_exponent), field.neg(pi)
+        ru = trace_rows(field, range(field.order), [field.pow(u_step, i) for i in range(n)])
+        rw = trace_rows(field, range(field.order), [field.pow(w_step, i) for i in range(n)])
         expected = [0] * (n + 1)
         for b in range(field.order):
             nonzero = ((ru + rw[b][None, :]) % field.p != 0).sum(axis=1)
@@ -270,7 +272,8 @@ class TestBruteHistogram:
             assert brute_weight_histogram(build_code(3, 4, 1, **choice)) == hist, choice
 
     def test_trace_rows_shape(self, field341, code341):
-        codes = [0] + code341.u_codes[:10]
+        pi_e = field341.pow(field341.primitive_element, code341.params.twist_exponent)
+        codes = [0] + [field341.pow(pi_e, i) for i in range(10)]
         rows = trace_rows(field341, range(81), codes)
         assert rows.shape == (81, 11)
         assert rows.dtype == np.uint8

@@ -10,6 +10,8 @@ from twozero import build_code
 from twozero.codes import (
     WeightDistribution,
     _check_generator,
+    _galois_u_sum,
+    _u_sum_table,
     codeword,
     codeword_weight,
     codeword_weight_via_sums,
@@ -19,7 +21,7 @@ from twozero.codes import (
     weight_distribution_sums,
 )
 from twozero.errors import BudgetExceeded, InternalInconsistency, UnsupportedCase
-from twozero.expsums import s_direct
+from twozero.expsums import s_direct, t_value
 from twozero.gf import Polynomial
 
 # Reference weight enumerators for the two small verifiable instances; every
@@ -193,6 +195,23 @@ class TestCodewords:
         for _ in range(50):
             a, b = rng.randrange(81), rng.randrange(81)
             assert codeword_weight_via_sums(code341, a, b) == codeword_weight(code341, a, b)
+
+
+class TestUSums:
+    # The closed engine takes the u-sum of a value as its Galois sum over
+    # zeta -> zeta**u; the sums engine scales the class by eta_d(u) instead.
+    @pytest.mark.parametrize(
+        "pmk",
+        [(3, 4, 1), (5, 4, 1), (7, 3, 1), (3, 6, 4), (3, 8, 2)],
+        ids=lambda pmk: "".join(map(str, pmk)),
+    )
+    def test_galois_sum_equals_scaled_classes(self, pmk):
+        code = build_code(*pmk)
+        params = code.params
+        table = _u_sum_table(code)
+        assert set(table) == {(r, eps) for r in range(params.s + 1) for eps in (1, -1)}
+        for (r, eps), usum in table.items():
+            assert _galois_u_sum(t_value(params, r, eps)) == usum.cyclotomic(), (r, eps)
 
 
 class TestEngines:
