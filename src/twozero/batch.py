@@ -2,12 +2,15 @@
 
 Everything here is exact integer work in numpy: subfield arithmetic becomes
 table gathers, the Gram matrix of every pair in a chunk is assembled from
-per-basis-entry trace tables, and a batched symmetric Gaussian elimination
-reads off rank and discriminant character for the whole chunk at once, by
-the pivot rule of the scalar quadforms.diagonalize and with the same
-(rank, eps) result.  Scalar reference implementations of the same
-operations live in quadforms and expsums; the test suite checks the two
-routes against each other exhaustively on small fields.
+per-entry trace tables of the constants (u_ij, v_ij) of
+quadforms.gram_entries (A[i][j] = Tr_d(alpha u_ij) + Tr_d(beta v_ij), the
+same entries the scalar quadforms.gram_matrix reads), and a batched
+symmetric Gaussian elimination reads off rank and discriminant character
+for the whole chunk at once, by the pivot rule of the scalar
+quadforms.diagonalize and with the same (rank, eps) result.  Scalar
+reference implementations of the same operations live in quadforms and
+expsums; the test suite checks the two routes against each other
+exhaustively on small fields.
 
 Representatives.  The substitution x -> c x (c in GF(p**m)*) sends
 (alpha, beta) to (alpha c**(p**k+1), beta c**2).  It keeps the class of f,
@@ -51,7 +54,7 @@ import numpy as np
 from .codes import coordinate_exponents
 from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
-from .quadforms import PAIR_BUDGET, CodeParams, gram_basis, phi_matrix, twist_pair
+from .quadforms import PAIR_BUDGET, CodeParams, gram_entries, phi_matrix, twist_pair
 
 DEFAULT_CHUNK = 1 << 18   # pairs per Gram-elimination batch
 BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
@@ -173,32 +176,16 @@ def trace_of_powers(field: FiniteField, d: int) -> np.ndarray:
 def _gram_entry_tables(field: FiniteField, params: CodeParams):
     """Per-(i, j) lookup tables turning (alpha, beta) codes into Gram entries.
 
-    A[i][j](alpha, beta) = Tr_d(alpha * u_ij) + Tr_d(beta * v_ij) with
-    u_ii = e_i**(p**k + 1), v_ii = e_i**2, and for i < j the half-polarized
-    u_ij = (e_i**(p**k) e_j + e_i e_j**(p**k)) / 2, v_ij = e_i e_j.
+    For each (i, j, u_ij, v_ij) of quadforms.gram_entries, tu[alpha] and
+    tv[beta] are the subfield indices of Tr_d(alpha u_ij) and Tr_d(beta v_ij),
+    so A[i][j](alpha, beta) = add[tu[alpha], tv[beta]].
     """
-    k = params.k
-    basis = gram_basis(field, params)
     trace_of_power = trace_of_powers(field, params.d)
     every_code = np.arange(field.order)
-    entries = []
-    for i in range(params.s):
-        for j in range(i, params.s):
-            if i == j:
-                u = field.mul(field.frobenius(basis[i], k), basis[i])
-                v = field.mul(basis[i], basis[i])
-            else:
-                u = field.mul(
-                    field.half,
-                    field.add(
-                        field.mul(field.frobenius(basis[i], k), basis[j]),
-                        field.mul(basis[i], field.frobenius(basis[j], k)),
-                    ),
-                )
-                v = field.mul(basis[i], basis[j])
-            tu, tv = _log_gather(field, trace_of_power, every_code, [u, v]).T
-            entries.append((i, j, tu, tv))
-    return entries
+    return [
+        (i, j, *_log_gather(field, trace_of_power, every_code, [u, v]).T)
+        for i, j, u, v in gram_entries(field, params)
+    ]
 
 
 def pair_classes(
@@ -274,22 +261,22 @@ def t_class_data(
 def twist_index(field: FiniteField, params: CodeParams) -> np.ndarray:
     """Index of the representative whose orbit holds the twist of each representative.
 
-    The twist sends (alpha, beta0) to (pi**e alpha, beta'), beta' = -pi beta0
-    and e = (p**k + 1) / 2.  For beta' = 0 that is a representative of row
-    0.  Otherwise its row is the beta0 in {1, pi} with the quadratic
-    character of beta', the parity of log beta' (log 1 = 0, log pi = 1),
-    reached by x -> c x with c**2 = beta0 / beta'; that scales alpha by
-    c**(p**k + 1) = (c**2)**e, so the alpha there is (pi c**2)**e alpha.
+    The twist (quadforms.twist_pair) sends (alpha, beta0) to
+    (pi**e alpha, beta'), beta' = -pi beta0 and e = (p**k + 1) / 2.  For
+    beta' = 0 that is a representative of row 0.  Otherwise its row is the
+    beta0 in {1, pi} with the quadratic character of beta', the parity of
+    log beta' (log 1 = 0, log pi = 1), reached by x -> c x with
+    c**2 = beta0 / beta'; that scales alpha by c**(p**k + 1) = (c**2)**e, so
+    the alpha there is pi**e (c**2)**e alpha.
     """
     rows = representative_rows(field)
-    pi = field.primitive_element
     targets, multipliers = [], []
     for beta0, _ in rows:
-        twisted = field.neg(field.mul(pi, beta0))
+        pi_e, twisted = twist_pair(field, params, 1, beta0)
         row = 1 + field.log[twisted] % 2 if twisted else 0
         c2 = field.mul(rows[row][0], field.inv(twisted)) if twisted else 1
         targets.append(row)
-        multipliers.append(field.pow(field.mul(pi, c2), params.twist_exponent))
+        multipliers.append(field.mul(pi_e, field.pow(c2, params.twist_exponent)))
     exp = np.array(field.exp, np.int64)
     alphas = _log_gather(field, exp, np.arange(field.order), multipliers)
     return (alphas + field.order * np.array(targets)).T.ravel()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     InexactDivision,
@@ -257,7 +256,6 @@ def subfield_gauss_sum(p: int, d: int) -> SymbolicSumValue:
     return SymbolicSumValue.from_parts(p, d, sign * p ** (d // 2))
 
 
-@lru_cache(maxsize=None)
 def t_value(params: CodeParams, r: int, eps: int) -> SymbolicSumValue:
     """Closed value of T for a form of rank r and discriminant character eps.
 
@@ -351,8 +349,6 @@ def t_direct(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> C
 
 def t_fast(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> SymbolicSumValue:
     """T(alpha, beta) through Gram diagonalization (O(s**3) subfield ops)."""
-    if alpha == 0 and beta == 0:
-        return t_value(params, 0, 1)
     r, eps = diagonalize(field, params.d, gram_matrix(field, params, alpha, beta))
     return t_value(params, r, eps)
 

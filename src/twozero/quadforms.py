@@ -14,7 +14,11 @@ polynomial
     phi(x) = alpha**(p**k) x**(p**(2k)) + 2 beta**(p**k) x**(p**k) + alpha x.
 
 Two independent rank routes are implemented: GF(p)-nullity of phi (no basis
-choice) and the rank of the Gram matrix over GF(q).  The Gram route,
+choice) and the rank of the Gram matrix over GF(q).  The Gram matrix is
+linear in (alpha, beta): A[i][j] = Tr_d(alpha u_ij + beta v_ij) for field
+constants (u_ij, v_ij) that depend on the basis only, and
+:func:`gram_entries` is the one place they are derived; the scalar
+:func:`gram_matrix` and the batch tables both read them.  The Gram route,
 :func:`diagonalize`, returns the class (rank, eps) of f, eps the
 discriminant character that the fast character-sum path needs.
 """
@@ -269,33 +273,39 @@ def gram_basis(field: FiniteField, params: CodeParams) -> list[int]:
     return [field.exp[i] for i in range(params.s)]
 
 
+def gram_entries(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int, int, int], ...]:
+    """The Gram entries of f as (i, j, u_ij, v_ij) for i <= j, memoized on the field per params.
+
+    A[i][j](alpha, beta) = Tr_d(alpha u_ij + beta v_ij) in the basis e_i of
+    :func:`gram_basis`, with u_ii = e_i**(p**k + 1), v_ii = e_i**2 and, for
+    i < j, the half-polarized u_ij = (e_i**(p**k) e_j + e_i e_j**(p**k)) / 2,
+    v_ij = e_i e_j, so that X A X' reproduces f on every element.
+    """
+
+    def compute() -> tuple[tuple[int, int, int, int], ...]:
+        basis = gram_basis(field, params)
+        frob = [field.frobenius(e, params.k) for e in basis]
+        entries = []
+        for i in range(params.s):
+            entries.append((i, i, field.mul(frob[i], basis[i]), field.mul(basis[i], basis[i])))
+            for j in range(i + 1, params.s):
+                u = field.add(field.mul(frob[i], basis[j]), field.mul(basis[i], frob[j]))
+                entries.append((i, j, field.mul(field.half, u), field.mul(basis[i], basis[j])))
+        return tuple(entries)
+
+    return field.memoized(("gram_entries", params), compute)
+
+
 def gram_matrix(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> list[list[int]]:
     """Symmetric s x s Gram matrix of f over GF(q) (entries as field codes).
 
-    A[i][j] = (f(e_i + e_j) - f(e_i) - f(e_j))/2 off the diagonal and
-    A[i][i] = f(e_i), in the fixed basis from :func:`gram_basis`, so that
-    X A X' reproduces f on every element.
+    A[i][j] = Tr_d(alpha u_ij + beta v_ij), one trace per entry of
+    :func:`gram_entries`.
     """
-    d, k = params.d, params.k
-    basis = gram_basis(field, params)
-    tr = field.trace_to_table(d)
-
-    def f_val(x: int) -> int:
-        u = field.mul(alpha, field.mul(field.frobenius(x, k), x))
-        w = field.mul(beta, field.mul(x, x))
-        return tr[field.add(u, w)]
-
-    s = params.s
-    a = [[0] * s for _ in range(s)]
-    for i in range(s):
-        a[i][i] = f_val(basis[i])
-    for i in range(s):
-        for j in range(i + 1, s):
-            pol = field.sub(
-                f_val(field.add(basis[i], basis[j])),
-                field.add(a[i][i], a[j][j]),
-            )
-            a[i][j] = a[j][i] = field.mul(field.half, pol)
+    tr = field.trace_to_table(params.d)
+    a = [[0] * params.s for _ in range(params.s)]
+    for i, j, u, v in gram_entries(field, params):
+        a[i][j] = a[j][i] = tr[field.add(field.mul(alpha, u), field.mul(beta, v))]
     return a
 
 

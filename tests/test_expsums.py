@@ -416,8 +416,9 @@ _GRAM_PATH = {
         "subfield_tables",
         "representative_rows",
         "twist_index",
+        "gram_entries",
     ),
-    quadforms: ("gram_matrix", "diagonalize"),
+    quadforms: ("gram_entries", "gram_matrix", "diagonalize"),
     expsums: ("gram_matrix", "diagonalize", "joint_class_census"),
 }
 

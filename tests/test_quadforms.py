@@ -171,17 +171,24 @@ class TestGram:
         a = gram_matrix(field341, params341, 0, 0)
         assert all(all(c == 0 for c in row) for row in a)
 
-    def test_reproduces_form_on_random_pairs(self, field341, params341):
+    @pytest.mark.parametrize(
+        ("pmk", "pairs"),
+        [((3, 4, 1), 100), ((7, 3, 1), 50), ((3, 6, 4), 30), ((3, 8, 2), 6)],
+        ids=["341", "731", "364", "382"],
+    )
+    def test_reproduces_form_on_random_pairs(self, pmk, pairs):
         # X A X' must equal Tr_d^m(alpha x^(p^k+1) + beta x^2) for every x.
-        f, pr = field341, params341
+        # The scalar and the batched assembler read the same gram_entries,
+        # so this is the one check of the entries against f itself; the
+        # points cover d = 1 and d = 2, s = 3 and s = 4.
+        f, pr = build_field(*pmk[:2]), classify_parameters(*pmk)
         coords_of = _coordinate_map(f, gram_basis(f, pr), f.subfield(pr.d))
         rng = random.Random(1234)
         tr = f.trace_to_table(pr.d)
-        for _ in range(100):
-            alpha, beta = rng.randrange(81), rng.randrange(81)
+        for _ in range(pairs):
+            alpha, beta = rng.randrange(f.order), rng.randrange(f.order)
             a = gram_matrix(f, pr, alpha, beta)
-            for x in range(81):
-                coords = coords_of[x]
+            for x, coords in coords_of.items():
                 acc = 0
                 for i in range(pr.s):
                     for j in range(pr.s):
@@ -192,7 +199,7 @@ class TestGram:
                         f.mul(beta, f.mul(x, x)),
                     )
                 ]
-                assert acc == direct
+                assert acc == direct, (alpha, beta, x)
 
 
 def _coordinate_map(f, basis, sub):
