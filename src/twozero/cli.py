@@ -13,7 +13,14 @@ import argparse
 import json
 import sys
 
-from .codes import ENGINES, build_code, code_header, run_engine
+from .codes import (
+    ENGINES,
+    build_code,
+    code_header,
+    engine_agreement,
+    run_engine,
+    weight_distribution_closed,
+)
 from .errors import InternalInconsistency, ParameterError, Refusal
 from .expsums import (
     IdentityCheck,
@@ -27,6 +34,7 @@ from .expsums import (
     t_distribution_closed,
     verify_power_identities,
 )
+from .gf import build_field, check_modulus_index
 from .quadforms import classify_parameters, closed_rank_census, rank_census
 
 EXIT_OK = 0
@@ -59,11 +67,11 @@ def _header(params) -> dict:
     }
 
 
-def _distribution_document(code, engine: str, dist) -> dict:
+def _distribution_document(params, engine: str, dist) -> dict:
     return {
-        **_header(code.params),
-        "n": code.n,
-        "dimension": code.dimension,
+        **_header(params),
+        "n": params.n,
+        "dimension": params.dimension,
         "engine": engine,
         "rows": [{"weight": w, "frequency": f} for w, f in dist.rows],
     }
@@ -114,17 +122,16 @@ def cmd_weights(args) -> int:
     for engine in engines:
         if engine not in ENGINES:
             raise ParameterError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
-    dists = {}
-    for engine in engines:
-        dists[engine] = run_engine(code, engine, budget=args.budget)
-    documents = [_distribution_document(code, e, dists[e]) for e in engines]
-    names = sorted(dists)
-    disagreements = []
-    for i, e1 in enumerate(names):
-        for e2 in names[i + 1 :]:
-            if not dists[e1].same_rows(dists[e2]):
-                disagreements.append((e1, e2))
+    if set(engines) == {"closed"}:  # the closed engine reads only the parameters
+        params = classify_parameters(args.p, args.m, args.k)
+        check_modulus_index(args.p, args.m, args.modulus_index)
+        dists = {"closed": weight_distribution_closed(params)}
+    else:
+        code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
+        params = code.params
+        dists = {e: run_engine(code, e, budget=args.budget) for e in engines}
+    documents = [_distribution_document(params, e, dists[e]) for e in engines]
+    disagreements = [pair for pair, same in engine_agreement(dists).items() if not same]
     agreement = {
         "engines": engines,
         "all_equal": not disagreements,
@@ -182,20 +189,20 @@ def _sum_rows_cyclotomic(census: dict) -> list[dict]:
 
 
 def cmd_sums(args) -> int:
-    from .gf import build_field
-
     params = classify_parameters(args.p, args.m, args.k)
-    field = build_field(args.p, args.m, modulus_index=args.modulus_index)
     which, engine = args.sum, args.engine
-    if engine == "closed":
+    if engine == "closed":  # reads only the parameters
+        check_modulus_index(args.p, args.m, args.modulus_index)
         dist = t_distribution_closed(params) if which == "T" else s_distribution_closed(params)
         rows = _sum_rows_symbolic(dist)
-    elif engine == "fast":
-        fn = t_census_fast if which == "T" else s_census_fast
-        rows = _sum_rows_symbolic(fn(field, params, budget=args.budget))
     else:
-        fn = t_census_direct if which == "T" else s_census_direct
-        rows = _sum_rows_cyclotomic(fn(field, params, budget=args.budget))
+        field = build_field(args.p, args.m, modulus_index=args.modulus_index)
+        if engine == "fast":
+            fn = t_census_fast if which == "T" else s_census_fast
+            rows = _sum_rows_symbolic(fn(field, params, budget=args.budget))
+        else:
+            fn = t_census_direct if which == "T" else s_census_direct
+            rows = _sum_rows_cyclotomic(fn(field, params, budget=args.budget))
     doc = {
         **_header(params),
         "sum": which,
@@ -317,7 +324,7 @@ def _check_example(code, args) -> list[tuple[str, bool, str]]:
     if len(dists) < 2:
         raise Refusal("fewer than two weight engines within budget")
     names = sorted(dists)
-    ok = all(dists[names[0]].same_rows(dists[e]) for e in names[1:])
+    ok = all(engine_agreement(dists).values())
     head = dists[names[0]]
     return [
         (

@@ -31,6 +31,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import combinations
 from operator import add
 
 from .errors import (
@@ -53,6 +54,9 @@ from .gf import FiniteField, Polynomial, build_field
 from .quadforms import CodeParams, classify_parameters
 
 DEFAULT_BRUTE_BUDGET = 400_000_000   # coordinate checks, 3 p**m * n
+# Z[zeta_p] coefficient steps of one Galois u-sum, p - 1 images of p
+# coefficients: p <= 256, where a closed table takes about half a second.
+CLOSED_GALOIS_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,10 @@ class WeightDistribution:
     def same_rows(self, other: WeightDistribution) -> bool:
         return self.rows == other.rows
 
-    def validate(self, code: CyclicCode) -> WeightDistribution:
+    def validate(self, params: CodeParams) -> WeightDistribution:
         """Self-checks: size, zero row, Pless first power moment."""
-        p, m, n = code.params.p, code.params.m, code.n
-        if self.total != p ** (2 * m):
+        p, m, n = params.p, params.m, params.n
+        if self.total != params.pairs:
             raise InternalInconsistency(
                 f"{self.source}: frequencies sum to {self.total}, not p^2m"
             )
@@ -111,11 +115,17 @@ class CyclicCode:
 
     params: CodeParams
     field: FiniteField
-    n: int
     h1: Polynomial
     h2: Polynomial
     generator: Polynomial
-    dimension: int
+
+    @property
+    def n(self) -> int:
+        return self.params.n
+
+    @property
+    def dimension(self) -> int:
+        return self.params.dimension
 
     def __repr__(self) -> str:
         pr = self.params
@@ -176,15 +186,7 @@ def build_code(
     generator = Polynomial(p, map(add, *terms))
     _check_generator(generator, h, n)
 
-    return CyclicCode(
-        params=params,
-        field=field,
-        n=n,
-        h1=h1,
-        h2=h2,
-        generator=generator,
-        dimension=2 * m,
-    )
+    return CyclicCode(params=params, field=field, h1=h1, h2=h2, generator=generator)
 
 
 def _check_generator(generator: Polynomial, h: Polynomial, n: int) -> None:
@@ -231,20 +233,20 @@ def codeword_weight(code: CyclicCode, alpha: int, beta: int) -> int:
     return code.n - codeword(code, alpha, beta).count(0)
 
 
-def _weight_from_u_sum(code: CyclicCode, usum: SymbolicSumValue | CyclotomicInteger) -> int:
+def _weight_from_u_sum(params: CodeParams, usum: SymbolicSumValue | CyclotomicInteger) -> int:
     """The weight p**m - p**(m-1) - usum/(2p) of a pair.
 
     usum is the exact sum over u in GF(p)* of S(u alpha, u beta).  It must
     be rational and divisible by 2p, and the weight must lie in [0, n]; a
     failure would falsify the weight formula itself.
     """
-    p, m = code.params.p, code.params.m
+    p, m = params.p, params.m
     a = usum.rational_value()
     if a % (2 * p):
         raise NonIntegralWeight(f"u-sum {a} not divisible by 2p")
     w = p**m - p ** (m - 1) - a // (2 * p)
-    if not 0 <= w <= code.n:
-        raise NonIntegralWeight(f"weight {w} out of range [0, {code.n}]")
+    if not 0 <= w <= params.n:
+        raise NonIntegralWeight(f"weight {w} out of range [0, {params.n}]")
     return w
 
 
@@ -270,7 +272,7 @@ def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
         (s_fast(f, params, f.mul(u, alpha), f.mul(u, beta)) for u in range(1, params.p)),
         SymbolicSumValue.from_parts(params.p, params.d, 0),
     )
-    return _weight_from_u_sum(code, usum)
+    return _weight_from_u_sum(params, usum)
 
 
 def weight_distribution_brute(
@@ -286,7 +288,7 @@ def weight_distribution_brute(
     from . import batch
 
     hist = batch.brute_weight_histogram(code)
-    return WeightDistribution.from_counts(enumerate(hist), source="brute").validate(code)
+    return WeightDistribution.from_counts(enumerate(hist), source="brute").validate(code.params)
 
 
 def _u_sum_table(code: CyclicCode) -> dict[tuple[int, int], SymbolicSumValue]:
@@ -322,28 +324,33 @@ def weight_distribution_sums(
     usum = _u_sum_table(code)
     return WeightDistribution.from_counts(
         (
-            (_weight_from_u_sum(code, usum[cf] + usum[cg]), count)
+            (_weight_from_u_sum(code.params, usum[cf] + usum[cg]), count)
             for (cf, cg), count in joint.items()
         ),
         source="sums",
-    ).validate(code)
+    ).validate(code.params)
 
 
-def weight_distribution_closed(code: CyclicCode) -> WeightDistribution:
+def weight_distribution_closed(params: CodeParams) -> WeightDistribution:
     """The closed-form S distribution read through the weight formula.
 
     Every row (value, frequency) of :func:`s_distribution_closed` stands for
     frequency pairs whose u-sum is the Galois sum of value; rows whose
-    weights collide are merged.  Cases without closed forms raise
-    UnsupportedCase.
+    weights collide are merged.  Only the parameters are read, so no field
+    is built; the Galois sums cost about p**2 steps a row, so p is bounded by
+    CLOSED_GALOIS_BUDGET.  Cases without closed forms raise UnsupportedCase.
     """
+    p = params.p
+    check_budget(
+        "closed Galois sums", p * (p - 1), "Z[zeta_p] steps a row", None, CLOSED_GALOIS_BUDGET
+    )
     return WeightDistribution.from_counts(
         (
-            (_weight_from_u_sum(code, _galois_u_sum(value)), freq)
-            for value, freq in s_distribution_closed(code.params)
+            (_weight_from_u_sum(params, _galois_u_sum(value)), freq)
+            for value, freq in s_distribution_closed(params)
         ),
         source="closed",
-    ).validate(code)
+    ).validate(params)
 
 
 ENGINES = ("brute", "sums", "closed")
@@ -360,8 +367,13 @@ def run_engine(
     if engine == "sums":
         return weight_distribution_sums(code, budget=budget)
     if engine == "closed":
-        return weight_distribution_closed(code)
+        return weight_distribution_closed(code.params)
     raise UnsupportedCase(f"unknown engine {engine!r}")
+
+
+def engine_agreement(dists: dict[str, WeightDistribution]) -> dict[tuple[str, str], bool]:
+    """For every pair (e1, e2), e1 < e2, of engines: whether their rows are equal."""
+    return {(e1, e2): dists[e1].same_rows(dists[e2]) for e1, e2 in combinations(sorted(dists), 2)}
 
 
 def code_header(code: CyclicCode) -> dict:
@@ -405,12 +417,8 @@ def code_report(
             unavailable[engine] = str(exc)
     if not dists:
         raise BudgetExceeded("no weight-distribution engine within budget")
-    agreement = {}
-    ran = sorted(dists)
-    for i, e1 in enumerate(ran):
-        for e2 in ran[i + 1 :]:
-            agreement[f"{e1}~{e2}"] = dists[e1].same_rows(dists[e2])
-    any_dist = dists[ran[0]]
+    agreement = {f"{e1}~{e2}": same for (e1, e2), same in engine_agreement(dists).items()}
+    any_dist = dists[min(dists)]
     return {
         **code_header(code),
         "min_distance": any_dist.min_distance,

@@ -33,6 +33,7 @@ from math import prod
 from typing import Callable, Iterator, TypeVar
 
 from .errors import (
+    BudgetExceeded,
     DegreeTooLarge,
     DivisionByZero,
     InternalInconsistency,
@@ -48,6 +49,11 @@ from .errors import (
 # 3^12, 225 MiB at 3^13), so 2^21 elements bounds them near 300 MiB: 3^13 is
 # built and 3^14 (about 650 MiB) and larger are refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
+
+# Every request with p**m >= 2**MAX_ORDER_BITS is refused before p**m is
+# formed or p is tested for primality.  The code needs m >= 3, so p stays
+# below 2**43, where the trial division of is_prime takes about 0.13 s.
+MAX_ORDER_BITS = 128
 
 T = TypeVar("T")
 
@@ -282,6 +288,25 @@ def irreducible_count(p: int, m: int) -> int:
     primes = prime_factors(m)
     subsets = (c for r in range(len(primes) + 1) for c in combinations(primes, r))
     return sum((-1) ** len(c) * p ** (m // prod(c)) for c in subsets) // m
+
+
+def check_field_size(p: int, m: int) -> None:
+    """Refuse GF(p**m) with p**m >= 2**MAX_ORDER_BITS (BudgetExceeded), for m >= 1.
+
+    A p of b bits has 2**((b-1) m) <= p**m, so the bit length decides every
+    large case and p**m is formed only below 2**(2 MAX_ORDER_BITS).  Values
+    p < 2 are left to the primality check.
+    """
+    if p > 1 and (m * (p.bit_length() - 1) >= MAX_ORDER_BITS or p**m >> MAX_ORDER_BITS):
+        raise BudgetExceeded(f"p^m = {p}^{m} is not below 2^{MAX_ORDER_BITS}")
+
+
+def check_modulus_index(p: int, m: int, modulus_index: int) -> None:
+    """Reject a modulus index past the irreducibles of degree m, by their count only."""
+    if modulus_index < 0:
+        raise ParameterError(f"modulus_index must be nonnegative, got {modulus_index}")
+    if modulus_index >= irreducible_count(p, m):
+        raise ParameterError(f"fewer than {modulus_index + 1} irreducibles of degree {m}")
 
 
 def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[list, list]:
@@ -553,19 +578,18 @@ def build_field(
     hooks for modulus/primitive-independence checks; an index past the
     count of irreducibles (or of primitive elements) is refused unsearched.
     """
-    if not is_prime(p) or p == 2:
-        raise NotOddPrime(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
-    for name, index in (("modulus_index", modulus_index), ("primitive_index", primitive_index)):
-        if index < 0:
-            raise ParameterError(f"{name} must be nonnegative, got {index}")
+    check_field_size(p, m)
+    if not is_prime(p) or p == 2:
+        raise NotOddPrime(f"p must be an odd prime, got {p}")
+    check_modulus_index(p, m, modulus_index)
+    if primitive_index < 0:
+        raise ParameterError(f"primitive_index must be nonnegative, got {primitive_index}")
     check_budget(
         "field tables", p**m, "elements", max_order, DEFAULT_TABLE_BUDGET, DegreeTooLarge
     )
 
-    if modulus_index >= irreducible_count(p, m):
-        raise ParameterError(f"fewer than {modulus_index + 1} irreducibles of degree {m}")
     n = p**m - 1
     first, *rest = primes = prime_factors(n)  # n is even, so first == 2
     if primitive_index >= n // prod(primes) * prod(ell - 1 for ell in primes):  # phi(n)

@@ -38,7 +38,7 @@ from .errors import (
     ZeroArgument,
     check_budget,
 )
-from .gf import FiniteField, is_prime, v2
+from .gf import FiniteField, check_field_size, is_prime, v2
 
 # Default budget of the representative pair pass (Gram matrices) and of the
 # phi rank census (pairs).
@@ -85,6 +85,16 @@ class CodeParams:
         return self.p ** (2 * self.m)
 
     @property
+    def n(self) -> int:
+        """Code length p**m - 1."""
+        return self.p**self.m - 1
+
+    @property
+    def dimension(self) -> int:
+        """Code dimension 2m (h1, h2 distinct of degree m, checked by build_code)."""
+        return 2 * self.m
+
+    @property
     def has_closed_forms(self) -> bool:
         return self.case is not Case.ODD_S_OUT_OF_SCOPE
 
@@ -92,19 +102,21 @@ class CodeParams:
 def classify_parameters(p: int, m: int, k: int) -> CodeParams:
     """Validate (p, m, k) and assign the parameter case.
 
-    Rejects p not an odd prime and s = m/gcd(m,k) < 3.  The case split
-    compares the 2-adic valuations of m and k; the leftover combinations
-    (equal valuations, or odd m with even k) have odd s and are outside the
-    closed-form tables, though enumeration engines still accept them.
+    Rejects s = m/gcd(m,k) < 3, then p**m past gf.check_field_size, then p not
+    an odd prime.  The case split compares the 2-adic valuations of m and k;
+    the leftover combinations (equal valuations, or odd m with even k) have
+    odd s and are outside the closed-form tables, though enumeration engines
+    still accept them.
     """
-    if not is_prime(p) or p == 2:
-        raise NotOddPrime(f"p must be an odd prime, got {p}")
     if m < 1 or k < 1:
         raise ParameterError(f"m and k must be positive, got m={m}, k={k}")
     d = math.gcd(m, k)
     s = m // d
     if s < 3:
         raise STooSmall(f"m/gcd(m,k) = {s} < 3 for (p, m, k) = ({p}, {m}, {k})")
+    check_field_size(p, m)
+    if not is_prime(p) or p == 2:
+        raise NotOddPrime(f"p must be an odd prime, got {p}")
     a, b = v2(m), v2(k)
     if 1 <= a < b:
         case = Case.CASE_A

@@ -64,7 +64,7 @@ def test_criterion_3_table3_beyond_example():
     # sums engine.  Exact multiset equality over 3^16 pairs.
     code = build_code(3, 8, 2)
     sums = weight_distribution_sums(code)
-    closed = weight_distribution_closed(code)
+    closed = weight_distribution_closed(code.params)
     _verdict(
         "3",
         sums.same_rows(closed),
@@ -141,7 +141,7 @@ def test_criterion_6_property_suite(code341, dists341, dists364, dists361):
         pr = classify_parameters(*args)
         ok_closed_totals &= t_distribution_closed(pr).total == pr.pairs
         ok_closed_totals &= s_distribution_closed(pr).total == pr.pairs
-        ok_closed_totals &= weight_distribution_closed(build_code(*args)).total == pr.pairs
+        ok_closed_totals &= weight_distribution_closed(pr).total == pr.pairs
     details.append(f"closed distributions sum to p^2m: {ok_closed_totals}")
 
     ok_pless = True

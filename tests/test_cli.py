@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from twozero import cli, codes, gf
+from twozero.codes import WeightDistribution
+
 
 def run_cli(*args, timeout=600):
     return subprocess.run(
@@ -41,6 +44,25 @@ class TestAnalyze:
         assert proc.returncode == 3
         assert "field tables needs 14348907 elements > budget 2097152" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "p, m, shown",
+        [
+            (3, 10**7, "3^10000000"),  # p^m has more decimal digits than str() prints
+            (3, 10**8, "3^100000000"),  # forming p^m alone takes tens of seconds
+            (10**18 + 3, 3, "1000000000000000003^3"),  # trial division of p takes minutes
+        ],
+        ids=["digits", "power", "primality"],
+    )
+    def test_size_gate_refuses_before_any_large_computation(self, p, m, shown):
+        proc = run_cli("analyze", p, m, 1, timeout=10)
+        assert proc.returncode == 3
+        assert f"refused: p^m = {shown} is not below 2^128" in proc.stderr
+
+    def test_small_s_is_rejected_before_the_primality_test(self):
+        proc = run_cli("analyze", 10**18 + 3, 2, 1, timeout=10)
+        assert proc.returncode == 2
+        assert "< 3" in proc.stderr
+
     def test_json_format(self):
         proc = run_cli("analyze", 3, 4, 1, "--format", "json")
         doc = json.loads(proc.stdout)
@@ -74,6 +96,24 @@ class TestWeights:
         proc = run_cli("weights", 3, 8, 2, "--engines", "brute,closed")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["agreement"]["all_equal"] is True
+
+    def test_closed_runs_past_the_field_budget(self):
+        proc = run_cli("weights", 3, 16, 2, "--engines", "closed", timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)["documents"][0]
+        assert (doc["n"], doc["dimension"]) == (3**16 - 1, 32)
+        assert sum(row["frequency"] for row in doc["rows"]) == 3**32
+
+    def test_closed_with_a_field_engine_keeps_the_field_budget(self):
+        proc = run_cli("weights", 3, 16, 2, "--engines", "closed,sums", timeout=30)
+        assert proc.returncode == 3
+        assert "field tables needs 43046721 elements > budget 2097152" in proc.stderr
+
+    def test_closed_bounds_p_by_its_galois_sums(self):
+        # p^4 is far below the size gate, but the Galois sums would take ~1e11 steps.
+        proc = run_cli("weights", 100003, 4, 1, "--engines", "closed", timeout=10)
+        assert proc.returncode == 3
+        assert "closed Galois sums needs 10000500006 Z[zeta_p] steps a row" in proc.stderr
 
     def test_unsupported_closed_exits_3(self):
         proc = run_cli("weights", 3, 3, 1, "--engines", "closed")
@@ -223,6 +263,67 @@ class TestModulusAndWorkers:
         assert proc.returncode == 2
         assert "fewer than 100001 irreducibles of degree 8" in proc.stderr
         assert not proc.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [("weights", 3, 4, 1, "--engines", "closed"), ("sums", 3, 4, 1, "--engine", "closed")],
+        ids=["weights", "sums"],
+    )
+    def test_closed_routes_check_the_modulus_index(self, args):
+        proc = run_cli(*args, "--modulus-index", 100000)
+        assert proc.returncode == 2
+        assert "fewer than 100001 irreducibles of degree 4" in proc.stderr
+        assert not proc.stdout
+
+
+class TestInProcess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weights", "3", "4", "1", "--engines", "closed"],
+            ["sums", "3", "4", "1", "--sum", "S", "--engine", "closed"],
+            ["sums", "3", "6", "4", "--sum", "T", "--engine", "closed"],
+        ],
+        ids=["weights", "sums-S", "sums-T"],
+    )
+    def test_closed_routes_build_no_field(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed route built a field")
+
+        for module in (gf, codes, cli):
+            monkeypatch.setattr(module, "build_field", refuse)
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+
+    def test_engine_disagreement_exits_1_with_the_differing_rows(self, monkeypatch, capsys):
+        real = cli.run_engine
+
+        def skewed(code, engine, **kwargs):
+            # One sums word moves from weight 51 to weight 52.
+            dist = real(code, engine, **kwargs)
+            if engine != "sums":
+                return dist
+            counts = dist.as_dict()
+            counts[51] -= 1
+            counts[52] = 1
+            return WeightDistribution.from_counts(counts, source="sums")
+
+        monkeypatch.setattr(cli, "run_engine", skewed)
+        assert cli.main(["weights", "3", "4", "1", "--engines", "brute,sums,closed"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "engines brute and sums disagree:\n"
+            "  weight 51: brute=2400 sums=2399\n"
+            "  weight 52: brute=0 sums=1\n"
+            "engines closed and sums disagree:\n"
+            "  weight 51: closed=2400 sums=2399\n"
+            "  weight 52: closed=0 sums=1\n"
+        )
+        assert cli.main(["verify", "3", "4", "1", "--checks", "example"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL example: engines brute+closed+sums on [80, 8, 48]: 6 weight rows\n"
+        )
 
 
 class TestFormats:

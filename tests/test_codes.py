@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 import sys
 
 import pytest
 
-from twozero import build_code
+from twozero import build_code, classify_parameters
 from twozero.codes import (
     WeightDistribution,
     _check_generator,
@@ -16,6 +17,7 @@ from twozero.codes import (
     codeword_weight,
     codeword_weight_via_sums,
     code_report,
+    engine_agreement,
     weight_distribution_brute,
     weight_distribution_closed,
     weight_distribution_sums,
@@ -233,9 +235,9 @@ class TestEngines:
         # Table rows evaluated by hand: the CaseA minimum-weight row is
         # 486 - 72 = 414 with frequency 728; the odd-k zero-S row is
         # weight 486 with frequency 728.
-        d364 = weight_distribution_closed(code364).as_dict()
+        d364 = weight_distribution_closed(code364.params).as_dict()
         assert d364[414] == 728
-        d361 = weight_distribution_closed(code361).as_dict()
+        d361 = weight_distribution_closed(code361.params).as_dict()
         assert d361[486] == 728
 
     def test_first_moment(self, dists341, dists364, dists361):
@@ -250,7 +252,7 @@ class TestEngines:
         # k > m is legitimate: exponents reduce through the Frobenius orbit.
         code = build_code(3, 6, 8)
         assert code.params.case.value == "CaseA"
-        assert weight_distribution_sums(code).same_rows(weight_distribution_closed(code))
+        assert weight_distribution_sums(code).same_rows(weight_distribution_closed(code.params))
 
     def test_brute_sums_agree_on_out_of_scope_case(self):
         # No closed table at (3, 3, 1), but enumeration engines still run.
@@ -259,7 +261,7 @@ class TestEngines:
         sm = weight_distribution_sums(code)
         assert bru.same_rows(sm)
         with pytest.raises(UnsupportedCase):
-            weight_distribution_closed(code)
+            weight_distribution_closed(code.params)
 
     def test_modulus_independence_341(self, dists341):
         alt = build_code(3, 4, 1, modulus_index=1)
@@ -293,6 +295,55 @@ class TestWeightDistribution:
     def test_min_distance(self):
         dist = WeightDistribution.from_counts({0: 1, 48: 10, 60: 3}, source="x")
         assert dist.min_distance == 48
+
+
+def _closed_case_params():
+    # Every closed-case (p, m, k) with p**m <= 3**20 (m <= 20 at p = 3, m <= 8
+    # at p = 13) and k <= 2m, which covers each 2-adic order of k against m.
+    for p in (3, 5, 7, 11, 13):
+        for m in range(3, 21):
+            if p**m > 3**20:
+                break
+            for k in range(1, 2 * m + 1):
+                if m // math.gcd(m, k) >= 3:
+                    params = classify_parameters(p, m, k)
+                    if params.has_closed_forms:
+                        yield params
+
+
+def test_closed_weights_from_parameters_alone():
+    # The closed engine reads no field, so its self-checks (code size, zero
+    # row, first moment) run far past the field-table budget of 2**21.
+    checked = 0
+    for params in _closed_case_params():
+        dist = weight_distribution_closed(params)
+        assert dist.total == params.pairs and dist.min_distance > 0, params
+        checked += 1
+    assert checked > 200
+
+
+def test_closed_weights_bound_p():
+    # p (p - 1) <= 2**16 admits p = 251 and refuses the next prime, 257.
+    assert weight_distribution_closed(classify_parameters(251, 4, 1)).total == 251**8
+    with pytest.raises(BudgetExceeded, match="closed Galois sums needs 65792"):
+        weight_distribution_closed(classify_parameters(257, 4, 1))
+
+
+def test_engine_agreement_judges_each_pair_once():
+    same = WeightDistribution.from_counts({0: 1, 4: 8}, source="x")
+    other = WeightDistribution.from_counts({0: 1, 4: 7, 5: 1}, source="y")
+    dists = {"sums": same, "closed": other, "brute": same}
+    assert engine_agreement(dists) == {
+        ("brute", "closed"): False,
+        ("brute", "sums"): True,
+        ("closed", "sums"): False,
+    }
+    # cli prints the disagreeing pairs in this order
+    assert list(engine_agreement(dists)) == [
+        ("brute", "closed"),
+        ("brute", "sums"),
+        ("closed", "sums"),
+    ]
 
 
 class TestCodeReport:

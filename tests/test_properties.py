@@ -89,7 +89,7 @@ def test_brute_equals_sums_and_closed(code):
     sums = weight_distribution_sums(code)
     assert weight_distribution_brute(code).same_rows(sums)
     if code.params.has_closed_forms:
-        assert weight_distribution_closed(code).same_rows(sums)
+        assert weight_distribution_closed(code.params).same_rows(sums)
 
 
 @_settings(40)
