@@ -74,23 +74,16 @@ class SubfieldTables:
 
 
 def subfield_tables(field: FiniteField, d: int) -> SubfieldTables:
-    codes = list(field.subfield(d))
-    q = len(codes)
-    index = {c: i for i, c in enumerate(codes)}
-    add = np.zeros((q, q), np.uint8)
-    sub = np.zeros((q, q), np.uint8)
-    mul = np.zeros((q, q), np.uint8)
-    inv = np.zeros(q, np.uint8)
-    chi = np.ones(q, np.int8)
-    for i, a in enumerate(codes):
-        for j, b in enumerate(codes):
-            add[i, j] = index[field.add(a, b)]
-            sub[i, j] = index[field.sub(a, b)]
-            mul[i, j] = index[field.mul(a, b)]
-        if a:
-            inv[i] = index[field.inv(a)]
-            chi[i] = field.quadratic_character(a, d)
-    return SubfieldTables(codes=np.array(codes), add=add, sub=sub, mul=mul, inv=inv, chi=chi)
+    """numpy copies of the field's GF(q) index tables (FiniteField.subfield_index_tables)."""
+    tabs = field.subfield_index_tables(d)
+    return SubfieldTables(
+        codes=np.array(tabs.codes),
+        add=np.array(tabs.add, np.uint8),
+        sub=np.array(tabs.sub, np.uint8),
+        mul=np.array(tabs.mul, np.uint8),
+        inv=np.array(tabs.inv, np.uint8),
+        chi=np.array(tabs.chi, np.int8),
+    )
 
 
 def batched_rank_disc(mats: np.ndarray, tabs: SubfieldTables) -> tuple[np.ndarray, np.ndarray]:
@@ -158,19 +151,13 @@ def _log_gather(field: FiniteField, by_log: np.ndarray, alphas, codes) -> np.nda
 
 
 def trace_of_powers(field: FiniteField, d: int) -> np.ndarray:
-    """Subfield index of Tr_d(pi**e) for every exponent e, memoized on the field.
+    """Subfield index of Tr_d(pi**e) for every exponent e, a read-only uint8 view.
 
-    Indices are those of :func:`subfield_tables`; at d = 1 the index is the
-    trace value itself, since the codes of GF(p) are 0..p-1.
+    A view of FiniteField.subfield_index_tables(d).trace_of_power; indices
+    are those of :func:`subfield_tables`.  At d = 1 the index is the trace
+    value itself, since the codes of GF(p) are 0..p-1.
     """
-
-    def compute() -> np.ndarray:
-        codes = field.subfield(d)
-        index = np.zeros(field.order, np.uint8)
-        index[list(codes)] = np.arange(len(codes))
-        return index[np.array(field.trace_to_table(d))[np.asarray(field.exp)]]
-
-    return field.memoized(("trace_of_powers", d), compute)
+    return np.frombuffer(field.subfield_index_tables(d).trace_of_power, np.uint8)
 
 
 def _gram_entry_tables(field: FiniteField, params: CodeParams):

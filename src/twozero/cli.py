@@ -223,9 +223,9 @@ def cmd_sums(args) -> int:
 
 
 def cmd_census(args) -> int:
-    code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
-    params = code.params
-    census = rank_census(code.field, params, budget=args.budget)
+    params = classify_parameters(args.p, args.m, args.k)  # the census reads no code
+    field = build_field(args.p, args.m, modulus_index=args.modulus_index)
+    census = rank_census(field, params, budget=args.budget)
     closed = closed_rank_census(params)
     doc = {
         **_header(params),

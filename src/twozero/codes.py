@@ -45,6 +45,7 @@ from .errors import (
 from .expsums import (
     CyclotomicInteger,
     SymbolicSumValue,
+    gauss_sum,
     joint_class_census,
     s_distribution_closed,
     s_fast,
@@ -250,13 +251,13 @@ def _weight_from_u_sum(params: CodeParams, usum: SymbolicSumValue | CyclotomicIn
     return w
 
 
-def _galois_u_sum(value: SymbolicSumValue) -> CyclotomicInteger:
+def _galois_u_sum(value: SymbolicSumValue, g_p: CyclotomicInteger) -> CyclotomicInteger:
     """sum over u in GF(p)* of sigma_u(value), sigma_u: zeta -> zeta**u, in Z[zeta_p].
 
     S(u alpha, u beta) = sigma_u(S(alpha, beta)), so this is the u-sum of the
-    weight formula at every pair whose S equals value.
+    weight formula at every pair whose S equals value.  g_p is gauss_sum(p).
     """
-    z = value.cyclotomic()
+    z = value.cyclotomic(g_p)
     return sum((z.galois(u) for u in range(1, value.p)), CyclotomicInteger.zero(value.p))
 
 
@@ -344,9 +345,10 @@ def weight_distribution_closed(params: CodeParams) -> WeightDistribution:
     check_budget(
         "closed Galois sums", p * (p - 1), "Z[zeta_p] steps a row", None, CLOSED_GALOIS_BUDGET
     )
+    g_p = gauss_sum(p)
     return WeightDistribution.from_counts(
         (
-            (_weight_from_u_sum(params, _galois_u_sum(value)), freq)
+            (_weight_from_u_sum(params, _galois_u_sum(value, g_p)), freq)
             for value, freq in s_distribution_closed(params)
         ),
         source="closed",

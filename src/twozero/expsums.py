@@ -216,12 +216,16 @@ class SymbolicSumValue:
     def sort_key(self) -> tuple[int, int]:
         return self.expanded()
 
-    def cyclotomic(self) -> CyclotomicInteger:
-        """Exact image in Z[zeta_p] under sqrt(q*) -> g_p * p**((d-1)/2)."""
+    def cyclotomic(self, g_p: CyclotomicInteger | None = None) -> CyclotomicInteger:
+        """Exact image in Z[zeta_p] under sqrt(q*) -> g_p * p**((d-1)/2).
+
+        g_p is :func:`gauss_sum` (p), taken when None; a caller converting a
+        whole distribution computes it once and passes it.
+        """
         a, b = self.expanded()
         out = CyclotomicInteger.from_int(self.p, a)
         if b:
-            root = gauss_sum(self.p) * (self.p ** ((self.d - 1) // 2))
+            root = (gauss_sum(self.p) if g_p is None else g_p) * (self.p ** ((self.d - 1) // 2))
             out = out + root * b
         return out
 
@@ -304,7 +308,8 @@ class ValueDistribution:
         return a, b
 
     def cyclotomic_counts(self) -> dict[CyclotomicInteger, int]:
-        return {v.cyclotomic(): f for v, f in self.rows}
+        g_p = gauss_sum(self.rows[0][0].p) if self.rows else None
+        return {v.cyclotomic(g_p): f for v, f in self.rows}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueDistribution):
@@ -768,8 +773,9 @@ def power_moments(
     """
     if mode == "fast":
         joint = joint_class_census(field, params, budget=budget)
+        g_p = gauss_sum(params.p)
         census = (
-            (((t_value(params, *cf) + t_value(params, *cg)).cyclotomic(), cf[0]), count)
+            (((t_value(params, *cf) + t_value(params, *cg)).cyclotomic(g_p), cf[0]), count)
             for (cf, cg), count in joint.items()
         )
     elif mode == "direct":

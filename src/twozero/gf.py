@@ -28,6 +28,7 @@ and the 2-adic valuation used by the parameter case split.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from itertools import combinations, islice
 from math import prod
 from typing import Callable, Iterator, TypeVar
@@ -49,6 +50,11 @@ from .errors import (
 # 3^12, 225 MiB at 3^13), so 2^21 elements bounds them near 300 MiB: 3^13 is
 # built and 3^14 (about 650 MiB) and larger are refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
+
+# Largest subfield GF(q) given index tables: an index fits one byte, which the
+# uint8 matrices of the batched Gram kernel need too.  A Gram subfield has
+# q = p**d <= (p**m)**(1/3) <= 2**7 under the table budget.
+SUBFIELD_INDEX_BUDGET = 256
 
 # Every request with p**m >= 2**MAX_ORDER_BITS is refused before p**m is
 # formed or p is tested for primality.  The code needs m >= 3, so p stays
@@ -366,6 +372,25 @@ def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[list,
     return exp, log
 
 
+@dataclass(frozen=True, eq=False)
+class SubfieldIndexTables:
+    """GF(q) = GF(p**d) arithmetic on indices 0..q-1 (index i is codes[i]; 0 is zero).
+
+    The scalar Gram path (quadforms.gram_matrix, quadforms.diagonalize) reads
+    these lists and the batched kernel (batch.subfield_tables,
+    batch.trace_of_powers) reads numpy copies of them.
+    """
+
+    codes: tuple[int, ...]     # index -> field code, ascending
+    index: dict[int, int]      # field code -> index, for the q subfield codes only
+    add: list[list[int]]       # (q, q)
+    sub: list[list[int]]       # (q, q)
+    mul: list[list[int]]       # (q, q)
+    inv: list[int]             # inv[0] = 0 sentinel
+    chi: list[int]             # quadratic character of GF(q), chi[0] = 1 sentinel
+    trace_of_power: bytes      # index of Tr_d^m(pi**e) for e in [0, p**m - 1)
+
+
 class FiniteField:
     """GF(p**m) with a fixed modulus, primitive element and eager tables.
 
@@ -373,9 +398,9 @@ class FiniteField:
     from one walk over the powers of the primitive element, which must be
     primitive (else InternalInconsistency).  All arithmetic is on integer
     codes through the exp, log and zech tables, which are immutable after
-    construction.  Derived tables (subfield traces, subfield codes, the log
-    array, class data) are memoized on the instance, so they live exactly as
-    long as the field.
+    construction.  Derived tables (subfield traces, subfield codes and index
+    tables, the log array, class data) are memoized on the instance, so they
+    live exactly as long as the field.
     """
 
     def __init__(self, p: int, m: int, modulus: Polynomial, primitive: int) -> None:
@@ -502,6 +527,38 @@ class FiniteField:
 
         return self.memoized(("subfield", d), codes)
 
+    def subfield_index_tables(self, d: int) -> SubfieldIndexTables:
+        """The :class:`SubfieldIndexTables` of GF(p**d), memoized.
+
+        Refuses a subfield of more than SUBFIELD_INDEX_BUDGET elements
+        (BudgetExceeded).  The trace table is one byte per element, read off
+        trace_to_table(d) along exp, so no per-element list is added.
+        """
+
+        def tabulate() -> SubfieldIndexTables:
+            codes = self.subfield(d)
+            check_budget(
+                "subfield index tables", len(codes), "elements", None, SUBFIELD_INDEX_BUDGET
+            )
+            index = {c: i for i, c in enumerate(codes)}
+
+            def table(op: Callable[[int, int], int]) -> list[list[int]]:
+                return [[index[op(a, b)] for b in codes] for a in codes]
+
+            by_code = bytes(map(index.__getitem__, self.trace_to_table(d)))
+            return SubfieldIndexTables(
+                codes=codes,
+                index=index,
+                add=table(self.add),
+                sub=table(self.sub),
+                mul=table(self.mul),
+                inv=[0] + [index[self.inv(a)] for a in codes[1:]],
+                chi=[1] + [self.quadratic_character(a, d) for a in codes[1:]],
+                trace_of_power=bytes(map(by_code.__getitem__, self.exp)),
+            )
+
+        return self.memoized(("subfield_index_tables", d), tabulate)
+
     def in_subfield(self, a: int, d: int) -> bool:
         if a == 0:
             return True
@@ -577,18 +634,21 @@ def build_field(
     of multiplicative order p**m - 1.  The nonzero indices exist as test
     hooks for modulus/primitive-independence checks; an index past the
     count of irreducibles (or of primitive elements) is refused unsearched.
+    The checks run in this order: m >= 1, the size gate, the table budget
+    (DegreeTooLarge, before the trial division of is_prime), p an odd prime,
+    then the two indices.
     """
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
     check_field_size(p, m)
+    check_budget(
+        "field tables", p**m, "elements", max_order, DEFAULT_TABLE_BUDGET, DegreeTooLarge
+    )
     if not is_prime(p) or p == 2:
         raise NotOddPrime(f"p must be an odd prime, got {p}")
     check_modulus_index(p, m, modulus_index)
     if primitive_index < 0:
         raise ParameterError(f"primitive_index must be nonnegative, got {primitive_index}")
-    check_budget(
-        "field tables", p**m, "elements", max_order, DEFAULT_TABLE_BUDGET, DegreeTooLarge
-    )
 
     n = p**m - 1
     first, *rest = primes = prime_factors(n)  # n is even, so first == 2

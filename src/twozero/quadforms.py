@@ -20,7 +20,10 @@ constants (u_ij, v_ij) that depend on the basis only, and
 :func:`gram_entries` is the one place they are derived; the scalar
 :func:`gram_matrix` and the batch tables both read them.  The Gram route,
 :func:`diagonalize`, returns the class (rank, eps) of f, eps the
-discriminant character that the fast character-sum path needs.
+discriminant character that the fast character-sum path needs.  Both scalar
+functions run on the field's GF(q) index tables
+(FiniteField.subfield_index_tables), which the batched kernel reads as numpy
+copies, so there is one definition of subfield arithmetic.
 """
 
 from __future__ import annotations
@@ -311,22 +314,32 @@ def gram_entries(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int
 def gram_matrix(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> list[list[int]]:
     """Symmetric s x s Gram matrix of f over GF(q) (entries as field codes).
 
-    A[i][j] = Tr_d(alpha u_ij + beta v_ij), one trace per entry of
-    :func:`gram_entries`.
+    A[i][j] = Tr_d(alpha u_ij) + Tr_d(beta v_ij), one pair of trace lookups
+    per entry of :func:`gram_entries`: Tr_d(pi**e) is read by exponent from
+    the field's GF(q) index tables (FiniteField.subfield_index_tables) and
+    the two traces are added there.
     """
-    tr = field.trace_to_table(params.d)
+    tabs = field.subfield_index_tables(params.d)
+    trace_of_power, add, codes = tabs.trace_of_power, tabs.add, tabs.codes
+    log, n = field.log, field.n
+    la, lb = log[alpha], log[beta]  # log[0] is a -1 sentinel
     a = [[0] * params.s for _ in range(params.s)]
     for i, j, u, v in gram_entries(field, params):
-        a[i][j] = a[j][i] = tr[field.add(field.mul(alpha, u), field.mul(beta, v))]
+        tu = trace_of_power[(la + log[u]) % n] if alpha and u else 0
+        tv = trace_of_power[(lb + log[v]) % n] if beta and v else 0
+        a[i][j] = a[j][i] = codes[add[tu][tv]]
     return a
 
 
 def diagonalize(field: FiniteField, d: int, matrix: list[list[int]]) -> tuple[int, int]:
     """(rank, eps) of a symmetric matrix over GF(p**d) (char != 2).
 
-    Symmetric Gaussian elimination, one column at a time.  When the pivot
-    a[j][j] is zero, the first row t > j with a[t][j] != 0 is added c times
-    to row j, then column t c times to column j, which plants
+    The entries (field codes) are mapped once to the GF(q) indices of
+    FiniteField.subfield_index_tables, which refuses any entry outside
+    GF(p**d) (InternalInconsistency); the elimination then runs on the
+    index tables.  Symmetric Gaussian elimination, one column at a time.
+    When the pivot a[j][j] is zero, the first row t > j with a[t][j] != 0 is
+    added c times to row j, then column t c times to column j, which plants
     2 c a[t][j] + a[t][t] on the diagonal: c = 1 unless that is zero, then
     c = -1 (both vanish only if 4 a[t][j] = 0, impossible in odd
     characteristic).  A column with no such t is zero and is skipped.  The
@@ -334,7 +347,13 @@ def diagonalize(field: FiniteField, d: int, matrix: list[list[int]]) -> tuple[in
     both are congruence invariants.  batch.batched_rank_disc runs the same
     rule on a batch of matrices.
     """
-    a = [row[:] for row in matrix]
+    tabs = field.subfield_index_tables(d)
+    index = tabs.index
+    try:
+        a = [[index[x] for x in row] for row in matrix]
+    except KeyError:
+        raise InternalInconsistency(f"matrix entry outside GF({field.p}^{d})") from None
+    add, sub, mul, inv, chi = tabs.add, tabs.sub, tabs.mul, tabs.inv, tabs.chi
     s = len(a)
     r, eps = 0, 1
     for j in range(s):
@@ -342,23 +361,22 @@ def diagonalize(field: FiniteField, d: int, matrix: list[list[int]]) -> tuple[in
             t = next((t for t in range(j + 1, s) if a[t][j]), None)
             if t is None:
                 continue  # column j is zero
-            twice = field.add(a[t][j], a[t][j])
-            op = field.sub if field.add(twice, a[t][t]) == 0 else field.add
-            a[j] = [op(x, y) for x, y in zip(a[j], a[t])]
+            twice = add[a[t][j]][a[t][j]]
+            op = sub if add[twice][a[t][t]] == 0 else add
+            a[j] = [op[x][y] for x, y in zip(a[j], a[t])]
             for row in a:
-                row[j] = op(row[j], row[t])
+                row[j] = op[row[j]][row[t]]
         piv = a[j][j]
         if piv == 0:
             raise InternalInconsistency("pivot fix-up failed")
-        if not field.in_subfield(piv, d):
-            raise InternalInconsistency("diagonal entry left the subfield")
-        inv = field.inv(piv)
+        by_inverse = mul[inv[piv]]
         for t in range(j + 1, s):
-            c = field.mul(a[t][j], inv)
+            c = by_inverse[a[t][j]]
             if c:
-                a[t] = [field.sub(x, field.mul(c, y)) for x, y in zip(a[t], a[j])]
+                by_c = mul[c]
+                a[t] = [sub[x][by_c[y]] for x, y in zip(a[t], a[j])]
         for t in range(j + 1, s):
             a[j][t] = 0
         r += 1
-        eps *= field.quadratic_character(piv, d)
+        eps *= chi[piv]
     return r, eps

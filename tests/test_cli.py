@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -167,6 +168,75 @@ class TestCensus:
         doc = json.loads(proc.stdout)
         assert doc["census"] == {"n0": 4140, "n1": 2160, "n2": 260}
         assert doc["match"] is True
+
+    def test_census_builds_no_code(self, monkeypatch, capsys):
+        # The census reads only the field and the parameters.
+        def refuse(*args, **kwargs):
+            raise AssertionError("census built a code")
+
+        for module in (codes, cli):
+            monkeypatch.setattr(module, "build_code", refuse)
+        assert cli.main(["census", "3", "4", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["match"] is True
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["3", "2", "1"],
+            ["4", "6", "1"],
+            ["3", "15", "1"],
+            ["3", "10000000", "1"],
+            ["3", "4", "1", "--modulus-index", "100000"],
+        ],
+        ids=["s-too-small", "not-prime", "field-budget", "size-gate", "modulus-index"],
+    )
+    def test_census_refuses_as_analyze_does(self, args, capsys):
+        # analyze builds the code, so its refusals set the precedence.
+        refusals = []
+        for command in ("census", "analyze"):
+            status = cli.main([command, *args])
+            refusals.append((status, capsys.readouterr()))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0] in (cli.EXIT_INVALID, cli.EXIT_REFUSED)
+
+
+# Runs ``python -m twozero ARGS`` in this interpreter and reports, at exit, the
+# OS threads of the process, the OpenBLAS setting it ran with and whether it
+# imported numpy.
+_THREADS_AT_EXIT = """
+import atexit, os, runpy, sys
+
+def report():
+    threads = len(os.listdir("/proc/self/task"))
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    sys.stderr.write(f"threads={threads} blas={blas} numpy={'numpy' in sys.modules}\\n")
+
+atexit.register(report)
+runpy.run_module("twozero", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+class TestBlasThreads:
+    @staticmethod
+    def report(blas: str | None) -> str:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_AT_EXIT, "census", "3", "4", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.splitlines()[-1]
+
+    def test_cli_runs_numpy_in_one_thread(self):
+        # numpy starts OpenBLAS's workers at import (one per further CPU);
+        # twozero calls no BLAS routine, so the CLI asks for none.
+        assert self.report(None) == "threads=1 blas=1 numpy=True"
+
+    def test_explicit_setting_survives(self):
+        assert self.report("2").endswith(" blas=2 numpy=True")
 
 
 class TestVerify:

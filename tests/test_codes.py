@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from twozero import build_code, classify_parameters
+from twozero import build_code, classify_parameters, codes, expsums
 from twozero.codes import (
     WeightDistribution,
     _check_generator,
@@ -23,7 +23,7 @@ from twozero.codes import (
     weight_distribution_sums,
 )
 from twozero.errors import BudgetExceeded, InternalInconsistency, UnsupportedCase
-from twozero.expsums import s_direct, t_value
+from twozero.expsums import gauss_sum, s_direct, t_value
 from twozero.gf import Polynomial
 
 # Reference weight enumerators for the two small verifiable instances; every
@@ -213,7 +213,22 @@ class TestUSums:
         table = _u_sum_table(code)
         assert set(table) == {(r, eps) for r in range(params.s + 1) for eps in (1, -1)}
         for (r, eps), usum in table.items():
-            assert _galois_u_sum(t_value(params, r, eps)) == usum.cyclotomic(), (r, eps)
+            galois = _galois_u_sum(t_value(params, r, eps), gauss_sum(params.p))
+            assert galois == usum.cyclotomic(), (r, eps)
+
+    def test_closed_engine_takes_one_gauss_sum(self, monkeypatch):
+        # (13, 4, 1) has irrational S rows, and every row is converted to
+        # Z[zeta_13]: one g_p serves them all.
+        calls, real = [], expsums.gauss_sum
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        for module in (expsums, codes):
+            monkeypatch.setattr(module, "gauss_sum", counting)
+        weight_distribution_closed(classify_parameters(13, 4, 1))
+        assert calls == [13]
 
 
 class TestEngines:

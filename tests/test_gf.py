@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -159,6 +161,26 @@ class TestBuildField:
         build_field(3, 4, max_order=100)
         with pytest.raises(DegreeTooLarge):
             build_field(3, 5, max_order=100)
+
+    def test_table_budget_comes_before_the_primality_test(self):
+        # 10**18 + 3 is prime, and its trial division alone takes minutes; the
+        # size gate admits it at m = 2, so the table budget must refuse first.
+        code = (
+            "import time\n"
+            "from twozero.errors import DegreeTooLarge\n"
+            "from twozero.gf import build_field\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    build_field(10**18 + 3, 2)\n"
+            "except DegreeTooLarge:\n"
+            "    print(time.perf_counter() - start < 1)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10
+        )
+        assert proc.stdout == "True\n", proc.stderr
+        with pytest.raises(DegreeTooLarge):
+            build_field(10**18 + 1, 2)  # composite, but the budget is checked first
 
     def test_determinism(self):
         a = build_field(3, 4)

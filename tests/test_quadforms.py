@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from twozero import batch, build_field, classify_parameters
-from twozero.errors import BothZero, NotOddPrime, ParameterError, STooSmall, ZeroArgument
+from twozero.errors import (
+    BothZero,
+    InternalInconsistency,
+    NotOddPrime,
+    ParameterError,
+    STooSmall,
+    ZeroArgument,
+)
 from twozero.quadforms import (
     Case,
     closed_rank_census,
@@ -227,6 +234,15 @@ class TestDiagonalize:
     def test_hyperbolic_plane(self, field341):
         # All-zero diagonal forces the row+column-add fix-up.
         assert diagonalize(field341, 1, [[0, 1], [1, 0]]) == (2, -1)  # disc -1 mod 3
+
+    def test_refuses_an_off_diagonal_entry_outside_the_subfield(self, field341):
+        # i = pi**(n/4) has i**2 = -1, so it lies in GF(9) but not in GF(3).
+        # Eliminating [[1, i], [i, 1]] leaves the pivot 1 - i**2 = 2, which is
+        # in GF(3): only a check of every entry, not of the pivots, sees i.
+        i = field341.exp[field341.n // 4]
+        assert i >= 3 and field341.mul(i, i) == field341.neg_one
+        with pytest.raises(InternalInconsistency, match=r"matrix entry outside GF\(3\^1\)"):
+            diagonalize(field341, 1, [[1, i], [i, 1]])
 
     def test_rank_matches_nullity_exhaustive_3x3(self, field341):
         # Every symmetric 3x3 matrix over GF(3): rank from the diagonalizer
