@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import coordinate_exponents
 from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
 from .quadforms import PAIR_BUDGET, CodeParams, gram_entries, phi_matrix, twist_pair
@@ -167,11 +166,12 @@ def _gram_entry_tables(field: FiniteField, params: CodeParams):
     tv[beta] are the subfield indices of Tr_d(alpha u_ij) and Tr_d(beta v_ij),
     so A[i][j](alpha, beta) = add[tu[alpha], tv[beta]].
     """
+    entries = gram_entries(field, params)
     trace_of_power = trace_of_powers(field, params.d)
     every_code = np.arange(field.order)
     return [
         (i, j, *_log_gather(field, trace_of_power, every_code, [u, v]).T)
-        for i, j, u, v in gram_entries(field, params)
+        for i, j, u, v in entries
     ]
 
 
@@ -179,8 +179,8 @@ def pair_classes(
     field: FiniteField, params: CodeParams, alphas: np.ndarray, betas: np.ndarray
 ) -> np.ndarray:
     """Packed class of f at each pair (alphas[i], betas[i]), as a uint8 array."""
-    tabs = subfield_tables(field, params.d)
     entries = _gram_entry_tables(field, params)
+    tabs = subfield_tables(field, params.d)
     s = params.s
     out = np.empty(alphas.size, np.uint8)
     for lo in range(0, alphas.size, DEFAULT_CHUNK):
@@ -315,7 +315,7 @@ def brute_weight_histogram(code) -> list[int]:
     field = code.field
     n = code.n
     exp, steps = np.asarray(field.exp, np.int64), np.arange(n, dtype=np.int64)
-    u_codes, w_codes = (exp[e * steps % n] for e in coordinate_exponents(code))
+    u_codes, w_codes = (exp[e * steps % n] for e in code.params.coordinate_exponents)
     rows = representative_rows(field)
     neg_rw = (field.p - trace_rows(field, w_codes, [beta for beta, _ in rows])) % field.p
     hist = np.zeros(n + 1, np.int64)
@@ -408,6 +408,7 @@ def direct_census(
     pair follows them as one more entry, so the census is joint in value and
     rank.  The pass touches no Gram matrix and no orbit representative.
     """
+    params.check_field(field)
     twist = twist_images(field, params) if twisted else None
     per_pair = params.p * (2 if twisted else 1) + (field.m * field.m if ranked else 0)
     out: dict[tuple[int, ...], int] = {}
@@ -439,6 +440,7 @@ def phi_tables(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.n
     """
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
+        params.check_field(field)
         p, m = field.p, field.m
         digits = np.arange(field.order)[:, None] // p ** np.arange(m) % p
 

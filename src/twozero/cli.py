@@ -2,9 +2,10 @@
 
 Subcommands: analyze, weights, sums, verify, census.  Exit codes: 0 on
 success, 1 on a check failure or engine disagreement, 2 on invalid
-parameters, 3 on a refusal (enumeration over budget, or no closed form for
-the parameter case).  Output is deterministic: sorted rows, fixed key
-order, no timestamps, so repeated runs are byte-identical.
+parameters, 3 on a refusal (enumeration over budget, no closed form for
+the parameter case, or a verify run whose every check was skipped).
+Output is deterministic: sorted rows, fixed key order, no timestamps, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .expsums import (
     IdentityCheck,
     count_e1,
     count_e2,
+    joint_class_census,
     s_census_direct,
     s_census_fast,
     s_distribution_closed,
@@ -35,7 +37,7 @@ from .expsums import (
     verify_power_identities,
 )
 from .gf import build_field, check_modulus_index
-from .quadforms import classify_parameters, closed_rank_census, rank_census
+from .quadforms import Case, classify_parameters, closed_rank_census, rank_census
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -301,9 +303,6 @@ def _check_identities(code, args) -> list[tuple[str, bool, str]]:
 
 
 def _check_max_rank(code, args) -> list[tuple[str, bool, str]]:
-    from .expsums import joint_class_census
-    from .quadforms import Case
-
     if code.params.case is Case.ODD_S_OUT_OF_SCOPE:
         raise Refusal("the max-rank property applies to CaseA/CaseB only")
     joint = joint_class_census(code.field, code.params, budget=args.budget)
@@ -377,6 +376,8 @@ def cmd_verify(args) -> int:
             all_ok &= ok
             lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
     _emit("\n".join(lines) + "\n", args.output)
+    if all(line.startswith("SKIP ") for line in lines):
+        raise Refusal("every check was skipped; nothing was verified")
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 

@@ -212,17 +212,11 @@ def _check_generator(generator: Polynomial, h: Polynomial, n: int) -> None:
         raise InternalInconsistency("h1 h2 does not divide x^n - 1")
 
 
-def coordinate_exponents(code: CyclicCode) -> tuple[int, int]:
-    """Logs of the coordinate steps u_i = pi**(e i) and w_i = (-pi)**i = pi**((n/2 + 1) i)."""
-    n = code.n
-    return code.params.twist_exponent % n, (n // 2 + 1) % n
-
-
 def codeword(code: CyclicCode, alpha: int, beta: int) -> list[int]:
     """The trace sequence of the pair, one value in [0, p) per coordinate."""
     f, n = code.field, code.n
     tr, exp = f.trace_table, f.exp
-    e_u, e_w = coordinate_exponents(code)
+    e_u, e_w = code.params.coordinate_exponents
     return [
         (tr[f.mul(alpha, exp[e_u * i % n])] + tr[f.mul(beta, exp[e_w * i % n])]) % f.p
         for i in range(n)

@@ -12,9 +12,9 @@ field; S(alpha, beta) adds the twisted companion T(pi**((p**k+1)/2) alpha,
 
 The two routes are symbolically different but must agree element-by-element;
 the test suite checks this exhaustively on small fields.  Symbolic values
-are normal forms (a + b*sqrt(q*)) * p**e with q* = (-1)**((q-1)/2) q, and
-sqrt(q*) is pinned to the canonical cyclotomic representative
-g_p * p**((d-1)/2) (odd d), so symbolic-vs-direct comparisons are exact.
+are A + B*sqrt(q*) with q* = (-1)**((q-1)/2) q, and sqrt(q*) is pinned to
+the canonical cyclotomic representative g_p * p**((d-1)/2) (odd d), so
+symbolic-vs-direct comparisons are exact.
 
 The module also houses the closed-form value distributions of T and S, the
 solution counts E1/E2 of the two overdetermined systems, and the power-sum
@@ -156,32 +156,25 @@ def gauss_sum(p: int) -> CyclotomicInteger:
 
 @dataclass(frozen=True)
 class SymbolicSumValue:
-    """Normal form (a + b*sqrt(q*)) * p**e with q = p**d.
+    """The value rational + irrational*sqrt(q*) with q = p**d.
 
-    Invariants: for even d, sqrt(q*) = p**(d/2) is rational and is folded
-    into a (so b = 0); e is the largest power of p dividing both parts; the
-    zero value is (0, 0, 0).  Construct through :meth:`from_parts`.
+    For even d, sqrt(q*) = p**(d/2) is rational and is folded into the
+    rational part (so irrational = 0); that makes the two parts canonical,
+    so values hash, merge and compare by them.  Construct through
+    :meth:`from_parts`.  The paper's form (a + b*sqrt(q*)) * p**e is only
+    the display of :meth:`__str__`.
     """
 
     p: int
     d: int
-    a: int
-    b: int
-    e: int
+    rational: int
+    irrational: int
 
     @classmethod
     def from_parts(cls, p: int, d: int, rational: int, irrational: int = 0) -> SymbolicSumValue:
         if d % 2 == 0:
-            rational += irrational * p ** (d // 2)
-            irrational = 0
-        if rational == 0 and irrational == 0:
-            return cls(p, d, 0, 0, 0)
-        e = 0
-        while rational % p == 0 and irrational % p == 0:
-            rational //= p
-            irrational //= p
-            e += 1
-        return cls(p, d, rational, irrational, e)
+            return cls(p, d, rational + irrational * p ** (d // 2), 0)
+        return cls(p, d, rational, irrational)
 
     @property
     def q_star(self) -> int:
@@ -189,32 +182,27 @@ class SymbolicSumValue:
         return q if (q - 1) // 2 % 2 == 0 else -q
 
     def expanded(self) -> tuple[int, int]:
-        """(A, B) with value = A + B*sqrt(q*)."""
-        scale = self.p**self.e
-        return self.a * scale, self.b * scale
+        """(rational, irrational): value = rational + irrational*sqrt(q*)."""
+        return self.rational, self.irrational
 
     def __add__(self, other: SymbolicSumValue) -> SymbolicSumValue:
         if (self.p, self.d) != (other.p, other.d):
             raise ParameterError("cannot add values from different contexts")
-        a1, b1 = self.expanded()
-        a2, b2 = other.expanded()
-        return SymbolicSumValue.from_parts(self.p, self.d, a1 + a2, b1 + b2)
+        return SymbolicSumValue(
+            self.p, self.d, self.rational + other.rational, self.irrational + other.irrational
+        )
 
     def __neg__(self) -> SymbolicSumValue:
-        a, b = self.expanded()
-        return SymbolicSumValue.from_parts(self.p, self.d, -a, -b)
+        return SymbolicSumValue(self.p, self.d, -self.rational, -self.irrational)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.irrational == 0
 
     def rational_value(self) -> int:
-        if self.b:
+        if self.irrational:
             raise NonRationalSum(f"{self} has an irrational part")
-        return self.a * self.p**self.e
-
-    def sort_key(self) -> tuple[int, int]:
-        return self.expanded()
+        return self.rational
 
     def cyclotomic(self, g_p: CyclotomicInteger | None = None) -> CyclotomicInteger:
         """Exact image in Z[zeta_p] under sqrt(q*) -> g_p * p**((d-1)/2).
@@ -222,32 +210,34 @@ class SymbolicSumValue:
         g_p is :func:`gauss_sum` (p), taken when None; a caller converting a
         whole distribution computes it once and passes it.
         """
-        a, b = self.expanded()
-        out = CyclotomicInteger.from_int(self.p, a)
-        if b:
+        out = CyclotomicInteger.from_int(self.p, self.rational)
+        if self.irrational:
             root = (gauss_sum(self.p) if g_p is None else g_p) * (self.p ** ((self.d - 1) // 2))
-            out = out + root * b
+            out = out + root * self.irrational
         return out
 
     def embedding(self) -> complex:
         """Floating-point display value (never used in comparisons)."""
-        a, b = self.expanded()
         qs = self.q_star
         root = complex(0, abs(qs) ** 0.5) if qs < 0 else complex(abs(qs) ** 0.5)
-        return a + b * root
+        return self.rational + self.irrational * root
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a * self.p**self.e)
-        core = f"({self.a} {'+' if self.b >= 0 else '-'} {abs(self.b)}*sqrt({self.q_star}))"
-        return core if self.e == 0 else f"{core}*{self.p}^{self.e}"
+        """The paper's form (a + b*sqrt(q*))*p^e, e the largest power of p dividing both parts."""
+        a, b, e = self.rational, self.irrational, 0
+        if b == 0:
+            return str(a)
+        while a % self.p == 0 and b % self.p == 0:
+            a, b, e = a // self.p, b // self.p, e + 1
+        core = f"({a} {'+' if b >= 0 else '-'} {abs(b)}*sqrt({self.q_star}))"
+        return core if e == 0 else f"{core}*{self.p}^{e}"
 
 
 def subfield_gauss_sum(p: int, d: int) -> SymbolicSumValue:
     """The quadratic Gauss sum G of GF(p**d), exactly.
 
     G = sum over GF(q) of zeta_p**(Tr_1^d(x**2)) equals (-1)**(d-1) g_p**d
-    (Davenport-Hasse), which in the canonical sqrt(q*) normal form reads
+    (Davenport-Hasse), which as A + B*sqrt(q*) reads
     sigma * sqrt(q*) for odd d and a signed power of p for even d.  G**2 =
     q* either way, but the sign sigma is not always +1: the fast path needs
     it to match the direct path exactly.
@@ -270,8 +260,8 @@ def t_value(params: CodeParams, r: int, eps: int) -> SymbolicSumValue:
     core = eps * q ** (s - r) * params.q_star ** (r // 2)
     if r % 2 == 0:
         return SymbolicSumValue.from_parts(p, d, core)
-    ga, gb = subfield_gauss_sum(p, d).expanded()
-    return SymbolicSumValue.from_parts(p, d, core * ga, core * gb)
+    g = subfield_gauss_sum(p, d)
+    return SymbolicSumValue.from_parts(p, d, core * g.rational, core * g.irrational)
 
 
 class ValueDistribution:
@@ -280,32 +270,26 @@ class ValueDistribution:
     __slots__ = ("rows",)
 
     def __init__(self, rows) -> None:
-        self.rows = tuple(sorted(rows, key=lambda rf: rf[0].sort_key()))
+        self.rows = tuple(sorted(rows, key=lambda rf: rf[0].expanded()))
 
     @classmethod
     def from_pairs(cls, pairs) -> ValueDistribution:
         """Build from (value, frequency) pairs, merging equal values."""
-        merged: dict[tuple[int, int], tuple[SymbolicSumValue, int]] = {}
+        merged: Counter[SymbolicSumValue] = Counter()
         for value, freq in pairs:
-            key = value.expanded()
-            if key in merged:
-                merged[key] = (value, merged[key][1] + freq)
-            else:
-                merged[key] = (value, freq)
-        return cls(rf for rf in merged.values() if rf[1])
+            merged[value] += freq
+        return cls(rf for rf in merged.items() if rf[1])
 
     @property
     def total(self) -> int:
         return sum(f for _, f in self.rows)
 
     def weighted_sum(self) -> tuple[int, int]:
-        """sum freq * value, expanded as (A, B)."""
-        a = b = 0
-        for v, f in self.rows:
-            va, vb = v.expanded()
-            a += f * va
-            b += f * vb
-        return a, b
+        """sum freq * value, as (rational, irrational)."""
+        return (
+            sum(f * v.rational for v, f in self.rows),
+            sum(f * v.irrational for v, f in self.rows),
+        )
 
     def cyclotomic_counts(self) -> dict[CyclotomicInteger, int]:
         g_p = gauss_sum(self.rows[0][0].p) if self.rows else None
@@ -314,9 +298,7 @@ class ValueDistribution:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueDistribution):
             return NotImplemented
-        mine = {v.expanded(): f for v, f in self.rows}
-        theirs = {v.expanded(): f for v, f in other.rows}
-        return mine == theirs
+        return dict(self.rows) == dict(other.rows)
 
     def __iter__(self):
         return iter(self.rows)
@@ -336,6 +318,7 @@ def t_direct(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> C
     counts to a cyclotomic vector once: O(p**m) field operations and O(p)
     vector work.
     """
+    params.check_field(field)
     p = params.p
     counts = [0] * p
     tr = field.trace_table
@@ -640,6 +623,7 @@ def count_e1(
         raise UnsupportedCase(f"no closed E1 for case {params.case}")
     if mode != "brute":
         raise ParameterError(f"unknown mode {mode!r}")
+    params.check_field(field)
     check_budget("E1 brute force", params.pairs, "pairs", budget, DEFAULT_E1_BUDGET)
     squares, highs = _power_tables(field, p**k + 1)
     return _bucket_join(
@@ -667,6 +651,7 @@ def count_e2(
         raise UnsupportedCase(f"no closed E2 for case {params.case}")
     if mode != "brute":
         raise ParameterError(f"unknown mode {mode!r}")
+    params.check_field(field)
     check_budget(
         "E2 brute force", params.pairs * field.order, "triples", budget, DEFAULT_E2_BUDGET
     )

@@ -624,7 +624,6 @@ def build_field(
     *,
     modulus_index: int = 0,
     primitive_index: int = 0,
-    max_order: int = DEFAULT_TABLE_BUDGET,
 ) -> FiniteField:
     """Construct GF(p**m) deterministically.
 
@@ -641,9 +640,7 @@ def build_field(
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
     check_field_size(p, m)
-    check_budget(
-        "field tables", p**m, "elements", max_order, DEFAULT_TABLE_BUDGET, DegreeTooLarge
-    )
+    check_budget("field tables", p**m, "elements", None, DEFAULT_TABLE_BUDGET, DegreeTooLarge)
     if not is_prime(p) or p == 2:
         raise NotOddPrime(f"p must be an odd prime, got {p}")
     check_modulus_index(p, m, modulus_index)

@@ -98,8 +98,18 @@ class CodeParams:
         return 2 * self.m
 
     @property
+    def coordinate_exponents(self) -> tuple[int, int]:
+        """Logs of the coordinate steps u_i = pi**(e i) and w_i = (-pi)**i = pi**((n/2 + 1) i)."""
+        return self.twist_exponent % self.n, (self.n // 2 + 1) % self.n
+
+    @property
     def has_closed_forms(self) -> bool:
         return self.case is not Case.ODD_S_OUT_OF_SCOPE
+
+    def check_field(self, field: FiniteField) -> None:
+        """Refuse (ParameterError) a field that is not GF(p**m) of these parameters."""
+        if (field.p, field.m) != (self.p, self.m):
+            raise ParameterError(f"field GF({field.p}^{field.m}) is not GF({self.p}^{self.m})")
 
 
 def classify_parameters(p: int, m: int, k: int) -> CodeParams:
@@ -203,6 +213,7 @@ def rank(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> int:
     The nullity nu is always a multiple of d (the kernel is a GF(q)-space)
     and the rank s - nu/d always lands in {s-2, s-1, s}; violations abort.
     """
+    params.check_field(field)
     if alpha == 0 and beta == 0:
         raise BothZero("rank is undefined at (0, 0)")
     nu = nullity_mod_p(phi_matrix(field, params, alpha, beta), params.p)
@@ -294,10 +305,12 @@ def gram_entries(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int
     A[i][j](alpha, beta) = Tr_d(alpha u_ij + beta v_ij) in the basis e_i of
     :func:`gram_basis`, with u_ii = e_i**(p**k + 1), v_ii = e_i**2 and, for
     i < j, the half-polarized u_ij = (e_i**(p**k) e_j + e_i e_j**(p**k)) / 2,
-    v_ij = e_i e_j, so that X A X' reproduces f on every element.
+    v_ij = e_i e_j, so that X A X' reproduces f on every element.  A field
+    that does not match params is a ParameterError (CodeParams.check_field).
     """
 
     def compute() -> tuple[tuple[int, int, int, int], ...]:
+        params.check_field(field)
         basis = gram_basis(field, params)
         frob = [field.frobenius(e, params.k) for e in basis]
         entries = []
@@ -319,12 +332,13 @@ def gram_matrix(field: FiniteField, params: CodeParams, alpha: int, beta: int) -
     the field's GF(q) index tables (FiniteField.subfield_index_tables) and
     the two traces are added there.
     """
+    entries = gram_entries(field, params)
     tabs = field.subfield_index_tables(params.d)
     trace_of_power, add, codes = tabs.trace_of_power, tabs.add, tabs.codes
     log, n = field.log, field.n
     la, lb = log[alpha], log[beta]  # log[0] is a -1 sentinel
     a = [[0] * params.s for _ in range(params.s)]
-    for i, j, u, v in gram_entries(field, params):
+    for i, j, u, v in entries:
         tu = trace_of_power[(la + log[u]) % n] if alpha and u else 0
         tv = trace_of_power[(lb + log[v]) % n] if beta and v else 0
         a[i][j] = a[j][i] = codes[add[tu][tv]]

@@ -285,6 +285,14 @@ class TestVerify:
         assert small.stdout == base.stdout
         assert small.stdout.count("PASS identity") == 4
 
+    def test_every_check_skipped_exits_3(self):
+        proc = run_cli("verify", 3, 4, 1, "--budget", 0)
+        assert proc.returncode == 3
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(cli.CHECK_NAMES)
+        assert all(line.startswith("SKIP ") for line in lines)
+        assert proc.stderr == "refused: every check was skipped; nothing was verified\n"
+
     def test_max_rank_respects_budget(self):
         proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 1000)
         assert proc.returncode == 3

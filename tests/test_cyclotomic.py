@@ -89,17 +89,18 @@ class TestSubfieldGaussSum:
 class TestSymbolicSumValue:
     def test_normal_form_even_d_folds(self):
         v = SymbolicSumValue.from_parts(3, 2, 0, 5)  # 5*sqrt(9) = 15
-        assert v.b == 0
+        assert v.expanded() == (15, 0)
         assert v.rational_value() == 15
 
     def test_p_power_factoring(self):
+        # The display strips the full power of p; the value keeps its parts.
         v = SymbolicSumValue.from_parts(3, 1, 27, 9)
-        assert v.e == 2 and (v.a, v.b) == (3, 1)
+        assert str(v) == "(3 + 1*sqrt(-3))*3^2"
         assert v.expanded() == (27, 9)
 
     def test_zero(self):
         v = SymbolicSumValue.from_parts(5, 1, 0, 0)
-        assert (v.a, v.b, v.e) == (0, 0, 0)
+        assert v.expanded() == (0, 0) and str(v) == "0"
 
     def test_addition(self):
         x = SymbolicSumValue.from_parts(3, 1, 4, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twozero import batch, build_field, classify_parameters, expsums, quadforms
-from twozero.errors import BudgetExceeded, UnsupportedCase
+from twozero.errors import BudgetExceeded, ParameterError, UnsupportedCase
 from twozero.expsums import (
     CyclotomicInteger,
     count_e1,
@@ -73,7 +73,7 @@ class TestTDirect:
 class TestTFast:
     def test_zero_pair(self, field341, params341):
         v = t_fast(field341, params341, 0, 0)
-        assert (v.a, v.b, v.e) == (1, 0, 4)
+        assert v.expanded() == (81, 0) and str(v) == "81"
 
     def test_equals_direct_everywhere_341(self, field341, params341):
         for a in range(81):
@@ -100,7 +100,7 @@ class TestTFast:
         for _ in range(2000):
             a, b = rng.randrange(729), rng.randrange(729)
             v = t_fast(f, pr, a, b)
-            assert v.b == 0  # d = 2: every value is rational
+            assert v.is_rational  # d = 2: every value is rational
             seen.add(v.rational_value())
         assert seen <= {27, -27, 81, -81, 243, -243, 729}
 
@@ -471,3 +471,37 @@ class TestDirectIndependence:
         assert direct_t == fast_t.cyclotomic_counts()
         assert direct_s == fast_s.cyclotomic_counts()
         assert sum(direct_t.values()) == sum(direct_s.values()) == pr.pairs
+
+
+# Every public function of a (field, params) pair, called with a field that
+# does not belong to the parameters.
+_FIELD_PARAMS_CALLS = {
+    "t_direct": lambda f, pr: t_direct(f, pr, 5, 7),
+    "t_fast": lambda f, pr: t_fast(f, pr, 5, 7),
+    "s_direct": lambda f, pr: s_direct(f, pr, 5, 7),
+    "s_fast": lambda f, pr: s_fast(f, pr, 5, 7),
+    "gram_entries": quadforms.gram_entries,
+    "gram_matrix": lambda f, pr: quadforms.gram_matrix(f, pr, 5, 7),
+    "rank": lambda f, pr: quadforms.rank(f, pr, 5, 7),
+    "rank_census-gram": lambda f, pr: rank_census(f, pr, method="gram"),
+    "rank_census-phi": lambda f, pr: rank_census(f, pr, method="phi"),
+    "count_e1-brute": lambda f, pr: count_e1(f, pr, "brute"),
+    "count_e2-brute": lambda f, pr: count_e2(f, pr, "brute"),
+    "t_census_direct": t_census_direct,
+    "s_census_direct": s_census_direct,
+    "t_census_fast": t_census_fast,
+    "s_census_fast": s_census_fast,
+    "joint_class_census": expsums.joint_class_census,
+    "power_moments-fast": lambda f, pr: power_moments(f, pr, "fast"),
+    "power_moments-direct": lambda f, pr: power_moments(f, pr, "direct"),
+    "t_class_data": batch.t_class_data,
+    "phi_tables": batch.phi_tables,
+    "direct_census": lambda f, pr: batch.direct_census(f, pr, twisted=False),
+}
+
+
+@pytest.mark.parametrize("field_pm", [(3, 6), (5, 4)], ids=["same-p", "other-p"])
+@pytest.mark.parametrize("call", _FIELD_PARAMS_CALLS.values(), ids=_FIELD_PARAMS_CALLS)
+def test_mismatched_field_is_refused(call, field_pm):
+    with pytest.raises(ParameterError, match=r"is not GF\(3\^4\)"):
+        call(build_field(*field_pm), classify_parameters(3, 4, 1))

@@ -156,11 +156,9 @@ class TestBuildField:
             build_field(p, 2)
 
     def test_table_budget(self):
-        with pytest.raises(DegreeTooLarge):
-            build_field(3, 16)  # 3^16 > 2^21
-        build_field(3, 4, max_order=100)
-        with pytest.raises(DegreeTooLarge):
-            build_field(3, 5, max_order=100)
+        for m in (14, 16):  # 3^14 and 3^16 > 2^21: refused before any table
+            with pytest.raises(DegreeTooLarge):
+                build_field(3, m)
 
     def test_table_budget_comes_before_the_primality_test(self):
         # 10**18 + 3 is prime, and its trial division alone takes minutes; the
