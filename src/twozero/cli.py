@@ -111,7 +111,7 @@ def cmd_analyze(args) -> int:
         f"h1              {code.h1}",
         f"h2              {code.h2}",
         f"generator       degree {code.generator.degree}, coefficients "
-        + "".join(str(c) for c in code.generator.coeffs),
+        + ("," if params.p > 10 else "").join(str(c) for c in code.generator.coeffs),
     ]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

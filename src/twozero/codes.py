@@ -17,8 +17,9 @@ Three engines compute the weight distribution:
   quadratic-form fast path.  The per-case simplifications of the u-sum are
   deliberately not used, so this engine is uniform across all cases;
 * closed -- the closed-form S value distribution (CaseA and both CaseB
-  flavours) read through the same weight formula, each u-sum taken as the
-  Galois sum of the S value in Z[zeta_p]; there is no separate weight table.
+  flavours) read through the same weight formula; the u-sum of an S value
+  A + B sqrt(q*) is its Galois sum, which is (p - 1) A; there is no separate
+  weight table.
 
 All three must agree exactly; every produced distribution is self-checked
 against the code size, the zero-word row and the first power moment
@@ -43,9 +44,7 @@ from .errors import (
     check_budget,
 )
 from .expsums import (
-    CyclotomicInteger,
     SymbolicSumValue,
-    gauss_sum,
     joint_class_census,
     s_distribution_closed,
     s_fast,
@@ -55,9 +54,6 @@ from .gf import FiniteField, Polynomial, build_field
 from .quadforms import CodeParams, classify_parameters
 
 DEFAULT_BRUTE_BUDGET = 400_000_000   # coordinate checks, 3 p**m * n
-# Z[zeta_p] coefficient steps of one Galois u-sum, p - 1 images of p
-# coefficients: p <= 256, where a closed table takes about half a second.
-CLOSED_GALOIS_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -228,31 +224,20 @@ def codeword_weight(code: CyclicCode, alpha: int, beta: int) -> int:
     return code.n - codeword(code, alpha, beta).count(0)
 
 
-def _weight_from_u_sum(params: CodeParams, usum: SymbolicSumValue | CyclotomicInteger) -> int:
-    """The weight p**m - p**(m-1) - usum/(2p) of a pair.
+def _weight_from_u_sum(params: CodeParams, a: int) -> int:
+    """The weight p**m - p**(m-1) - a/(2p) of a pair.
 
-    usum is the exact sum over u in GF(p)* of S(u alpha, u beta).  It must
-    be rational and divisible by 2p, and the weight must lie in [0, n]; a
-    failure would falsify the weight formula itself.
+    a is the exact sum over u in GF(p)* of S(u alpha, u beta), a rational
+    integer.  It must be divisible by 2p, and the weight must lie in [0, n];
+    a failure would falsify the weight formula itself.
     """
     p, m = params.p, params.m
-    a = usum.rational_value()
     if a % (2 * p):
         raise NonIntegralWeight(f"u-sum {a} not divisible by 2p")
     w = p**m - p ** (m - 1) - a // (2 * p)
     if not 0 <= w <= params.n:
         raise NonIntegralWeight(f"weight {w} out of range [0, {params.n}]")
     return w
-
-
-def _galois_u_sum(value: SymbolicSumValue, g_p: CyclotomicInteger) -> CyclotomicInteger:
-    """sum over u in GF(p)* of sigma_u(value), sigma_u: zeta -> zeta**u, in Z[zeta_p].
-
-    S(u alpha, u beta) = sigma_u(S(alpha, beta)), so this is the u-sum of the
-    weight formula at every pair whose S equals value.  g_p is gauss_sum(p).
-    """
-    z = value.cyclotomic(g_p)
-    return sum((z.galois(u) for u in range(1, value.p)), CyclotomicInteger.zero(value.p))
 
 
 def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
@@ -267,7 +252,7 @@ def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
         (s_fast(f, params, f.mul(u, alpha), f.mul(u, beta)) for u in range(1, params.p)),
         SymbolicSumValue.from_parts(params.p, params.d, 0),
     )
-    return _weight_from_u_sum(params, usum)
+    return _weight_from_u_sum(params, usum.rational_value())
 
 
 def weight_distribution_brute(
@@ -319,7 +304,7 @@ def weight_distribution_sums(
     usum = _u_sum_table(code)
     return WeightDistribution.from_counts(
         (
-            (_weight_from_u_sum(code.params, usum[cf] + usum[cg]), count)
+            (_weight_from_u_sum(code.params, (usum[cf] + usum[cg]).rational_value()), count)
             for (cf, cg), count in joint.items()
         ),
         source="sums",
@@ -330,19 +315,16 @@ def weight_distribution_closed(params: CodeParams) -> WeightDistribution:
     """The closed-form S distribution read through the weight formula.
 
     Every row (value, frequency) of :func:`s_distribution_closed` stands for
-    frequency pairs whose u-sum is the Galois sum of value; rows whose
-    weights collide are merged.  Only the parameters are read, so no field
-    is built; the Galois sums cost about p**2 steps a row, so p is bounded by
-    CLOSED_GALOIS_BUDGET.  Cases without closed forms raise UnsupportedCase.
+    frequency pairs whose u-sum is the Galois sum over zeta -> zeta**u of
+    value = A + B sqrt(q*), since S(u alpha, u beta) = sigma_u(S(alpha, beta)).
+    That sum is (p - 1) A: sqrt(q*) is rational at even d, and at odd d it is
+    g_p p**((d-1)/2) with sigma_u(g_p) = (u/p) g_p, whose u-sum is 0.  Rows
+    whose weights collide are merged.  Only the parameters are read, so no
+    field is built.  Cases without closed forms raise UnsupportedCase.
     """
-    p = params.p
-    check_budget(
-        "closed Galois sums", p * (p - 1), "Z[zeta_p] steps a row", None, CLOSED_GALOIS_BUDGET
-    )
-    g_p = gauss_sum(p)
     return WeightDistribution.from_counts(
         (
-            (_weight_from_u_sum(params, _galois_u_sum(value, g_p)), freq)
+            (_weight_from_u_sum(params, (params.p - 1) * value.rational), freq)
             for value, freq in s_distribution_closed(params)
         ),
         source="closed",

@@ -142,7 +142,8 @@ def classify_parameters(p: int, m: int, k: int) -> CodeParams:
 
 def phi(field: FiniteField, params: CodeParams, alpha: int, beta: int, x: int) -> int:
     """The linearized polynomial whose kernel is the radical of f."""
-    p, k = params.p, params.k
+    params.check_field(field)
+    k = params.k
     t1 = field.mul(field.frobenius(alpha, k), field.frobenius(x, 2 * k))
     bk = field.frobenius(beta, k)
     t2 = field.mul(field.add(bk, bk), field.frobenius(x, k))
@@ -156,6 +157,7 @@ def psi(field: FiniteField, params: CodeParams, alpha: int, x: int) -> int:
     psi(alpha, x) = -(1/2) x**(-1) (alpha x**(p**k) + alpha**(p**(m-k))
     x**(p**(m-k))); well-defined since p is odd.
     """
+    params.check_field(field)
     if x == 0:
         raise ZeroArgument("psi requires x != 0")
     k, m = params.k, params.m
@@ -168,6 +170,7 @@ def psi(field: FiniteField, params: CodeParams, alpha: int, x: int) -> int:
 
 def twist_pair(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> tuple[int, int]:
     """(alpha, beta) of the companion form g."""
+    params.check_field(field)
     pi_e = field.pow(field.primitive_element, params.twist_exponent)
     return field.mul(pi_e, alpha), field.neg(field.mul(field.primitive_element, beta))
 
@@ -213,7 +216,6 @@ def rank(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> int:
     The nullity nu is always a multiple of d (the kernel is a GF(q)-space)
     and the rank s - nu/d always lands in {s-2, s-1, s}; violations abort.
     """
-    params.check_field(field)
     if alpha == 0 and beta == 0:
         raise BothZero("rank is undefined at (0, 0)")
     nu = nullity_mod_p(phi_matrix(field, params, alpha, beta), params.p)

@@ -59,6 +59,16 @@ class TestAnalyze:
         assert proc.returncode == 3
         assert f"refused: p^m = {shown} is not below 2^128" in proc.stderr
 
+    def test_generator_coefficients_are_separated_from_p_11(self):
+        # A coefficient 10 must not read as 1 followed by 0; below 10 every
+        # coefficient is one digit, and the digits stay unseparated.
+        def shown(p):
+            return run_cli("analyze", p, 3, 1).stdout.splitlines()[-1].rsplit(" ", 1)[-1]
+
+        header = json.loads(run_cli("analyze", 11, 3, 1, "--format", "json").stdout)
+        assert [int(c) for c in shown(11).split(",")] == header["generator"]
+        assert shown(7).isdigit()
+
     def test_small_s_is_rejected_before_the_primality_test(self):
         proc = run_cli("analyze", 10**18 + 3, 2, 1, timeout=10)
         assert proc.returncode == 2
@@ -110,11 +120,12 @@ class TestWeights:
         assert proc.returncode == 3
         assert "field tables needs 43046721 elements > budget 2097152" in proc.stderr
 
-    def test_closed_bounds_p_by_its_galois_sums(self):
-        # p^4 is far below the size gate, but the Galois sums would take ~1e11 steps.
+    def test_closed_runs_at_any_p_below_the_size_gate(self):
+        # The closed u-sum is (p - 1) A, a few integer operations a row.
         proc = run_cli("weights", 100003, 4, 1, "--engines", "closed", timeout=10)
-        assert proc.returncode == 3
-        assert "closed Galois sums needs 10000500006 Z[zeta_p] steps a row" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        (doc,) = json.loads(proc.stdout)["documents"]
+        assert sum(row["frequency"] for row in doc["rows"]) == 100003**8
 
     def test_unsupported_closed_exits_3(self):
         proc = run_cli("weights", 3, 3, 1, "--engines", "closed")

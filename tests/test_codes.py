@@ -7,11 +7,10 @@ import sys
 
 import pytest
 
-from twozero import build_code, classify_parameters, codes, expsums
+from twozero import build_code, classify_parameters
 from twozero.codes import (
     WeightDistribution,
     _check_generator,
-    _galois_u_sum,
     _u_sum_table,
     codeword,
     codeword_weight,
@@ -23,7 +22,12 @@ from twozero.codes import (
     weight_distribution_sums,
 )
 from twozero.errors import BudgetExceeded, InternalInconsistency, UnsupportedCase
-from twozero.expsums import gauss_sum, s_direct, t_value
+from twozero.expsums import (
+    CyclotomicInteger,
+    s_direct,
+    s_distribution_closed,
+    t_value,
+)
 from twozero.gf import Polynomial
 
 # Reference weight enumerators for the two small verifiable instances; every
@@ -199,9 +203,16 @@ class TestCodewords:
             assert codeword_weight_via_sums(code341, a, b) == codeword_weight(code341, a, b)
 
 
+def _galois_sum(value):
+    """sum over u in GF(p)* of sigma_u(value), sigma_u: zeta -> zeta**u, in Z[zeta_p]."""
+    z = value.cyclotomic()
+    return sum((z.galois(u) for u in range(1, value.p)), CyclotomicInteger.zero(value.p))
+
+
 class TestUSums:
-    # The closed engine takes the u-sum of a value as its Galois sum over
-    # zeta -> zeta**u; the sums engine scales the class by eta_d(u) instead.
+    # The u-sum of a value is its Galois sum over zeta -> zeta**u, here taken
+    # in Z[zeta_p]; the sums engine scales the class by eta_d(u) instead, and
+    # the closed engine reads it as (p - 1) times the rational part.
     @pytest.mark.parametrize(
         "pmk",
         [(3, 4, 1), (5, 4, 1), (7, 3, 1), (3, 6, 4), (3, 8, 2)],
@@ -213,22 +224,18 @@ class TestUSums:
         table = _u_sum_table(code)
         assert set(table) == {(r, eps) for r in range(params.s + 1) for eps in (1, -1)}
         for (r, eps), usum in table.items():
-            galois = _galois_u_sum(t_value(params, r, eps), gauss_sum(params.p))
-            assert galois == usum.cyclotomic(), (r, eps)
+            assert _galois_sum(t_value(params, r, eps)) == usum.cyclotomic(), (r, eps)
 
-    def test_closed_engine_takes_one_gauss_sum(self, monkeypatch):
-        # (13, 4, 1) has irrational S rows, and every row is converted to
-        # Z[zeta_13]: one g_p serves them all.
-        calls, real = [], expsums.gauss_sum
-
-        def counting(p):
-            calls.append(p)
-            return real(p)
-
-        for module in (expsums, codes):
-            monkeypatch.setattr(module, "gauss_sum", counting)
-        weight_distribution_closed(classify_parameters(13, 4, 1))
-        assert calls == [13]
+    def test_closed_u_sum_is_the_galois_sum(self):
+        # Every row of every closed S table with p <= 13: (p - 1) A equals
+        # the Galois sum of A + B sqrt(q*), irrational rows included.
+        irrational = 0
+        for params in _closed_case_params():
+            for value, _ in s_distribution_closed(params):
+                usum = CyclotomicInteger.from_int(params.p, (params.p - 1) * value.rational)
+                assert _galois_sum(value) == usum, (params, value)
+                irrational += not value.is_rational
+        assert irrational > 100
 
 
 class TestEngines:
@@ -337,11 +344,9 @@ def test_closed_weights_from_parameters_alone():
     assert checked > 200
 
 
-def test_closed_weights_bound_p():
-    # p (p - 1) <= 2**16 admits p = 251 and refuses the next prime, 257.
-    assert weight_distribution_closed(classify_parameters(251, 4, 1)).total == 251**8
-    with pytest.raises(BudgetExceeded, match="closed Galois sums needs 65792"):
-        weight_distribution_closed(classify_parameters(257, 4, 1))
+def test_closed_weights_take_any_p():
+    # The closed engine has no budget of its own; p is bounded by the size gate.
+    assert weight_distribution_closed(classify_parameters(257, 4, 1)).total == 257**8
 
 
 def test_engine_agreement_judges_each_pair_once():

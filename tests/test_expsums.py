@@ -480,6 +480,10 @@ _FIELD_PARAMS_CALLS = {
     "t_fast": lambda f, pr: t_fast(f, pr, 5, 7),
     "s_direct": lambda f, pr: s_direct(f, pr, 5, 7),
     "s_fast": lambda f, pr: s_fast(f, pr, 5, 7),
+    "phi": lambda f, pr: quadforms.phi(f, pr, 5, 7, 1),
+    "phi_matrix": lambda f, pr: quadforms.phi_matrix(f, pr, 5, 7),
+    "psi": lambda f, pr: quadforms.psi(f, pr, 5, 7),
+    "twist_pair": lambda f, pr: quadforms.twist_pair(f, pr, 5, 7),
     "gram_entries": quadforms.gram_entries,
     "gram_matrix": lambda f, pr: quadforms.gram_matrix(f, pr, 5, 7),
     "rank": lambda f, pr: quadforms.rank(f, pr, 5, 7),
