@@ -390,7 +390,7 @@ def direct_counts(
     twisted = [] if twist is None else [(twist[0][alphas], at_beta[twist[1]])]
     counts = 0
     for rows, read in [(alphas, at_beta), *twisted]:
-        values = trace_rows(field, rows, exp[t * ((p**params.k + 1) % n) % n]).astype(np.int64)
+        values = trace_rows(field, rows, exp[t * 2 * params.twist_exponent % n]).astype(np.int64)
         index = (values * rows.size + np.arange(rows.size)[:, None]) * order + exp[2 * t % n]
         g = np.bincount(index.ravel(), minlength=p * rows.size * order).reshape(p, -1, order)
         g[0, :, 0] += 1  # x = 0

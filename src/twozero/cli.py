@@ -18,6 +18,7 @@ from .codes import (
     ENGINES,
     build_code,
     code_header,
+    code_report,
     engine_agreement,
     run_engine,
     weight_distribution_closed,
@@ -47,8 +48,11 @@ EXIT_REFUSED = 3
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -118,7 +122,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    engines = list(dict.fromkeys(e.strip() for e in args.engines.split(",") if e.strip()))
     if not engines:
         raise ParameterError("at least one engine must be selected")
     for engine in engines:
@@ -314,23 +318,16 @@ def _check_max_rank(code, args) -> list[tuple[str, bool, str]]:
 
 
 def _check_example(code, args) -> list[tuple[str, bool, str]]:
-    dists = {}
-    for engine in ENGINES:
-        try:
-            dists[engine] = run_engine(code, engine, budget=args.budget)
-        except Refusal:
-            continue
-    if len(dists) < 2:
+    report = code_report(code, budget=args.budget)
+    names = sorted(report["distributions"])
+    if len(names) < 2:
         raise Refusal("fewer than two weight engines within budget")
-    names = sorted(dists)
-    ok = all(engine_agreement(dists).values())
-    head = dists[names[0]]
     return [
         (
             "example",
-            ok,
-            f"engines {'+'.join(names)} on [{code.n}, {code.dimension}, "
-            f"{head.min_distance}]: {len(head.rows)} weight rows",
+            all(report["agreement"].values()),
+            f"engines {'+'.join(names)} on {report['summary']}: "
+            f"{len(report['distributions'][names[0]])} weight rows",
         )
     ]
 
@@ -350,7 +347,7 @@ CHECK_NAMES = tuple(CHECKS)
 
 def cmd_verify(args) -> int:
     if args.checks is not None:
-        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        selected = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
         if not selected:
             raise ParameterError("at least one check must be selected")
         for name in selected:

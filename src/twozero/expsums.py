@@ -204,15 +204,11 @@ class SymbolicSumValue:
             raise NonRationalSum(f"{self} has an irrational part")
         return self.rational
 
-    def cyclotomic(self, g_p: CyclotomicInteger | None = None) -> CyclotomicInteger:
-        """Exact image in Z[zeta_p] under sqrt(q*) -> g_p * p**((d-1)/2).
-
-        g_p is :func:`gauss_sum` (p), taken when None; a caller converting a
-        whole distribution computes it once and passes it.
-        """
+    def cyclotomic(self) -> CyclotomicInteger:
+        """Exact image in Z[zeta_p] under sqrt(q*) -> g_p * p**((d-1)/2)."""
         out = CyclotomicInteger.from_int(self.p, self.rational)
         if self.irrational:
-            root = (gauss_sum(self.p) if g_p is None else g_p) * (self.p ** ((self.d - 1) // 2))
+            root = gauss_sum(self.p) * (self.p ** ((self.d - 1) // 2))
             out = out + root * self.irrational
         return out
 
@@ -292,8 +288,7 @@ class ValueDistribution:
         )
 
     def cyclotomic_counts(self) -> dict[CyclotomicInteger, int]:
-        g_p = gauss_sum(self.rows[0][0].p) if self.rows else None
-        return {v.cyclotomic(g_p): f for v, f in self.rows}
+        return {v.cyclotomic(): f for v, f in self.rows}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueDistribution):
@@ -324,7 +319,7 @@ def t_direct(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> C
     tr = field.trace_table
     n, exp, log = field.n, field.exp, field.log
     add = field.add
-    e1 = (params.p**params.k + 1) % n
+    e1 = 2 * params.twist_exponent
     la = log[alpha] if alpha else -1
     lb = log[beta] if beta else -1
     counts[0] += 1  # x = 0 contributes trace 0
@@ -625,7 +620,7 @@ def count_e1(
         raise ParameterError(f"unknown mode {mode!r}")
     params.check_field(field)
     check_budget("E1 brute force", params.pairs, "pairs", budget, DEFAULT_E1_BUDGET)
-    squares, highs = _power_tables(field, p**k + 1)
+    squares, highs = _power_tables(field, 2 * params.twist_exponent)
     return _bucket_join(
         zip(squares, highs), ((field.neg(x2), field.neg(xh)) for x2, xh in zip(squares, highs))
     )
@@ -655,7 +650,7 @@ def count_e2(
     check_budget(
         "E2 brute force", params.pairs * field.order, "triples", budget, DEFAULT_E2_BUDGET
     )
-    squares, highs = _power_tables(field, p**k + 1)
+    squares, highs = _power_tables(field, 2 * params.twist_exponent)
     pi = field.primitive_element
     pi_e = field.pow(pi, params.twist_exponent)
     return _bucket_join(
@@ -758,9 +753,8 @@ def power_moments(
     """
     if mode == "fast":
         joint = joint_class_census(field, params, budget=budget)
-        g_p = gauss_sum(params.p)
         census = (
-            (((t_value(params, *cf) + t_value(params, *cg)).cyclotomic(g_p), cf[0]), count)
+            (((t_value(params, *cf) + t_value(params, *cg)).cyclotomic(), cf[0]), count)
             for (cf, cg), count in joint.items()
         )
     elif mode == "direct":

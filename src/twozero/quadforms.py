@@ -79,8 +79,8 @@ class CodeParams:
 
     @property
     def twist_exponent(self) -> int:
-        """(p**k + 1) / 2, the exponent defining the companion form."""
-        return (self.p**self.k + 1) // 2
+        """(p**k + 1) / 2 mod n, the companion form's exponent e: 2e = p**k + 1 mod n."""
+        return (pow(self.p, self.k, 2 * self.n) + 1) // 2 % self.n
 
     @property
     def pairs(self) -> int:
@@ -100,7 +100,7 @@ class CodeParams:
     @property
     def coordinate_exponents(self) -> tuple[int, int]:
         """Logs of the coordinate steps u_i = pi**(e i) and w_i = (-pi)**i = pi**((n/2 + 1) i)."""
-        return self.twist_exponent % self.n, (self.n // 2 + 1) % self.n
+        return self.twist_exponent, (self.n // 2 + 1) % self.n
 
     @property
     def has_closed_forms(self) -> bool:

@@ -134,6 +134,13 @@ class TestWeights:
     def test_unknown_engine_exits_2(self):
         assert run_cli("weights", 3, 4, 1, "--engines", "magic").returncode == 2
 
+    def test_repeated_engine_runs_once(self):
+        proc = run_cli("weights", 3, 4, 1, "--engines", "sums,closed,sums")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert [d["engine"] for d in doc["documents"]] == ["sums", "closed"]
+        assert doc["agreement"]["engines"] == ["sums", "closed"]
+
     def test_csv_format(self):
         proc = run_cli("weights", 3, 4, 1, "--engines", "closed", "--format", "csv")
         lines = proc.stdout.strip().splitlines()
@@ -149,6 +156,24 @@ class TestWeights:
         run_cli("weights", 3, 4, 1, "--engines", "sums,closed", "-o", out1)
         run_cli("weights", 3, 4, 1, "--engines", "sums,closed", "-o", out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestLargeK:
+    # k enters only through gcd(m, k), v2(k), p**k mod 4 and p**k mod 2n, so
+    # k = 8 10**30 + 1 is (3, 4, 1) in disguise; no route may take time in k.
+    K = 8 * 10**30 + 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [("analyze",), ("weights", "--engines", "brute,sums,closed"), ("verify",)],
+        ids=["analyze", "weights", "verify"],
+    )
+    def test_huge_k_prints_the_k_1_output(self, command):
+        name, *rest = command
+        big = run_cli(name, 3, 4, self.K, *rest, timeout=10)
+        small = run_cli(name, 3, 4, 1, *rest)
+        assert big.returncode == small.returncode == 0, big.stderr
+        assert big.stdout.replace(str(self.K), "1") == small.stdout
 
 
 class TestSums:
@@ -281,6 +306,14 @@ class TestVerify:
     def test_unknown_check_exits_2(self):
         assert run_cli("verify", 3, 4, 1, "--checks", "nonsense").returncode == 2
 
+    def test_repeated_check_runs_once(self):
+        proc = run_cli("verify", 3, 4, 1, "--checks", "e1,e1,rank-census,e1")
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(":")[0] for line in proc.stdout.splitlines()] == [
+            "PASS e1",
+            "PASS rank-census",
+        ]
+
     @pytest.mark.parametrize("checks", [",", "", " , "])
     def test_empty_check_list_exits_2(self, checks):
         proc = run_cli("verify", 3, 4, 1, "--checks", checks)
@@ -397,7 +430,8 @@ class TestInProcess:
             counts[52] = 1
             return WeightDistribution.from_counts(counts, source="sums")
 
-        monkeypatch.setattr(cli, "run_engine", skewed)
+        monkeypatch.setattr(cli, "run_engine", skewed)  # weights
+        monkeypatch.setattr(codes, "run_engine", skewed)  # verify's example, via code_report
         assert cli.main(["weights", "3", "4", "1", "--engines", "brute,sums,closed"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -425,6 +459,16 @@ class TestFormats:
         assert proc.returncode == 2
         assert "invalid choice" in proc.stderr
         assert not proc.stdout
+
+    @pytest.mark.parametrize("command", [("weights",), ("verify", "--checks", "e1")])
+    def test_unwritable_output_exits_2(self, command, tmp_path):
+        path = tmp_path / "missing" / "out"
+        proc = run_cli(command[0], 3, 4, 1, *command[1:], "-o", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: invalid parameters: cannot write {path}: No such file or directory\n"
+        )
 
     def test_verify_text_layout_is_its_default(self):
         args = ("verify", 3, 4, 1, "--checks", "e1")

@@ -60,6 +60,22 @@ class TestClassify:
         with pytest.raises(NotOddPrime):
             classify_parameters(9, 6, 1)
 
+    def test_twist_exponent_is_half_of_p_k_plus_1_mod_n(self):
+        checked = 0
+        for p in (3, 5, 7):
+            for m in range(3, 7):
+                for k in range(1, 3 * m + 1):
+                    try:
+                        pr = classify_parameters(p, m, k)
+                    except STooSmall:
+                        continue
+                    e, n = pr.twist_exponent, pr.n
+                    assert 0 <= e < n, (p, m, k)
+                    assert e == (p**k + 1) // 2 % n, (p, m, k)
+                    assert 2 * e % n == (p**k + 1) % n, (p, m, k)
+                    checked += 1
+        assert checked > 100
+
 
 class TestPhiPsi:
     def test_phi_zero_pair_vanishes(self, field341, params341):
