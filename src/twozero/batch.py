@@ -12,6 +12,11 @@ reference implementations of the same operations live in quadforms and
 expsums; the test suite checks the two routes against each other
 exhaustively on small fields.
 
+Field tables.  The kernels read the field's int64 exp and log tables in
+place (read-only views, :func:`field_table`) and take each multiplier of
+the code, a power of pi, as its exponent: the coordinate steps and the
+twist are shifts by (e, w) = CodeParams.coordinate_exponents.
+
 Representatives.  The substitution x -> c x (c in GF(p**m)*) sends
 (alpha, beta) to (alpha c**(p**k+1), beta c**2).  It keeps the class of f,
 commutes with the twist (so keeps the class of g), and for c = pi**j it
@@ -53,7 +58,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
-from .quadforms import PAIR_BUDGET, CodeParams, gram_entries, phi_matrix, twist_pair
+from .quadforms import PAIR_BUDGET, CodeParams, gram_entries, phi_matrix
 
 DEFAULT_CHUNK = 1 << 18   # pairs per Gram-elimination batch
 BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
@@ -132,20 +137,26 @@ def batched_rank_disc(mats: np.ndarray, tabs: SubfieldTables) -> tuple[np.ndarra
     return rank, disc
 
 
-def _log_gather(field: FiniteField, by_log: np.ndarray, alphas, codes) -> np.ndarray:
-    """by_log[log(a * c)] for a in alphas (rows) and c in codes (columns).
+def field_table(field: FiniteField, name: str) -> np.ndarray:
+    """The field's int64 exp, log or zech table as a read-only numpy view, not a copy."""
+    view = np.frombuffer(getattr(field, name), np.int64)
+    view.flags.writeable = False
+    return view
 
-    by_log[e] is the value of a function at pi**e; the function must vanish
-    at 0, and entries with a * c = 0 read 0.
+
+def _log_gather(field: FiniteField, by_log: np.ndarray, alphas, exponents) -> np.ndarray:
+    """by_log[log(a) + e mod n] for a in alphas (codes, rows) and e in exponents (columns).
+
+    by_log[e] is the value at pi**e of a function that vanishes at 0; the
+    exponent -1 stands for 0, so entries with a = 0 or e = -1 read 0.
     """
-    log = field.memoized("log_array", lambda: np.array(field.log, np.int64))
-    la = log[np.asarray(alphas, np.int64)]
-    lc = log[np.asarray(codes, np.int64)]
-    exponents = la[:, None] + lc[None, :]
-    exponents %= field.n
-    out = by_log[exponents]
+    la = field_table(field, "log")[np.asarray(alphas, np.int64)]
+    le = np.asarray(exponents, np.int64)
+    at = la[:, None] + le[None, :]
+    at %= field.n
+    out = by_log[at]
     out[la < 0] = 0  # log[0] is a -1 sentinel
-    out[:, lc < 0] = 0
+    out[:, le < 0] = 0
     return out
 
 
@@ -168,9 +179,9 @@ def _gram_entry_tables(field: FiniteField, params: CodeParams):
     """
     entries = gram_entries(field, params)
     trace_of_power = trace_of_powers(field, params.d)
-    every_code = np.arange(field.order)
+    every_code, log = np.arange(field.order), field_table(field, "log")
     return [
-        (i, j, *_log_gather(field, trace_of_power, every_code, [u, v]).T)
+        (i, j, *_log_gather(field, trace_of_power, every_code, log[[u, v]]).T)
         for i, j, u, v in entries
     ]
 
@@ -248,24 +259,22 @@ def t_class_data(
 def twist_index(field: FiniteField, params: CodeParams) -> np.ndarray:
     """Index of the representative whose orbit holds the twist of each representative.
 
-    The twist (quadforms.twist_pair) sends (alpha, beta0) to
-    (pi**e alpha, beta'), beta' = -pi beta0 and e = (p**k + 1) / 2.  For
-    beta' = 0 that is a representative of row 0.  Otherwise its row is the
-    beta0 in {1, pi} with the quadratic character of beta', the parity of
-    log beta' (log 1 = 0, log pi = 1), reached by x -> c x with
+    The twist (quadforms.twist_pair) sends (alpha, beta0) to (pi**e alpha,
+    beta'), beta' = -pi beta0 = pi**w beta0, (e, w) the coordinate_exponents.
+    For beta0 = 0 that is a representative of row 0.  Otherwise its row is
+    the beta0 in {1, pi} with the quadratic character of beta', the parity
+    of log beta' (log 1 = 0, log pi = 1), reached by x -> c x with
     c**2 = beta0 / beta'; that scales alpha by c**(p**k + 1) = (c**2)**e, so
-    the alpha there is pi**e (c**2)**e alpha.
+    the alpha there is pi**e (c**2)**e alpha: log arithmetic mod n only.
     """
-    rows = representative_rows(field)
-    targets, multipliers = [], []
-    for beta0, _ in rows:
-        pi_e, twisted = twist_pair(field, params, 1, beta0)
-        row = 1 + field.log[twisted] % 2 if twisted else 0
-        c2 = field.mul(rows[row][0], field.inv(twisted)) if twisted else 1
-        targets.append(row)
-        multipliers.append(field.mul(pi_e, field.pow(c2, params.twist_exponent)))
-    exp = np.array(field.exp, np.int64)
-    alphas = _log_gather(field, exp, np.arange(field.order), multipliers)
+    n, (e, w) = field.n, params.coordinate_exponents
+    logs = field_table(field, "log")[[beta0 for beta0, _ in representative_rows(field)]].tolist()
+    targets, shifts = [0], [e]  # beta0 = 0 (log -1) stays on row 0
+    for lb in logs[1:]:
+        lt = (lb + w) % n  # log beta'
+        targets.append(1 + lt % 2)
+        shifts.append(e * (1 + logs[targets[-1]] - lt) % n)
+    alphas = _log_gather(field, field_table(field, "exp"), np.arange(field.order), shifts)
     return (alphas + field.order * np.array(targets)).T.ravel()
 
 
@@ -297,9 +306,9 @@ def joint_histogram(
 # -- brute-force codeword weights --------------------------------------------
 
 
-def trace_rows(field: FiniteField, alphas, codes) -> np.ndarray:
-    """(len(alphas), len(codes)) uint8 matrix of Tr_1^m(alphas[i] * codes[j])."""
-    return _log_gather(field, trace_of_powers(field, 1), alphas, codes)
+def trace_rows(field: FiniteField, alphas, exponents) -> np.ndarray:
+    """(len(alphas), len(exponents)) uint8 Tr_1^m(alphas[i] pi**exponents[j]), pi**-1 = 0."""
+    return _log_gather(field, trace_of_powers(field, 1), alphas, exponents)
 
 
 def brute_weight_histogram(code) -> list[int]:
@@ -312,18 +321,17 @@ def brute_weight_histogram(code) -> list[int]:
     representatives stand for.  A block holds about BRUTE_CHUNK trace
     entries, which bounds the memory of the pass.
     """
-    field = code.field
-    n = code.n
-    exp, steps = np.asarray(field.exp, np.int64), np.arange(n, dtype=np.int64)
-    u_codes, w_codes = (exp[e * steps % n] for e in code.params.coordinate_exponents)
+    field, n = code.field, code.n
+    steps = np.arange(n, dtype=np.int64)
+    u_steps, w_steps = (e * steps % n for e in code.params.coordinate_exponents)
     rows = representative_rows(field)
-    neg_rw = (field.p - trace_rows(field, w_codes, [beta for beta, _ in rows])) % field.p
+    neg_rw = (field.p - trace_rows(field, [beta for beta, _ in rows], w_steps)) % field.p
     hist = np.zeros(n + 1, np.int64)
     step = max(1, BRUTE_CHUNK // n)
     for lo in range(0, field.order, step):
-        ru = trace_rows(field, np.arange(lo, min(lo + step, field.order)), u_codes)
+        ru = trace_rows(field, np.arange(lo, min(lo + step, field.order)), u_steps)
         for r, (_, weight) in enumerate(rows):
-            zeros = (ru == neg_rw[:, r]).sum(axis=1)
+            zeros = (ru == neg_rw[r]).sum(axis=1)
             hist += weight * np.bincount(n - zeros, minlength=n + 1)
     return [int(h) for h in hist]
 
@@ -342,11 +350,6 @@ def alpha_blocks(order: int, per_pair: int):
     for lo in range(0, order, step):
         rows = every[lo : lo + step]
         yield rows, (np.repeat(rows, order), np.tile(every, rows.size))
-
-
-def twist_images(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Twisted alpha and beta of every code, from the scalar quadforms.twist_pair."""
-    return tuple(np.array([twist_pair(field, params, c, c) for c in range(field.order)]).T)
 
 
 def _fourier(counts: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -370,29 +373,27 @@ def _fourier(counts: np.ndarray, p: int, m: int) -> np.ndarray:
 
 
 def direct_counts(
-    field: FiniteField,
-    params: CodeParams,
-    alphas: np.ndarray,
-    twist: tuple[np.ndarray, np.ndarray] | None = None,
+    field: FiniteField, params: CodeParams, alphas: np.ndarray, twisted: bool = False
 ) -> np.ndarray:
     """(len(alphas), p**m, p) counts c with T(alpha, beta) = sum c_j zeta_p**j.
 
     Entry [i, beta] is the pair (alphas[i], beta).  Row alpha is the Fourier
     transform of g(z) = sum of zeta_p**Tr(alpha x**(p**k+1)) over x**2 = z,
     read at w = M b, M_ij = Tr(x**i x**j), since Tr(beta z) = b . M z for
-    digit vectors.  With twist = :func:`twist_images`, the counts of S.
+    digit vectors.  With twisted, the counts of S: T at the twist (pi**e alpha,
+    pi**w beta) is added, its row x = pi**t at 2e t + e, beta shifted by w.
     """
     p, n, order = params.p, field.n, field.order
-    exp = np.asarray(field.exp, np.int64)
+    exp, log = field_table(field, "exp"), field_table(field, "log")
+    e, w = params.coordinate_exponents
     t = np.arange(n, dtype=np.int64)
     powers = p ** np.arange(field.m)
-    at_beta = trace_rows(field, np.arange(order), powers) @ powers  # M b, as Tr(beta x**j)
-    twisted = [] if twist is None else [(twist[0][alphas], at_beta[twist[1]])]
     counts = 0
-    for rows, read in [(alphas, at_beta), *twisted]:
-        values = trace_rows(field, rows, exp[t * 2 * params.twist_exponent % n]).astype(np.int64)
-        index = (values * rows.size + np.arange(rows.size)[:, None]) * order + exp[2 * t % n]
-        g = np.bincount(index.ravel(), minlength=p * rows.size * order).reshape(p, -1, order)
+    for shift, beta_shift in [(0, 0), (e, w)] if twisted else [(0, 0)]:
+        read = trace_rows(field, np.arange(order), (log[powers] + beta_shift) % n) @ powers  # M b
+        values = trace_rows(field, alphas, (2 * e * t + shift) % n).astype(np.int64)
+        index = (values * alphas.size + np.arange(alphas.size)[:, None]) * order + exp[2 * t % n]
+        g = np.bincount(index.ravel(), minlength=p * alphas.size * order).reshape(p, -1, order)
         g[0, :, 0] += 1  # x = 0
         counts = counts + _fourier(g, p, field.m)[:, read]
     return counts.transpose(2, 1, 0)
@@ -409,11 +410,10 @@ def direct_census(
     rank.  The pass touches no Gram matrix and no orbit representative.
     """
     params.check_field(field)
-    twist = twist_images(field, params) if twisted else None
     per_pair = params.p * (2 if twisted else 1) + (field.m * field.m if ranked else 0)
     out: dict[tuple[int, ...], int] = {}
     for alphas, pairs in alpha_blocks(field.order, per_pair):
-        rows = direct_counts(field, params, alphas, twist).reshape(-1, params.p)
+        rows = direct_counts(field, params, alphas, twisted).reshape(-1, params.p)
         if ranked:
             rows = np.column_stack([rows, phi_ranks(field, params, *pairs)])
         # One int64 key per row; re-ranked to 0..distinct-1 before an overflow.

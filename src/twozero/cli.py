@@ -2,8 +2,8 @@
 
 Subcommands: analyze, weights, sums, verify, census.  Exit codes: 0 on
 success, 1 on a check failure or engine disagreement, 2 on invalid
-parameters, 3 on a refusal (enumeration over budget, no closed form for
-the parameter case, or a verify run whose every check was skipped).
+parameters or an unwritable --output, 3 on a refusal (over budget, no
+closed form for the case, or a verify run whose every check was skipped).
 Output is deterministic: sorted rows, fixed key order, no timestamps, so
 repeated runs are byte-identical.
 """
@@ -46,13 +46,17 @@ EXIT_INVALID = 2
 EXIT_REFUSED = 3
 
 
+class OutputError(Exception):
+    """The --output file could not be written (exit 2)."""
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ParameterError(f"cannot write {output}: {exc.strerror}") from exc
+            raise OutputError(f"cannot write {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -463,8 +467,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.budget is not None and args.budget < 0:
             raise ParameterError(f"budget must be nonnegative, got {args.budget}")
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
+    except (ParameterError, OutputError) as exc:
+        label = "" if isinstance(exc, OutputError) else "invalid parameters: "
+        print(f"error: {label}{exc}", file=sys.stderr)
         return EXIT_INVALID
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -542,8 +542,7 @@ def s_census_direct(
     """Census of S over all pairs, budgeted as 2 p**(3m) terms.
 
     As :func:`t_census_direct`, with the transform of each twisted alpha
-    row read at the twisted betas; the twist images come from the scalar
-    twist_pair.
+    row read at the twisted betas, shifted by CodeParams.coordinate_exponents.
     """
     return _direct_census(field, params, "S", budget)
 

@@ -45,10 +45,10 @@ from .errors import (
     check_budget,
 )
 
-# Largest field (in elements) whose tables are built.  The tables take about
-# 140 bytes per element (peak RSS of build_code, CPython 3.11: 85 MiB at
-# 3^12, 225 MiB at 3^13), so 2^21 elements bounds them near 300 MiB: 3^13 is
-# built and 3^14 (about 650 MiB) and larger are refused.
+# Largest field (in elements) whose tables are built.  exp, log and zech take
+# 24 bytes per element; build_code peaks near 100 bytes per element (RSS,
+# CPython 3.11: 64 MiB at 3^12, 162 MiB at 3^13), so 2^21 elements bounds it
+# near 200 MiB: 3^13 is built and 3^14 (about 450 MiB) and larger are refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
 
 # Largest subfield GF(q) given index tables: an index fits one byte, which the
@@ -315,8 +315,8 @@ def check_modulus_index(p: int, m: int, modulus_index: int) -> None:
         raise ParameterError(f"fewer than {modulus_index + 1} irreducibles of degree {m}")
 
 
-def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[list, list]:
-    """exp[i] = code of pi**i and log[code] = i, by walking the powers of pi.
+def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[array, array]:
+    """exp[i] = code of pi**i and log[code] = i, int64 arrays, by walking the powers of pi.
 
     Multiplication by pi is GF(p)-linear.  Split a code c = lo + p**h hi,
     h = ceil(m/2); then pi c = pi lo + pi x**h hi.  t0[lo] and t1[hi] hold
@@ -324,9 +324,7 @@ def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[list,
     sum does not carry (each digit is at most 2p - 2).  n0 and n1 read the
     low h and the high m - h radix-R digits of the sum and give the base-p
     code of those digits reduced mod p, so one step is two divmods and four
-    lookups.  The tables hold p**h, p**(m-h), R**h and R**(m-h) machine
-    integers: at m = 1, n0 has 2p - 1 entries, which as a list of int
-    objects would outweigh exp and log.
+    lookups.  All six tables are int64 arrays.
 
     Raises InternalInconsistency unless pi is primitive.
     """
@@ -357,8 +355,8 @@ def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[list,
     t0, t1 = images(0, h), images(h, m - h)
     n0, n1 = fold(h, 1), fold(m - h, half)
     n = p**m - 1
-    exp = [0] * n
-    log = [-1] * (n + 1)
+    exp = array("q", [0]) * n
+    log = array("q", [-1]) * (n + 1)
     cur = 1
     for i in range(n):
         exp[i] = cur
@@ -397,10 +395,10 @@ class FiniteField:
     Construct through :func:`build_field`.  The exp and log tables come
     from one walk over the powers of the primitive element, which must be
     primitive (else InternalInconsistency).  All arithmetic is on integer
-    codes through the exp, log and zech tables, which are immutable after
-    construction.  Derived tables (subfield traces, subfield codes and index
-    tables, the log array, class data) are memoized on the instance, so they
-    live exactly as long as the field.
+    codes through the int64 exp, log and zech arrays, never written after
+    construction; numpy reads them in place (batch.field_table).  Derived
+    tables (subfield traces, subfield codes and index tables, class data)
+    are memoized on the instance, so they live exactly as long as the field.
     """
 
     def __init__(self, p: int, m: int, modulus: Polynomial, primitive: int) -> None:
@@ -412,12 +410,10 @@ class FiniteField:
         self.primitive_element = primitive
         self._memo: dict = {}
 
-        exp, log = _exp_log(p, m, modulus, primitive)
-        self.exp = exp
-        self.log = log
+        self.exp, self.log = exp, log = _exp_log(p, m, modulus, primitive)
         # zech[i] = log(1 + pi**i): adding 1 changes digit 0 only.  The entry
         # at n/2 is log(0) = -1, since pi**(n/2) = -1 (p odd, so n is even).
-        self.zech = [log[e - e % p + (e + 1) % p] for e in exp]
+        self.zech = array("q", (log[e - e % p + (e + 1) % p] for e in exp))
         self.neg_one = exp[self.n // 2]
         self.half = self.inv(2)
 

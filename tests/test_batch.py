@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import weakref
+from array import array
 
 import numpy as np
 import pytest
@@ -13,19 +14,20 @@ from twozero.batch import (
     ClassData,
     batched_rank_disc,
     brute_weight_histogram,
+    direct_census,
+    field_table,
     joint_histogram,
     pair_classes,
     representative_rows,
     subfield_tables,
     t_class_data,
     trace_rows,
-    twist_images,
     unpack_class,
 )
 from twozero.codes import codeword_weight
 from twozero.errors import BudgetExceeded
 from twozero.expsums import CyclotomicInteger, t_fast, t_value
-from twozero.quadforms import Case, CodeParams, diagonalize
+from twozero.quadforms import Case, CodeParams, diagonalize, twist_pair
 
 
 def _to_index_matrix(tabs, mat):
@@ -138,6 +140,11 @@ class TestKernelsAgainstEnumeration:
                 assert t_value(params, r, eps).cyclotomic() == _character_sum(field, mat), mat
 
 
+def _twist_images(field, params):
+    """Twisted alpha and beta of every code, from the scalar quadforms.twist_pair."""
+    return np.array([twist_pair(field, params, c, c) for c in range(field.order)]).T
+
+
 def _all_pairs(field):
     alphas, betas = np.divmod(np.arange(field.order**2, dtype=np.int64), field.order)
     return alphas, betas
@@ -150,7 +157,7 @@ def _exhaustive_joint(field, params):
     shares nothing with the lookup that gives t_class_data its g.
     """
     alphas, betas = _all_pairs(field)
-    ta, tb = twist_images(field, params)
+    ta, tb = _twist_images(field, params)
     data = ClassData(
         f=pair_classes(field, params, alphas, betas),
         g=pair_classes(field, params, ta[alphas], tb[betas]),
@@ -189,12 +196,13 @@ class TestClassData:
     )
     def test_looked_up_g_is_the_kernel_at_the_twist(self, pmk, choice):
         # Per representative, not per census: the class of g read off f
-        # equals the kernel run on the scalar twist of that representative.
+        # (twist_index, log arithmetic only) equals the kernel run on the
+        # scalar quadforms.twist_pair of that representative.
         field, params = build_field(pmk[0], pmk[1], **choice), classify_parameters(*pmk)
         rows = representative_rows(field)
         alphas = np.tile(np.arange(field.order, dtype=np.int64), len(rows))
         betas = np.repeat(np.array([b for b, _ in rows], np.int64), field.order)
-        ta, tb = twist_images(field, params)
+        ta, tb = _twist_images(field, params)
         expected = pair_classes(field, params, ta[alphas], tb[betas])
         assert np.array_equal(t_class_data(field, params).g, expected)
 
@@ -257,8 +265,9 @@ class TestBruteHistogram:
         field, n = code.field, code.n
         pi = field.primitive_element
         u_step, w_step = field.pow(pi, code.params.twist_exponent), field.neg(pi)
-        ru = trace_rows(field, range(field.order), [field.pow(u_step, i) for i in range(n)])
-        rw = trace_rows(field, range(field.order), [field.pow(w_step, i) for i in range(n)])
+        log = field.log
+        ru = trace_rows(field, range(field.order), [log[field.pow(u_step, i)] for i in range(n)])
+        rw = trace_rows(field, range(field.order), [log[field.pow(w_step, i)] for i in range(n)])
         expected = [0] * (n + 1)
         for b in range(field.order):
             nonzero = ((ru + rw[b][None, :]) % field.p != 0).sum(axis=1)
@@ -272,10 +281,45 @@ class TestBruteHistogram:
             assert brute_weight_histogram(build_code(3, 4, 1, **choice)) == hist, choice
 
     def test_trace_rows_shape(self, field341, code341):
+        # Columns are exponents of pi, -1 standing for the zero element.
         pi_e = field341.pow(field341.primitive_element, code341.params.twist_exponent)
         codes = [0] + [field341.pow(pi_e, i) for i in range(10)]
-        rows = trace_rows(field341, range(81), codes)
+        rows = trace_rows(field341, range(81), [field341.log[c] for c in codes])
         assert rows.shape == (81, 11)
         assert rows.dtype == np.uint8
         tr = field341.trace_table
         assert rows.tolist() == [[tr[field341.mul(a, c)] for c in codes] for a in range(81)]
+
+
+class TestFieldTables:
+    """One field identity: numpy reads the field's own tables, never a copy."""
+
+    def test_tables_are_typed_int64_arrays(self, field341):
+        for name in ("exp", "log", "zech"):
+            table = getattr(field341, name)
+            assert isinstance(table, array) and table.typecode == "q", name
+            assert table.itemsize == 8, name
+
+    def test_views_share_memory_and_are_read_only(self, field341):
+        for name in ("exp", "log", "zech"):
+            table, view = getattr(field341, name), field_table(field341, name)
+            assert view.dtype == np.int64 and view.tolist() == list(table)
+            assert np.shares_memory(view, np.frombuffer(table, np.int64))
+            assert view.__array_interface__["data"][0] == table.buffer_info()[0]
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0
+
+    def test_census_memoizes_no_table_copy(self, params341):
+        code = build_code(3, 4, 1)
+        field = code.field
+        brute_weight_histogram(code)
+        t_class_data(field, params341)
+        direct_census(field, params341, twisted=True)
+        assert "log_array" not in field._memo
+        copies = [
+            key
+            for key, value in field._memo.items()
+            if isinstance(value, np.ndarray) and value.size >= field.n
+        ]
+        assert copies == []

@@ -467,7 +467,7 @@ class TestFormats:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
-            f"error: invalid parameters: cannot write {path}: No such file or directory\n"
+            f"error: cannot write {path}: No such file or directory\n"
         )
 
     def test_verify_text_layout_is_its_default(self):

@@ -314,7 +314,7 @@ class TestVectorizedDirect:
         f, pr = build_field(p, m), classify_parameters(p, m, k)
         every = np.arange(f.order)
         t_rows = batch.direct_counts(f, pr, every)
-        s_rows = batch.direct_counts(f, pr, every, batch.twist_images(f, pr))
+        s_rows = batch.direct_counts(f, pr, every, twisted=True)
         assert t_rows.shape == s_rows.shape == (f.order, f.order, p)
         assert (t_rows.sum(axis=2) == f.order).all()
         assert (s_rows.sum(axis=2) == 2 * f.order).all()

@@ -283,7 +283,7 @@ class TestExpWalk:
     def test_matches_polynomial_walk(self, p, m, modulus_index, primitive_index):
         f = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
         assert f.primitive_element == primitive_search(p, m, f.modulus, primitive_index)
-        assert f.exp == polynomial_walk(f)
+        assert list(f.exp) == polynomial_walk(f)
         assert all(f.log[code] == i for i, code in enumerate(f.exp))
 
     def test_tables_pinned_at_3_10(self):

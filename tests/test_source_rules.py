@@ -3,8 +3,15 @@
 No module-global caches: state derived from a field is memoized on that
 field (FiniteField.memoized), so it lives exactly as long as the field.
 A functools cache on a module-level function would outlive every field
-and grow without bound.  The sources are read with ast, so nothing is
-imported here.
+and grow without bound.
+
+One field identity: the numpy kernels of batch.py read the field's int64
+exp/log/zech tables through read-only views (batch.field_table), never
+through a numpy copy, and take the twist as exponent shifts, never through
+the scalar quadforms.twist_pair, which stays the reference the tests
+compare them with.
+
+The sources are read with ast, so nothing is imported here.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twozero"
 CACHES = {"lru_cache", "cache"}
+FIELD_TABLES = {"exp", "log", "zech"}
+NUMPY_COPIES = {"array", "asarray", "asanyarray", "ascontiguousarray", "fromiter", "copy"}
 
 
 def _functools_caches(tree: ast.AST) -> list[str]:
@@ -41,3 +50,47 @@ def test_the_rule_sees_both_spellings():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_functools_cache(path):
     assert _functools_caches(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _table_copies_and_twist_pair(tree: ast.AST) -> list[str]:
+    """np.<copy>(x.exp|x.log|x.zech, ...) calls, and any import or use of twist_pair."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in NUMPY_COPIES
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and node.args
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr in FIELD_TABLES
+        ):
+            found.append(f"np.{node.func.attr}(.{node.args[0].attr})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names if alias.name == "twist_pair"]
+        elif isinstance(node, ast.Attribute) and node.attr == "twist_pair":
+            found.append("twist_pair")
+    return found
+
+
+def test_the_table_rule_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "from .quadforms import CodeParams, twist_pair\n"
+        "a = np.array(field.exp, np.int64)\n"
+        "b = np.asarray(f.log)\n"
+        "c = quadforms.twist_pair(f, pr, 1, 1)\n"
+        "d = np.frombuffer(field.log, np.int64)\n"
+    )
+    assert _table_copies_and_twist_pair(ast.parse(source)) == [
+        "twist_pair",
+        "np.array(.exp)",
+        "np.asarray(.log)",
+        "twist_pair",
+    ]
+
+
+def test_batch_reads_field_tables_in_place():
+    tree = ast.parse((PACKAGE / "batch.py").read_text(encoding="utf-8"))
+    assert _table_copies_and_twist_pair(tree) == []
