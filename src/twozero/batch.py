@@ -58,11 +58,14 @@ import numpy as np
 
 from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
-from .quadforms import PAIR_BUDGET, CodeParams, gram_entries, phi_matrix
+from .quadforms import CodeParams, gram_entries, phi_matrix
 
 DEFAULT_CHUNK = 1 << 18   # pairs per Gram-elimination batch
 BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
 DIRECT_BLOCK = 1 << 16    # counts or phi-matrix entries per block of the direct passes
+PAIR_BUDGET = 50_000_000            # Gram matrices of the pair pass; pairs of the phi census
+DEFAULT_BRUTE_BUDGET = 400_000_000  # coordinate checks of the brute pass
+DEFAULT_DIRECT_BUDGET = 20_000_000  # terms of a direct pass
 
 
 @dataclass
@@ -311,7 +314,7 @@ def trace_rows(field: FiniteField, alphas, exponents) -> np.ndarray:
     return _log_gather(field, trace_of_powers(field, 1), alphas, exponents)
 
 
-def brute_weight_histogram(code) -> list[int]:
+def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
     """Weight histogram over all pairs by direct coordinate counting.
 
     Distinct pairs give distinct codewords (the code has dimension 2m), so
@@ -319,12 +322,15 @@ def brute_weight_histogram(code) -> list[int]:
     trace matrix is compared against the broadcast row of every
     representative beta0, and each weight counts once per pair its
     representatives stand for.  A block holds about BRUTE_CHUNK trace
-    entries, which bounds the memory of the pass.
+    entries, which bounds the memory of the pass.  A pass of more than
+    budget coordinate checks (None: :data:`DEFAULT_BRUTE_BUDGET`) is refused.
     """
     field, n = code.field, code.n
+    rows = representative_rows(field)
+    checks = len(rows) * field.order * n
+    check_budget("brute enumeration", checks, "coordinate checks", budget, DEFAULT_BRUTE_BUDGET)
     steps = np.arange(n, dtype=np.int64)
     u_steps, w_steps = (e * steps % n for e in code.params.coordinate_exponents)
-    rows = representative_rows(field)
     neg_rw = (field.p - trace_rows(field, [beta for beta, _ in rows], w_steps)) % field.p
     hist = np.zeros(n + 1, np.int64)
     step = max(1, BRUTE_CHUNK // n)
@@ -399,17 +405,30 @@ def direct_counts(
     return counts.transpose(2, 1, 0)
 
 
+def direct_terms(field: FiniteField, twisted: bool) -> int:
+    """Terms of a direct pass: p**m per pair and per T it takes."""
+    return (2 if twisted else 1) * field.order**3
+
+
 def direct_census(
-    field: FiniteField, params: CodeParams, *, twisted: bool, ranked: bool = False
+    field: FiniteField,
+    params: CodeParams,
+    *,
+    twisted: bool,
+    ranked: bool = False,
+    budget: int | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Pairs by the counts vector of T (of S when twisted), over all pairs.
 
     Each key is the p counts of :func:`direct_counts`, one transform per
     block of alpha rows; with ranked, the :func:`phi_ranks` rank of f at the
     pair follows them as one more entry, so the census is joint in value and
-    rank.  The pass touches no Gram matrix and no orbit representative.
+    rank.  The pass touches no Gram matrix and no orbit representative, and
+    refuses more than budget :func:`direct_terms` (None: :data:`DEFAULT_DIRECT_BUDGET`).
     """
     params.check_field(field)
+    what = "direct identity check" if ranked else f"direct {'S' if twisted else 'T'} census"
+    check_budget(what, direct_terms(field, twisted), "terms", budget, DEFAULT_DIRECT_BUDGET)
     per_pair = params.p * (2 if twisted else 1) + (field.m * field.m if ranked else 0)
     out: dict[tuple[int, ...], int] = {}
     for alphas, pairs in alpha_blocks(field.order, per_pair):
@@ -512,8 +531,11 @@ def phi_ranks(
     return ranks
 
 
-def phi_rank_histogram(field: FiniteField, params: CodeParams) -> dict[int, int]:
-    """Nonzero pairs by phi rank, over all pairs."""
+def phi_rank_histogram(
+    field: FiniteField, params: CodeParams, *, budget: int | None = None
+) -> dict[int, int]:
+    """Nonzero pairs by phi rank, over all pairs; more than budget pairs is refused."""
+    check_budget("phi rank census", field.order**2, "pairs", budget, PAIR_BUDGET)
     counts = np.zeros(params.s + 1, np.int64)
     for _, pairs in alpha_blocks(field.order, field.m * field.m):
         counts += np.bincount(phi_ranks(field, params, *pairs), minlength=params.s + 1)

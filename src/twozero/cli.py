@@ -11,7 +11,9 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .codes import (
@@ -213,12 +215,7 @@ def cmd_sums(args) -> int:
         else:
             fn = t_census_direct if which == "T" else s_census_direct
             rows = _sum_rows_cyclotomic(fn(field, params, budget=args.budget))
-    doc = {
-        **_header(params),
-        "sum": which,
-        "engine": engine,
-        "rows": rows,
-    }
+    doc = {**_header(params), "sum": which, "engine": engine, "rows": rows}
     if args.format == "json":
         _emit(_json_dumps(doc), args.output)
         return EXIT_OK
@@ -466,6 +463,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ParameterError("worker count must be at least 1")
         if args.budget is not None and args.budget < 0:
             raise ParameterError(f"budget must be nonnegative, got {args.budget}")
+        # Refuse an --output that cannot be opened before any work is done.
+        if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+            raise OutputError(f"cannot write {args.output}: {os.strerror(errno.ENOENT)}")
+        if args.output and os.path.isdir(args.output):
+            raise OutputError(f"cannot write {args.output}: {os.strerror(errno.EISDIR)}")
         return args.func(args)
     except (ParameterError, OutputError) as exc:
         label = "" if isinstance(exc, OutputError) else "invalid parameters: "

@@ -41,7 +41,6 @@ from .errors import (
     InternalInconsistency,
     NonIntegralWeight,
     UnsupportedCase,
-    check_budget,
 )
 from .expsums import (
     SymbolicSumValue,
@@ -52,8 +51,6 @@ from .expsums import (
 )
 from .gf import FiniteField, Polynomial, build_field
 from .quadforms import CodeParams, classify_parameters
-
-DEFAULT_BRUTE_BUDGET = 400_000_000   # coordinate checks, 3 p**m * n
 
 
 @dataclass(frozen=True)
@@ -258,16 +255,10 @@ def codeword_weight_via_sums(code: CyclicCode, alpha: int, beta: int) -> int:
 def weight_distribution_brute(
     code: CyclicCode, *, budget: int | None = None
 ) -> WeightDistribution:
-    """Exact census of codeword weights over all pairs (vectorized).
-
-    The budget counts the n coordinate checks of each of the 3 p**m orbit
-    representatives (see batch).
-    """
-    checks = 3 * code.field.order * code.n
-    check_budget("brute enumeration", checks, "coordinate checks", budget, DEFAULT_BRUTE_BUDGET)
+    """Exact census of codeword weights over all pairs (batch.brute_weight_histogram)."""
     from . import batch
 
-    hist = batch.brute_weight_histogram(code)
+    hist = batch.brute_weight_histogram(code, budget=budget)
     return WeightDistribution.from_counts(enumerate(hist), source="brute").validate(code.params)
 
 

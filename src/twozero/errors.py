@@ -10,7 +10,7 @@ Three severity tiers, matching the CLI exit-code contract:
   unconditionally true has failed; these abort loudly and are never
   caught by the CLI (they indicate a bug, not bad input).
 
-Every budgeted computation refuses through :func:`check_budget`.
+Every budgeted pass refuses through :func:`check_budget`, beside the loop it bounds.
 """
 
 

@@ -43,7 +43,6 @@ from .quadforms import (
     twist_pair,
 )
 
-DEFAULT_DIRECT_BUDGET = 20_000_000   # p**(3m) terms for direct censuses
 DEFAULT_E1_BUDGET = 50_000_000       # (x, y) pairs
 DEFAULT_E2_BUDGET = 1_000_000        # (x, y, z) triples (p**m <= 100 or so)
 
@@ -504,22 +503,14 @@ def s_distribution_closed(params: CodeParams) -> ValueDistribution:
 # -- enumerated censuses -----------------------------------------------------
 
 
-def _direct_terms(field: FiniteField, params: CodeParams, twisted: bool) -> int:
-    """Terms a direct pass enumerates: p**m per pair and per T it takes."""
-    return (2 if twisted else 1) * params.pairs * field.order
-
-
 def _direct_census(
     field: FiniteField, params: CodeParams, which: str, budget: int | None
 ) -> dict[CyclotomicInteger, int]:
     from . import batch
 
-    twisted = which == "S"
-    terms = _direct_terms(field, params, twisted)
-    check_budget(f"direct {which} census", terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
     # Every counts vector sums to the number of terms, so distinct vectors
     # are distinct elements of Z[zeta_p].
-    census = batch.direct_census(field, params, twisted=twisted)
+    census = batch.direct_census(field, params, twisted=which == "S", budget=budget)
     return {CyclotomicInteger.from_counts(params.p, c): n for c, n in census.items()}
 
 
@@ -757,12 +748,10 @@ def power_moments(
             for (cf, cg), count in joint.items()
         )
     elif mode == "direct":
-        terms = _direct_terms(field, params, twisted=True)
-        check_budget("direct identity check", terms, "terms", budget, DEFAULT_DIRECT_BUDGET)
         from . import batch
 
         p = params.p
-        ranked = batch.direct_census(field, params, twisted=True, ranked=True)
+        ranked = batch.direct_census(field, params, twisted=True, ranked=True, budget=budget)
         census = (
             ((CyclotomicInteger.from_counts(p, key[:p]), key[p]), count)
             for key, count in ranked.items()
@@ -791,8 +780,10 @@ def verify_power_identities(
     """
     targets = _identity_targets(params)
     if mode == "auto":
-        terms = _direct_terms(field, params, twisted=True)
-        fits = terms <= DEFAULT_DIRECT_BUDGET and (budget is None or terms <= budget)
+        from . import batch
+
+        terms = batch.direct_terms(field, twisted=True)
+        fits = terms <= batch.DEFAULT_DIRECT_BUDGET and (budget is None or terms <= budget)
         mode = "direct" if fits else "fast"
     sums = power_moments(field, params, mode, budget=budget)
 

@@ -39,13 +39,8 @@ from .errors import (
     ParameterError,
     STooSmall,
     ZeroArgument,
-    check_budget,
 )
 from .gf import FiniteField, check_field_size, is_prime, v2
-
-# Default budget of the representative pair pass (Gram matrices) and of the
-# phi rank census (pairs).
-PAIR_BUDGET = 50_000_000
 
 
 class Case(str, Enum):
@@ -275,16 +270,15 @@ def rank_census(
     refusing a pass of more than budget Gram matrices; method="phi" takes
     the GF(p)-nullity of phi at every pair, in blocked batches of phi
     matrices (batch.phi_rank_histogram, with the checks of :func:`rank`),
-    and refuses more than budget pairs.  None means :data:`PAIR_BUDGET`.
+    and refuses more than budget pairs.  None means batch.PAIR_BUDGET.
     Any other method is a ParameterError.  The caller (test suite, verify
     command) checks the result against :func:`closed_rank_census`.
     """
     counts = {params.s: 0, params.s - 1: 0, params.s - 2: 0}
     if method == "phi":
-        check_budget("phi rank census", params.pairs, "pairs", budget, PAIR_BUDGET)
         from . import batch
 
-        counts.update(batch.phi_rank_histogram(field, params))
+        counts.update(batch.phi_rank_histogram(field, params, budget=budget))
     elif method == "gram":
         from .expsums import joint_class_census
 

@@ -86,9 +86,12 @@ INVOCATIONS = _point_invocations() + [
     ["analyze", "3", "100000000", "1"],
     ["analyze", "3", "14", "1"],
     ["weights", "3", "4", "1", "--engines", "brute", "--budget", "100"],
+    ["weights", "3", "9", "3", "--engines", "brute"],
     ["sums", "3", "6", "4", "--sum", "T", "--engine", "direct"],
+    ["sums", "3", "6", "4", "--sum", "S", "--engine", "direct"],
     ["census", "3", "4", "1", "--budget", "10"],
     ["verify", "3", "4", "1", "--budget", "0"],
+    ["verify", "3", "4", "1", "--checks", "e1", "--budget", "100"],
     ["verify", "3", "5", "2", "--checks", "max-rank"],
     ["sums", "3", "5", "2", "--engine", "closed"],
 ]

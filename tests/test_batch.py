@@ -9,7 +9,7 @@ from array import array
 import numpy as np
 import pytest
 
-from twozero import build_code, build_field, classify_parameters
+from twozero import batch, build_code, build_field, classify_parameters
 from twozero.batch import (
     ClassData,
     batched_rank_disc,
@@ -18,6 +18,7 @@ from twozero.batch import (
     field_table,
     joint_histogram,
     pair_classes,
+    phi_rank_histogram,
     representative_rows,
     subfield_tables,
     t_class_data,
@@ -323,3 +324,65 @@ class TestFieldTables:
             if isinstance(value, np.ndarray) and value.size >= field.n
         ]
         assert copies == []
+
+
+# Every budgeted pass of batch: how to run it on a code within a budget, the
+# count it is checked against (taken from the pass's own inputs) and the
+# head of its refusal.
+_PASSES = {
+    "pair-pass": (
+        lambda code, budget: t_class_data(code.field, code.params, budget=budget),
+        lambda code: len(representative_rows(code.field)) * code.field.order,
+        "pair pass needs {} Gram matrices",
+    ),
+    "brute": (
+        lambda code, budget: brute_weight_histogram(code, budget=budget),
+        lambda code: len(representative_rows(code.field)) * code.field.order * code.n,
+        "brute enumeration needs {} coordinate checks",
+    ),
+    "direct-T": (
+        lambda code, budget: direct_census(code.field, code.params, twisted=False, budget=budget),
+        lambda code: code.field.order**3,
+        "direct T census needs {} terms",
+    ),
+    "direct-S": (
+        lambda code, budget: direct_census(code.field, code.params, twisted=True, budget=budget),
+        lambda code: 2 * code.field.order**3,
+        "direct S census needs {} terms",
+    ),
+    "ranked": (
+        lambda code, budget: direct_census(
+            code.field, code.params, twisted=True, ranked=True, budget=budget
+        ),
+        lambda code: 2 * code.field.order**3,
+        "direct identity check needs {} terms",
+    ),
+    "phi": (
+        lambda code, budget: phi_rank_histogram(code.field, code.params, budget=budget),
+        lambda code: code.field.order**2,
+        "phi rank census needs {} pairs",
+    ),
+}
+
+
+class TestBudgets:
+    """Each pass checks its budget beside its loop, before any of its work."""
+
+    @pytest.mark.parametrize("pmk", [(3, 4, 1), (3, 5, 2)], ids=["341", "352-odd-s"])
+    @pytest.mark.parametrize("name", _PASSES)
+    def test_budget_is_the_pass_size(self, name, pmk, monkeypatch):
+        run, size, head = _PASSES[name]
+        code = build_code(*pmk)
+        needed = size(code)
+        run(code, needed)
+        with pytest.raises(BudgetExceeded) as refused:
+            run(code, needed - 1)
+        assert str(refused.value) == f"{head.format(needed)} > budget {needed - 1}"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pass began before its budget check")
+
+        for kernel in ("pair_classes", "trace_rows", "direct_counts", "phi_ranks"):
+            monkeypatch.setattr(batch, kernel, no_work)
+        with pytest.raises(BudgetExceeded):
+            run(build_code(*pmk), needed - 1)  # a fresh field: nothing memoized

@@ -448,6 +448,38 @@ class TestInProcess:
             "FAIL example: engines brute+closed+sums on [80, 8, 48]: 6 weight rows\n"
         )
 
+    @pytest.mark.parametrize(
+        ("target", "strerror"),
+        [
+            ("missing/out", "No such file or directory"),
+            ("adir", "Is a directory"),
+            ("afile/out", "No such file or directory"),  # no directory afile
+        ],
+        ids=["missing-dir", "a-dir", "under-a-file"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["weights", "3", "4", "1"], ["weights", "3", "4", "1", "--engines", "brute"]],
+        ids=["closed", "brute"],
+    )
+    def test_unwritable_output_is_refused_before_any_work(
+        self, argv, target, strerror, monkeypatch, capsys, tmp_path
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an engine ran for an unwritable --output")
+
+        monkeypatch.setattr(cli, "weight_distribution_closed", refuse)
+        monkeypatch.setattr(cli, "run_engine", refuse)
+        monkeypatch.setattr(codes, "run_engine", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("kept")
+        assert cli.main([*argv, "-o", target]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {target}: {strerror}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert list((tmp_path / "adir").iterdir()) == []
+        assert (tmp_path / "afile").read_text() == "kept"
+
 
 class TestFormats:
     @pytest.mark.parametrize(

@@ -509,3 +509,35 @@ _FIELD_PARAMS_CALLS = {
 def test_mismatched_field_is_refused(call, field_pm):
     with pytest.raises(ParameterError, match=r"is not GF\(3\^4\)"):
         call(build_field(*field_pm), classify_parameters(3, 4, 1))
+
+
+class _Routed(Exception):
+    """Stops verify_power_identities once it has picked a route."""
+
+
+class TestIdentityRoute:
+    # Direct only when its 2 p**(3m) terms fit both the default direct
+    # budget and the caller's; never "try direct, fall back to fast".
+    @pytest.mark.parametrize(
+        ("pmk", "budget", "terms", "mode"),
+        [
+            ((3, 4, 1), None, 1_062_882, "direct"),
+            ((3, 4, 1), 1_062_882, 1_062_882, "direct"),
+            ((3, 4, 1), 10**6, 1_062_882, "fast"),
+            ((3, 6, 4), 10**9, 774_840_978, "fast"),  # over the 2e7 default
+        ],
+        ids=["341-default", "341-exact", "341-small", "364-large"],
+    )
+    def test_auto_route(self, monkeypatch, pmk, budget, terms, mode):
+        field, params = build_field(pmk[0], pmk[1]), classify_parameters(*pmk)
+        assert batch.direct_terms(field, twisted=True) == terms
+        picked = []
+
+        def route(field, params, mode, *, budget=None):
+            picked.append(mode)
+            raise _Routed
+
+        monkeypatch.setattr(expsums, "power_moments", route)
+        with pytest.raises(_Routed):
+            verify_power_identities(field, params, budget=budget)
+        assert picked == [mode]

@@ -11,6 +11,10 @@ through a numpy copy, and take the twist as exponent shifts, never through
 the scalar quadforms.twist_pair, which stays the reference the tests
 compare them with.
 
+One budget notion: every check_budget call sits in the function whose loop
+it bounds (batch's passes, expsums' E1/E2 counts, gf's tables), so no
+other module re-derives the size of a pass to budget it.
+
 The sources are read with ast, so nothing is imported here.
 """
 
@@ -94,3 +98,52 @@ def test_the_table_rule_sees_every_spelling():
 def test_batch_reads_field_tables_in_place():
     tree = ast.parse((PACKAGE / "batch.py").read_text(encoding="utf-8"))
     assert _table_copies_and_twist_pair(tree) == []
+
+
+def _budget_checkers(tree: ast.Module) -> list[str]:
+    """The top-level function or Class.method around each check_budget call."""
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            owners += [
+                (f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef) else node.name, item)
+                for item in node.body
+            ]
+        else:
+            owners.append((node.name if isinstance(node, ast.FunctionDef) else "<module>", node))
+    return [
+        name
+        for name, owner in owners
+        for call in ast.walk(owner)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "check_budget"
+    ]
+
+
+def test_the_budget_rule_sees_every_owner():
+    source = (
+        "check_budget('a', 1, 'u', None, 1)\n"
+        "def count():\n"
+        "    def inner():\n"
+        "        errors.check_budget('b', 1, 'u', None, 1)\n"
+        "class Field:\n"
+        "    def tables(self):\n"
+        "        check_budget('c', 1, 'u', None, 1)\n"
+        "    check_budget('d', 1, 'u', None, 1)\n"
+    )
+    assert _budget_checkers(ast.parse(source)) == ["<module>", "count", "Field.tables", "Field"]
+
+
+BUDGET_CHECKERS = {
+    "batch.py": [
+        "t_class_data", "brute_weight_histogram", "direct_census", "phi_rank_histogram"
+    ],
+    "expsums.py": ["count_e1", "count_e2"],
+    "gf.py": ["FiniteField.subfield_index_tables", "build_field"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_budgets_are_checked_beside_their_loops(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _budget_checkers(tree) == BUDGET_CHECKERS.get(path.name, [])
