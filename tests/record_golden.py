@@ -62,6 +62,9 @@ INVOCATIONS = _point_invocations() + [
     ["weights", "3", "4", "1"],
     ["weights", "3", "5", "2"],
     ["weights", "3", "8", "2", "--engines", "closed", "--format", "csv"],
+    # (3, 8, 2): CaseB with even k and d = 2, by every engine and every check
+    ["weights", "3", "8", "2", "--engines", "brute,sums,closed"],
+    ["verify", "3", "8", "2"],
     # analyze at modulus indices 0-2
     *(["analyze", "3", "4", "1", "--modulus-index", str(i)] for i in range(3)),
     *(["analyze", "5", "3", "1", "--modulus-index", str(i)] for i in range(3)),
