@@ -4,8 +4,11 @@ Subcommands: analyze, weights, sums, verify, census.  Exit codes: 0 on
 success, 1 on a check failure or engine disagreement, 2 on invalid
 parameters or an unwritable --output, 3 on a refusal (over budget, no
 closed form for the case, or a verify run whose every check was skipped).
-Output is deterministic: sorted rows, fixed key order, no timestamps, so
-repeated runs are byte-identical.
+Each cmd_* returns (status, text) and only main writes the text, to stdout
+or --output, once the command has returned: a run that exits 2 or 3
+writes nothing there, only its reasons to stderr.  Output is deterministic:
+sorted rows, fixed key order, no timestamps, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -46,21 +49,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_REFUSED = 3
-
-
-class OutputError(Exception):
-    """The --output file could not be written (exit 2)."""
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write {output}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
 
 
 def _json_dumps(doc) -> str:
@@ -107,12 +95,11 @@ def _format_weights(documents, agreement, fmt: str) -> str:
     return "\n".join(out)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, str]:
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
     params = code.params
     if args.format == "json":
-        _emit(_json_dumps(code_header(code)), args.output)
-        return EXIT_OK
+        return EXIT_OK, _json_dumps(code_header(code))
     lines = [
         f"parameters      p={params.p} m={params.m} k={params.k}",
         f"derived         d={params.d} s={params.s} q={params.q} q*={params.q_star}",
@@ -123,11 +110,10 @@ def cmd_analyze(args) -> int:
         f"generator       degree {code.generator.degree}, coefficients "
         + ("," if params.p > 10 else "").join(str(c) for c in code.generator.coeffs),
     ]
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args) -> tuple[int, str | None]:
     engines = list(dict.fromkeys(e.strip() for e in args.engines.split(",") if e.strip()))
     if not engines:
         raise ParameterError("at least one engine must be selected")
@@ -144,25 +130,19 @@ def cmd_weights(args) -> int:
         dists = {e: run_engine(code, e, budget=args.budget) for e in engines}
     documents = [_distribution_document(params, e, dists[e]) for e in engines]
     disagreements = [pair for pair, same in engine_agreement(dists).items() if not same]
-    agreement = {
-        "engines": engines,
-        "all_equal": not disagreements,
-    }
-    text = _format_weights(documents, agreement, args.format)
+    agreement = {"engines": engines, "all_equal": not disagreements}
     if disagreements:
         for e1, e2 in disagreements:
             d1, d2 = dists[e1].as_dict(), dists[e2].as_dict()
-            keys = sorted(set(d1) | set(d2))
             diff = [
                 f"  weight {w}: {e1}={d1.get(w, 0)} {e2}={d2.get(w, 0)}"
-                for w in keys
+                for w in sorted(set(d1) | set(d2))
                 if d1.get(w, 0) != d2.get(w, 0)
             ]
             print(f"engines {e1} and {e2} disagree:", file=sys.stderr)
             print("\n".join(diff), file=sys.stderr)
-        return EXIT_MISMATCH
-    _emit(text, args.output)
-    return EXIT_OK
+        return EXIT_MISMATCH, None
+    return EXIT_OK, _format_weights(documents, agreement, args.format)
 
 
 def _embedding_str(value) -> str:
@@ -200,7 +180,7 @@ def _sum_rows_cyclotomic(census: dict) -> list[dict]:
     ]
 
 
-def cmd_sums(args) -> int:
+def cmd_sums(args) -> tuple[int, str]:
     params = classify_parameters(args.p, args.m, args.k)
     which, engine = args.sum, args.engine
     if engine == "closed":  # reads only the parameters
@@ -217,19 +197,17 @@ def cmd_sums(args) -> int:
             rows = _sum_rows_cyclotomic(fn(field, params, budget=args.budget))
     doc = {**_header(params), "sum": which, "engine": engine, "rows": rows}
     if args.format == "json":
-        _emit(_json_dumps(doc), args.output)
-        return EXIT_OK
+        return EXIT_OK, _json_dumps(doc)
     csv = args.format == "csv"
     lines = ["value,frequency"] if csv else ["| value | frequency |", "| --- | --- |"]
     for row in rows:
         val = row["value"].get("display") or str(row["value"]["zeta_coefficients"])
         freq = row["frequency"]
         lines.append(f"\"{val}\",{freq}" if csv else f"| {val} | {freq} |")
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[int, str]:
     params = classify_parameters(args.p, args.m, args.k)  # the census reads no code
     field = build_field(args.p, args.m, modulus_index=args.modulus_index)
     census = rank_census(field, params, budget=args.budget)
@@ -241,18 +219,17 @@ def cmd_census(args) -> int:
         "closed": {"n0": closed.n0, "n1": closed.n1, "n2": closed.n2},
         "match": census == closed,
     }
+    status = EXIT_OK if doc["match"] else EXIT_MISMATCH
     if args.format == "json":
-        _emit(_json_dumps(doc), args.output)
-    else:
-        lines = [
-            f"rank census for (p, m, k) = ({params.p}, {params.m}, {params.k})",
-            f"  rank s   (n0): counted {census.n0}, closed {closed.n0}",
-            f"  rank s-1 (n1): counted {census.n1}, closed {closed.n1}",
-            f"  rank s-2 (n2): counted {census.n2}, closed {closed.n2}",
-            f"  match: {doc['match']}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if doc["match"] else EXIT_MISMATCH
+        return status, _json_dumps(doc)
+    lines = [
+        f"rank census for (p, m, k) = ({params.p}, {params.m}, {params.k})",
+        f"  rank s   (n0): counted {census.n0}, closed {closed.n0}",
+        f"  rank s-1 (n1): counted {census.n1}, closed {closed.n1}",
+        f"  rank s-2 (n2): counted {census.n2}, closed {closed.n2}",
+        f"  match: {doc['match']}",
+    ]
+    return status, "\n".join(lines) + "\n"
 
 
 # -- verify ------------------------------------------------------------------
@@ -346,7 +323,7 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     if args.checks is not None:
         selected = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
         if not selected:
@@ -373,10 +350,11 @@ def cmd_verify(args) -> int:
         for label, ok, detail in results:
             all_ok &= ok
             lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
-    _emit("\n".join(lines) + "\n", args.output)
+    text = "\n".join(lines) + "\n"
     if all(line.startswith("SKIP ") for line in lines):
+        print(text, end="", file=sys.stderr)
         raise Refusal("every check was skipped; nothing was verified")
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return (EXIT_OK if all_ok else EXIT_MISMATCH), text
 
 
 # -- entry point ---------------------------------------------------------------
@@ -456,28 +434,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    output = args.output
     try:
-        if getattr(args, "workers", 1) < 1:
+        if args.workers < 1:
             raise ParameterError("worker count must be at least 1")
         if args.budget is not None and args.budget < 0:
             raise ParameterError(f"budget must be nonnegative, got {args.budget}")
-        # Refuse an --output that cannot be opened before any work is done.
-        if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
-            raise OutputError(f"cannot write {args.output}: {os.strerror(errno.ENOENT)}")
-        if args.output and os.path.isdir(args.output):
-            raise OutputError(f"cannot write {args.output}: {os.strerror(errno.EISDIR)}")
-        return args.func(args)
-    except (ParameterError, OutputError) as exc:
-        label = "" if isinstance(exc, OutputError) else "invalid parameters: "
-        print(f"error: {label}{exc}", file=sys.stderr)
+        if output:  # refuse an --output that cannot be opened before any work is done
+            try:
+                os.stat(os.path.join(os.path.dirname(output), "."))
+                if os.path.isdir(output):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            except OSError as exc:
+                print(f"error: cannot write {output}: {exc.strerror}", file=sys.stderr)
+                return EXIT_INVALID
+        status, text = args.func(args)
+    except ParameterError as exc:
+        print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except InternalInconsistency as exc:
         raise SystemExit(f"internal inconsistency (this is a bug): {exc}")
+    if text is not None and not output:
+        sys.stdout.write(text)
+    elif text is not None:
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INVALID
+    return status
 
 
 if __name__ == "__main__":

@@ -332,10 +332,10 @@ class TestVerify:
     def test_every_check_skipped_exits_3(self):
         proc = run_cli("verify", 3, 4, 1, "--budget", 0)
         assert proc.returncode == 3
-        lines = proc.stdout.splitlines()
-        assert len(lines) == len(cli.CHECK_NAMES)
-        assert all(line.startswith("SKIP ") for line in lines)
-        assert proc.stderr == "refused: every check was skipped; nothing was verified\n"
+        assert proc.stdout == ""
+        *skips, refusal = proc.stderr.splitlines()
+        assert [line.split(":")[0] for line in skips] == [f"SKIP {c}" for c in cli.CHECK_NAMES]
+        assert refusal == "refused: every check was skipped; nothing was verified"
 
     def test_max_rank_respects_budget(self):
         proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 1000)
@@ -453,7 +453,7 @@ class TestInProcess:
         [
             ("missing/out", "No such file or directory"),
             ("adir", "Is a directory"),
-            ("afile/out", "No such file or directory"),  # no directory afile
+            ("afile/out", "Not a directory"),
         ],
         ids=["missing-dir", "a-dir", "under-a-file"],
     )
@@ -479,6 +479,18 @@ class TestInProcess:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
         assert list((tmp_path / "adir").iterdir()) == []
         assert (tmp_path / "afile").read_text() == "kept"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_refused_verify_writes_no_output(self, existing, monkeypatch, capsys, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "f").write_text("kept")
+        assert cli.main(["verify", "3", "4", "1", "--budget", "0", "-o", "f"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("refused: every check was skipped; nothing was verified\n")
+        assert [p.name for p in tmp_path.iterdir()] == (["f"] if existing else [])
+        if existing:
+            assert (tmp_path / "f").read_text() == "kept"
 
 
 class TestFormats:

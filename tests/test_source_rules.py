@@ -15,6 +15,10 @@ One budget notion: every check_budget call sits in the function whose loop
 it bounds (batch's passes, expsums' E1/E2 counts, gf's tables), so no
 other module re-derives the size of a pass to budget it.
 
+One exit path: only cli.main opens a file or touches sys.stdout, and every
+print goes to sys.stderr, so a command returns its text and main alone
+writes it, after the command has returned; a refused run writes nothing.
+
 The sources are read with ast, so nothing is imported here.
 """
 
@@ -100,8 +104,8 @@ def test_batch_reads_field_tables_in_place():
     assert _table_copies_and_twist_pair(tree) == []
 
 
-def _budget_checkers(tree: ast.Module) -> list[str]:
-    """The top-level function or Class.method around each check_budget call."""
+def _owners(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each top-level statement or class body item, named by its function or Class.method."""
     owners = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
@@ -111,9 +115,14 @@ def _budget_checkers(tree: ast.Module) -> list[str]:
             ]
         else:
             owners.append((node.name if isinstance(node, ast.FunctionDef) else "<module>", node))
+    return owners
+
+
+def _budget_checkers(tree: ast.Module) -> list[str]:
+    """The top-level function or Class.method around each check_budget call."""
     return [
         name
-        for name, owner in owners
+        for name, owner in _owners(tree)
         for call in ast.walk(owner)
         if isinstance(call, ast.Call)
         and getattr(call.func, "id", getattr(call.func, "attr", None)) == "check_budget"
@@ -147,3 +156,60 @@ BUDGET_CHECKERS = {
 def test_budgets_are_checked_beside_their_loops(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _budget_checkers(tree) == BUDGET_CHECKERS.get(path.name, [])
+
+
+def _is_sys(node: ast.AST, attr: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == attr and getattr(node.value, "id", None) == "sys"
+
+
+def _writers(tree: ast.Module) -> list[tuple[str, str]]:
+    """(owner, what) for each open(...) call, sys.stdout use and print(...) without file=sys.stderr."""
+    found = []
+    for name, owner in _owners(tree):
+        for node in ast.walk(owner):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                to_stderr = any(kw.arg == "file" and _is_sys(kw.value, "stderr") for kw in node.keywords)
+                if called == "open":
+                    found.append((name, "open"))
+                elif called == "print" and not to_stderr:
+                    found.append((name, "print"))
+            elif _is_sys(node, "stdout") or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "sys"
+                and any(alias.name == "stdout" for alias in node.names)
+            ):
+                found.append((name, "sys.stdout"))
+    return found
+
+
+def test_the_write_rule_sees_every_spelling():
+    source = (
+        "from sys import stdout\n"
+        "def cmd(args):\n"
+        "    print('x')\n"
+        "    print('y', file=sys.stdout)\n"
+        "    print('z', file=sys.stderr)\n"
+        "    with open(args.output, 'w') as handle:\n"
+        "        handle.write('x')\n"
+        "class Report:\n"
+        "    def save(self, path):\n"
+        "        path.open('w').write(str(self))\n"
+        "        sys.stdout.flush()\n"
+    )
+    assert sorted(_writers(ast.parse(source))) == [
+        ("<module>", "sys.stdout"),
+        ("Report.save", "open"),
+        ("Report.save", "sys.stdout"),
+        ("cmd", "open"),
+        ("cmd", "print"),
+        ("cmd", "print"),
+        ("cmd", "sys.stdout"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_cli_main_writes(path):
+    allowed = {("main", "open"), ("main", "sys.stdout")} if path.name == "cli.py" else set()
+    writers = _writers(ast.parse(path.read_text(encoding="utf-8")))
+    assert [w for w in writers if w not in allowed] == []
