@@ -1,12 +1,12 @@
 """Vectorized class and weight kernels over orbit representatives of the pairs.
 
 Everything here is exact integer work in numpy: subfield arithmetic becomes
-table gathers, the Gram matrix of every pair in a chunk is assembled from
+table gathers, the Gram matrix of every pair in a block is assembled from
 per-entry trace tables of the constants (u_ij, v_ij) of
 quadforms.gram_entries (A[i][j] = Tr_d(alpha u_ij) + Tr_d(beta v_ij), the
 same entries the scalar quadforms.gram_matrix reads), and a batched
 symmetric Gaussian elimination reads off rank and discriminant character
-for the whole chunk at once, by the pivot rule of the scalar
+for the whole block at once, by the pivot rule of the scalar
 quadforms.diagonalize and with the same (rank, eps) result.  Scalar
 reference implementations of the same operations live in quadforms and
 expsums; the test suite checks the two routes against each other
@@ -52,6 +52,7 @@ orbit-reduced pass computes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,7 @@ from .errors import InternalInconsistency, check_budget
 from .gf import FiniteField
 from .quadforms import CodeParams, gram_entries, phi_matrix
 
-DEFAULT_CHUNK = 1 << 18   # pairs per Gram-elimination batch
-BRUTE_CHUNK = 1 << 22     # trace entries per block of brute-force alpha rows
-DIRECT_BLOCK = 1 << 16    # counts or phi-matrix entries per block of the direct passes
+BLOCK_BYTES = 1 << 19  # working set of one block of every blocked pass
 PAIR_BUDGET = 50_000_000            # Gram matrices of the pair pass; pairs of the phi census
 DEFAULT_BRUTE_BUDGET = 400_000_000  # coordinate checks of the brute pass
 DEFAULT_DIRECT_BUDGET = 20_000_000  # terms of a direct pass
@@ -93,17 +92,23 @@ def subfield_tables(field: FiniteField, d: int) -> SubfieldTables:
     )
 
 
+def block_size(unit_bytes: int) -> int:
+    """Rows or pairs per block when each takes unit_bytes: about BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // unit_bytes)
+
+
 def batched_rank_disc(mats: np.ndarray, tabs: SubfieldTables) -> tuple[np.ndarray, np.ndarray]:
     """Rank and discriminant character of a batch of symmetric matrices.
 
-    mats: (N, s, s) uint8 subfield indices, symmetric; consumed destructively
-    on a copy.  Returns (rank uint8, disc int8), per matrix the (rank, eps)
-    of the scalar quadforms.diagonalize, by the same pivot rule: a zero
-    pivot over a nonzero column takes c times the first row t below it with
-    a[t][j] != 0 (and then c times column t), c = -1 where
-    2 a[t][j] + a[t][t] = 0 and c = 1 elsewhere; a zero column is skipped.
+    mats: (N, s, s) uint8 subfield indices, symmetric; the elimination runs
+    in place and overwrites them.  Returns (rank uint8, disc int8), per
+    matrix the (rank, eps) of the scalar quadforms.diagonalize, by the same
+    pivot rule: a zero pivot over a nonzero column takes c times the first
+    row t below it with a[t][j] != 0 (and then c times column t), c = -1
+    where 2 a[t][j] + a[t][t] = 0 and c = 1 elsewhere; a zero column is
+    skipped.
     """
-    a = mats.copy()
+    a = mats
     n, s, _ = a.shape
     rank = np.zeros(n, np.uint8)
     disc = np.ones(n, np.int8)
@@ -193,13 +198,30 @@ def pair_classes(
     field: FiniteField, params: CodeParams, alphas: np.ndarray, betas: np.ndarray
 ) -> np.ndarray:
     """Packed class of f at each pair (alphas[i], betas[i]), as a uint8 array."""
+    return _block_classes(field, params, alphas.size, lambda lo, hi: (alphas[lo:hi], betas[lo:hi]))
+
+
+def _block_classes(
+    field: FiniteField,
+    params: CodeParams,
+    size: int,
+    pairs: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Packed class of f at pairs 0..size-1, a block at a time; pairs(lo, hi) gives lo..hi-1.
+
+    A pair takes 4 s**2 + 64 bytes of a block (tracemalloc: 3.7-4.0 per
+    Gram entry at s = 8..11, plus its int64 codes and pivot indices): the
+    uint8 matrix and the uint8 products of its elimination.  numpy casts
+    the uint8 index arrays of the table gathers to intp in fixed-size
+    buffers, so those cost a block a constant, not bytes per pair.
+    """
     entries = _gram_entry_tables(field, params)
     tabs = subfield_tables(field, params.d)
     s = params.s
-    out = np.empty(alphas.size, np.uint8)
-    for lo in range(0, alphas.size, DEFAULT_CHUNK):
-        a = alphas[lo : lo + DEFAULT_CHUNK]
-        b = betas[lo : lo + DEFAULT_CHUNK]
+    step = block_size(4 * s * s + 64)
+    out = np.empty(size, np.uint8)
+    for lo in range(0, size, step):
+        a, b = pairs(lo, min(lo + step, size))
         mats = np.empty((a.size, s, s), np.uint8)
         for i, j, tu, tv in entries:
             vals = tabs.add[tu[a], tv[b]]
@@ -245,10 +267,14 @@ def t_class_data(
 
     def compute() -> ClassData:
         order = field.order
-        alphas = np.tile(np.arange(order, dtype=np.int64), len(rows))
-        betas = np.repeat(np.array([b for b, _ in rows], np.int64), order)
+        beta0 = np.array([b for b, _ in rows], np.int64)
+
+        def representatives(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            row, alpha = np.divmod(np.arange(lo, hi, dtype=np.int64), order)
+            return alpha, beta0[row]
+
+        f = _block_classes(field, params, matrices, representatives)
         weight = np.repeat(np.array([w for _, w in rows], np.int64), order)
-        f = pair_classes(field, params, alphas, betas)
         data = ClassData(f=f, g=f[twist_index(field, params)], weight=weight)
         for cls in (data.f, data.g):
             ranks = cls >> 1
@@ -321,9 +347,11 @@ def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
     the pair census is the codeword census.  Each block of alpha rows of the
     trace matrix is compared against the broadcast row of every
     representative beta0, and each weight counts once per pair its
-    representatives stand for.  A block holds about BRUTE_CHUNK trace
-    entries, which bounds the memory of the pass.  A pass of more than
-    budget coordinate checks (None: :data:`DEFAULT_BRUTE_BUDGET`) is refused.
+    representatives stand for.  A row takes 10 n bytes of a block
+    (tracemalloc: 9.1-9.8 per coordinate at n >= 2186): the int64 gather
+    index of :func:`trace_rows`, the uint8 trace and the bool compare.  A
+    pass of more than budget coordinate checks (None:
+    :data:`DEFAULT_BRUTE_BUDGET`) is refused.
     """
     field, n = code.field, code.n
     rows = representative_rows(field)
@@ -333,7 +361,7 @@ def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
     u_steps, w_steps = (e * steps % n for e in code.params.coordinate_exponents)
     neg_rw = (field.p - trace_rows(field, [beta for beta, _ in rows], w_steps)) % field.p
     hist = np.zeros(n + 1, np.int64)
-    step = max(1, BRUTE_CHUNK // n)
+    step = block_size(10 * n)
     for lo in range(0, field.order, step):
         ru = trace_rows(field, np.arange(lo, min(lo + step, field.order)), u_steps)
         for r, (_, weight) in enumerate(rows):
@@ -345,13 +373,14 @@ def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
 # -- direct oracles over all pairs -------------------------------------------
 
 
-def alpha_blocks(order: int, per_pair: int):
-    """Blocks of alpha rows with every beta, about DIRECT_BLOCK entries a block.
+def alpha_blocks(order: int, pair_bytes: int):
+    """Blocks of alpha rows with every beta, about BLOCK_BYTES a block.
 
-    A pair holds per_pair entries and a block at least one row.  Yields the
-    rows and their pairs (alphas, betas) in the order alpha * order + beta.
+    A pair takes pair_bytes of temporaries and a block at least one row.
+    Yields the rows and their pairs (alphas, betas) in the order
+    alpha * order + beta.
     """
-    step = max(1, DIRECT_BLOCK // (order * per_pair))
+    step = block_size(order * pair_bytes)
     every = np.arange(order, dtype=np.int64)
     for lo in range(0, order, step):
         rows = every[lo : lo + step]
@@ -373,7 +402,8 @@ def _fourier(counts: np.ndarray, p: int, m: int) -> np.ndarray:
         counts = counts.reshape(p, -1, p)
         out = np.empty((p, p, counts.shape[1]), counts.dtype)
         for w in range(p):
-            out[:, w] = sum(counts[(powers - w * c) % p, :, c] for c in range(p))
+            # (power, c, rows) gather of counts[power - w c, :, c], summed over c.
+            out[:, w] = counts[(powers[:, None] - w * powers) % p, :, powers].sum(axis=1)
         counts = out
     return counts.reshape(p, p**m, -1)
 
@@ -429,9 +459,13 @@ def direct_census(
     params.check_field(field)
     what = "direct identity check" if ranked else f"direct {'S' if twisted else 'T'} census"
     check_budget(what, direct_terms(field, twisted), "terms", budget, DEFAULT_DIRECT_BUDGET)
-    per_pair = params.p * (2 if twisted else 1) + (field.m * field.m if ranked else 0)
+    # tracemalloc per pair: 155 (T) and 176 (S) bytes at p = 3, 224 and 265
+    # at p = 5, 306 (T) at p = 7: the int64 counts and their transform.
+    pair_bytes = (44 if twisted else 36) * params.p + 64
+    if ranked:
+        pair_bytes += phi_pair_bytes(field.m)
     out: dict[tuple[int, ...], int] = {}
-    for alphas, pairs in alpha_blocks(field.order, per_pair):
+    for alphas, pairs in alpha_blocks(field.order, pair_bytes):
         rows = direct_counts(field, params, alphas, twisted).reshape(-1, params.p)
         if ranked:
             rows = np.column_stack([rows, phi_ranks(field, params, *pairs)])
@@ -507,6 +541,15 @@ def nullity_batch(mats: np.ndarray, p: int) -> np.ndarray:
     return ncols - rank
 
 
+def phi_pair_bytes(m: int) -> int:
+    """Bytes a pair takes of a :func:`phi_ranks` block.
+
+    Its m x m matrix, uint8 and then uint32 in :func:`nullity_batch`, and
+    its int64 codes; tracemalloc reads 167, 299 and 395 at m = 3, 5 and 6.
+    """
+    return 12 * m * m + 64
+
+
 def phi_ranks(
     field: FiniteField, params: CodeParams, alphas: np.ndarray, betas: np.ndarray
 ) -> np.ndarray:
@@ -537,7 +580,7 @@ def phi_rank_histogram(
     """Nonzero pairs by phi rank, over all pairs; more than budget pairs is refused."""
     check_budget("phi rank census", field.order**2, "pairs", budget, PAIR_BUDGET)
     counts = np.zeros(params.s + 1, np.int64)
-    for _, pairs in alpha_blocks(field.order, field.m * field.m):
+    for _, pairs in alpha_blocks(field.order, phi_pair_bytes(field.m)):
         counts += np.bincount(phi_ranks(field, params, *pairs), minlength=params.s + 1)
     counts[0] -= 1  # the zero pair
     return {r: int(c) for r, c in enumerate(counts.tolist()) if c}

@@ -39,6 +39,7 @@ from .quadforms import (
     Case,
     CodeParams,
     diagonalize,
+    gauss_sum_parts,
     gram_matrix,
     twist_pair,
 )
@@ -229,34 +230,23 @@ class SymbolicSumValue:
 
 
 def subfield_gauss_sum(p: int, d: int) -> SymbolicSumValue:
-    """The quadratic Gauss sum G of GF(p**d), exactly.
-
-    G = sum over GF(q) of zeta_p**(Tr_1^d(x**2)) equals (-1)**(d-1) g_p**d
-    (Davenport-Hasse), which as A + B*sqrt(q*) reads
-    sigma * sqrt(q*) for odd d and a signed power of p for even d.  G**2 =
-    q* either way, but the sign sigma is not always +1: the fast path needs
-    it to match the direct path exactly.
-    """
-    half_p = (p - 1) // 2
-    if d % 2:
-        sigma = -1 if (half_p * ((d - 1) // 2)) % 2 else 1
-        return SymbolicSumValue.from_parts(p, d, 0, sigma)
-    sign = -1 if (half_p * (d // 2)) % 2 == 0 else 1
-    return SymbolicSumValue.from_parts(p, d, sign * p ** (d // 2))
+    """The quadratic Gauss sum G of GF(p**d), exactly (quadforms.gauss_sum_parts)."""
+    return SymbolicSumValue.from_parts(p, d, *gauss_sum_parts(p, d))
 
 
 def t_value(params: CodeParams, r: int, eps: int) -> SymbolicSumValue:
     """Closed value of T for a form of rank r and discriminant character eps.
 
-    T = eps * G**r * q**(s-r) with G the subfield Gauss sum; rank 0 (the
-    zero form, i.e. the (0,0) pair) gives p**m.
+    T = eps * G**r * q**(s-r) with G the subfield Gauss sum
+    (CodeParams.gauss_sum); rank 0 (the zero form, i.e. the (0,0) pair)
+    gives p**m.
     """
     p, d, q, s = params.p, params.d, params.q, params.s
     core = eps * q ** (s - r) * params.q_star ** (r // 2)
     if r % 2 == 0:
         return SymbolicSumValue.from_parts(p, d, core)
-    g = subfield_gauss_sum(p, d)
-    return SymbolicSumValue.from_parts(p, d, core * g.rational, core * g.irrational)
+    rational, irrational = params.gauss_sum
+    return SymbolicSumValue.from_parts(p, d, core * rational, core * irrational)
 
 
 class ValueDistribution:

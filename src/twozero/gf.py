@@ -528,32 +528,32 @@ class FiniteField:
 
         Refuses a subfield of more than SUBFIELD_INDEX_BUDGET elements
         (BudgetExceeded).  The trace table is one byte per element, read off
-        trace_to_table(d) along exp, so no per-element list is added.
+        trace_to_table(d) along exp, so no per-element list is added.  The
+        scalar Gram path asks for the tables on every call, so a hit builds
+        nothing, not even a closure.
         """
+        key = ("subfield_index_tables", d)
+        if key in self._memo:
+            return self._memo[key]
+        codes = self.subfield(d)
+        check_budget("subfield index tables", len(codes), "elements", None, SUBFIELD_INDEX_BUDGET)
+        index = {c: i for i, c in enumerate(codes)}
 
-        def tabulate() -> SubfieldIndexTables:
-            codes = self.subfield(d)
-            check_budget(
-                "subfield index tables", len(codes), "elements", None, SUBFIELD_INDEX_BUDGET
-            )
-            index = {c: i for i, c in enumerate(codes)}
+        def table(op: Callable[[int, int], int]) -> list[list[int]]:
+            return [[index[op(a, b)] for b in codes] for a in codes]
 
-            def table(op: Callable[[int, int], int]) -> list[list[int]]:
-                return [[index[op(a, b)] for b in codes] for a in codes]
-
-            by_code = bytes(map(index.__getitem__, self.trace_to_table(d)))
-            return SubfieldIndexTables(
-                codes=codes,
-                index=index,
-                add=table(self.add),
-                sub=table(self.sub),
-                mul=table(self.mul),
-                inv=[0] + [index[self.inv(a)] for a in codes[1:]],
-                chi=[1] + [self.quadratic_character(a, d) for a in codes[1:]],
-                trace_of_power=bytes(map(by_code.__getitem__, self.exp)),
-            )
-
-        return self.memoized(("subfield_index_tables", d), tabulate)
+        by_code = bytes(map(index.__getitem__, self.trace_to_table(d)))
+        self._memo[key] = tables = SubfieldIndexTables(
+            codes=codes,
+            index=index,
+            add=table(self.add),
+            sub=table(self.sub),
+            mul=table(self.mul),
+            inv=[0] + [index[self.inv(a)] for a in codes[1:]],
+            chi=[1] + [self.quadratic_character(a, d) for a in codes[1:]],
+            trace_of_power=bytes(map(by_code.__getitem__, self.exp)),
+        )
+        return tables
 
     def in_subfield(self, a: int, d: int) -> bool:
         if a == 0:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     BothZero,
@@ -72,6 +73,11 @@ class CodeParams:
         """Signed subfield size (-1)**((q-1)/2) * q."""
         return self.q if (self.q - 1) // 2 % 2 == 0 else -self.q
 
+    @cached_property
+    def gauss_sum(self) -> tuple[int, int]:
+        """(A, B) with G = A + B*sqrt(q*) the subfield Gauss sum, derived once per params."""
+        return gauss_sum_parts(self.p, self.d)
+
     @property
     def twist_exponent(self) -> int:
         """(p**k + 1) / 2 mod n, the companion form's exponent e: 2e = p**k + 1 mod n."""
@@ -105,6 +111,20 @@ class CodeParams:
         """Refuse (ParameterError) a field that is not GF(p**m) of these parameters."""
         if (field.p, field.m) != (self.p, self.m):
             raise ParameterError(f"field GF({field.p}^{field.m}) is not GF({self.p}^{self.m})")
+
+
+def gauss_sum_parts(p: int, d: int) -> tuple[int, int]:
+    """(A, B) with A + B*sqrt(q*) the quadratic Gauss sum G of GF(q), q = p**d.
+
+    G = sum over GF(q) of zeta_p**(Tr_1^d(x**2)) equals (-1)**(d-1) g_p**d
+    (Davenport-Hasse), which reads sigma * sqrt(q*) for odd d and a signed
+    power of p for even d.  G**2 = q* either way, but the sign sigma is not
+    always +1: the fast path needs it to match the direct path exactly.
+    """
+    half_p = (p - 1) // 2
+    if d % 2:
+        return 0, -1 if (half_p * ((d - 1) // 2)) % 2 else 1
+    return (-1 if (half_p * (d // 2)) % 2 == 0 else 1) * p ** (d // 2), 0
 
 
 def classify_parameters(p: int, m: int, k: int) -> CodeParams:
@@ -317,7 +337,9 @@ def gram_entries(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int
                 entries.append((i, j, field.mul(field.half, u), field.mul(basis[i], basis[j])))
         return tuple(entries)
 
-    return field.memoized(("gram_entries", params), compute)
+    # Keyed by the ints the entries depend on: hashing CodeParams costs a
+    # Python-level __hash__ on every scalar gram_matrix call.
+    return field.memoized(("gram_entries", params.p, params.m, params.k, params.s), compute)
 
 
 def gram_matrix(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> list[list[int]]:

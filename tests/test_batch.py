@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from array import array
 
@@ -15,6 +19,7 @@ from twozero.batch import (
     batched_rank_disc,
     brute_weight_histogram,
     direct_census,
+    direct_terms,
     field_table,
     joint_histogram,
     pair_classes,
@@ -382,7 +387,130 @@ class TestBudgets:
         def no_work(*args, **kwargs):
             raise AssertionError("the pass began before its budget check")
 
-        for kernel in ("pair_classes", "trace_rows", "direct_counts", "phi_ranks"):
+        for kernel in ("_block_classes", "trace_rows", "direct_counts", "phi_ranks"):
             monkeypatch.setattr(batch, kernel, no_work)
         with pytest.raises(BudgetExceeded):
             run(build_code(*pmk), needed - 1)  # a fresh field: nothing memoized
+
+
+def _every_blocked_pass(pmk):
+    """The result of every blocked pass, on a fresh code (nothing memoized)."""
+    code = build_code(*pmk)
+    field, params = code.field, code.params
+    terms = direct_terms(field, twisted=True)  # (3, 5, 2) is past the default direct budget
+    return {
+        "classes": joint_histogram(params, t_class_data(field, params)),
+        "brute": brute_weight_histogram(code),
+        "direct-T": direct_census(field, params, twisted=False, budget=terms),
+        "direct-S": direct_census(field, params, twisted=True, budget=terms),
+        "ranked": direct_census(field, params, twisted=True, ranked=True, budget=terms),
+        "phi": phi_rank_histogram(field, params),
+    }
+
+
+class TestBlockBoundaries:
+    """No result depends on where the blocks of a pass begin and end."""
+
+    @pytest.mark.parametrize(
+        "pmk", [(3, 4, 1), (5, 3, 1), (3, 5, 2)], ids=["341", "531", "352-odd-s"]
+    )
+    def test_one_unit_blocks_match_the_default_bound(self, pmk, monkeypatch):
+        # At the default bound most passes end in a partial block; at a
+        # bound of 1 byte every block holds one row or one pair.
+        default = _every_blocked_pass(pmk)
+        monkeypatch.setattr(batch, "BLOCK_BYTES", 1)
+        assert batch.block_size(1 << 20) == 1
+        assert _every_blocked_pass(pmk) == default
+
+
+def _traced_excess(run) -> int:
+    """Traced peak of run() above what is still allocated when it returns, in bytes."""
+    tracemalloc.start()
+    try:
+        result = run()  # held, so that its bytes count as retained
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - retained
+
+
+# Every blocked pass at a point where it spans several blocks: the point,
+# the kernel it calls once a block and how to run it.
+_WORKING_SETS = {
+    "classes-371": (
+        (3, 7, 1), "batched_rank_disc", lambda code: t_class_data(code.field, code.params)
+    ),
+    "brute-371": ((3, 7, 1), "trace_rows", brute_weight_histogram),
+    "direct-T-531": (
+        (5, 3, 1),
+        "direct_counts",
+        lambda code: direct_census(code.field, code.params, twisted=False),
+    ),
+    "direct-S-531": (
+        (5, 3, 1),
+        "direct_counts",
+        lambda code: direct_census(code.field, code.params, twisted=True),
+    ),
+    "ranked-531": (
+        (5, 3, 1),
+        "direct_counts",
+        lambda code: direct_census(code.field, code.params, twisted=True, ranked=True),
+    ),
+    "phi-531": ((5, 3, 1), "phi_ranks", lambda code: phi_rank_histogram(code.field, code.params)),
+}
+
+
+# Forks ``python -m twozero ARGS`` with its output discarded and prints its
+# exit code and ru_maxrss.  Linux counts the RSS a child had before its exec,
+# a copy or a share of its parent's, in its ru_maxrss, so the fork happens
+# in this small interpreter, not in the test process, whose RSS is larger
+# than the CLI's peak.
+_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    quiet = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(quiet, 1)
+    os.dup2(quiet, 2)
+    os.execv(sys.executable, [sys.executable, "-m", "twozero", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mib(*args: str) -> float:
+    """Peak RSS in MiB of ``python -m twozero args`` in a fresh process, numpy in one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *args], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, maxrss = map(int, proc.stdout.split())
+    assert exit_code == 0, args
+    return maxrss / 1024  # KiB on Linux
+
+
+class TestWorkingSet:
+    """Each blocked pass peaks near BLOCK_BYTES, whatever the size of its pass."""
+
+    @pytest.mark.parametrize("name", _WORKING_SETS)
+    def test_traced_peak_within_twice_the_bound(self, name, monkeypatch):
+        pmk, kernel, run = _WORKING_SETS[name]
+        code = build_code(*pmk)
+        calls = []
+        inner = getattr(batch, kernel)
+        monkeypatch.setattr(batch, kernel, lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+        run(code)  # warms the field's tables
+        assert len(calls) >= 3  # several blocks (trace_rows: one more call, outside them)
+        code.field._memo.pop(("t_class_data", code.params), None)
+        assert _traced_excess(lambda: run(code)) <= 2 * batch.BLOCK_BYTES
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+    @pytest.mark.parametrize("pmk", [("3", "6", "4"), ("3", "8", "2")], ids=["364", "382"])
+    def test_brute_and_closed_add_under_a_mib_to_sums(self, pmk):
+        # Blocked by bytes, the brute pass stays within a MiB of the peak
+        # the sums engine reaches on its own (one brute block: 4 and 38 MiB).
+        sums = _peak_rss_mib("weights", *pmk, "--engines", "sums")
+        every = _peak_rss_mib("weights", *pmk, "--engines", "brute,sums,closed")
+        assert every <= sums + 1.0, (every, sums)
