@@ -1,29 +1,29 @@
 """Vectorized class and weight kernels over orbit representatives of the pairs.
 
 Everything here is exact integer work in numpy: subfield arithmetic becomes
-table gathers, the Gram matrix of every pair in a block is assembled from
-per-entry trace tables of the constants (u_ij, v_ij) of
-quadforms.gram_entries (A[i][j] = Tr_d(alpha u_ij) + Tr_d(beta v_ij), the
-same entries the scalar quadforms.gram_matrix reads), and a batched
-symmetric Gaussian elimination reads off rank and discriminant character
-for the whole block at once, by the pivot rule of the scalar
-quadforms.diagonalize and with the same (rank, eps) result.  Scalar
+table gathers, the Gram matrix of every pair in a block is read by exponent
+off Tr_d(pi**e) (A[i][j] = Tr_d(pi**(a + log u_ij)) + Tr_d(pi**(b + log v_ij))
+at (pi**a, pi**b), u_ij and v_ij of quadforms.gram_entries as in the scalar
+quadforms.gram_matrix), and a batched symmetric Gaussian elimination reads
+off rank and discriminant character for the whole block at once, by the
+pivot rule of the scalar quadforms.diagonalize and with the same (rank,
+eps) result.  Scalar
 reference implementations of the same operations live in quadforms and
 expsums; the test suite checks the two routes against each other
 exhaustively on small fields.
 
 Field tables.  The kernels read the field's int64 exp and log tables in
 place (read-only views, :func:`field_table`) and take each multiplier of
-the code, a power of pi, as its exponent: the coordinate steps and the
-twist are shifts by (e, w) = CodeParams.coordinate_exponents.
+the code, a power of pi, as its exponent: the representatives, the Gram
+constants, the coordinate steps and the twist, (e, w) = coordinate_exponents.
 
 Representatives.  The substitution x -> c x (c in GF(p**m)*) sends
 (alpha, beta) to (alpha c**(p**k+1), beta c**2).  It keeps the class of f,
 commutes with the twist (so keeps the class of g), and for c = pi**j it
 shifts the codeword cyclically by 2j (so keeps the weight).  Every census
 therefore runs over the 3 p**m representatives (alpha, beta0), alpha over
-the whole field and beta0 in {0, 1, pi}, in that row order (index =
-row * p**m + alpha_code, so (0, 0) is index 0):
+the whole field and beta0 in {0, 1, pi}, in that row order (index row *
+p**m + slot, slot 0 for alpha = 0 and 1 + a for pi**a; (0, 0) is index 0):
 
 * the beta0 = 0 row stands for itself, weight 1 per pair;
 * a pair with beta != 0 goes to the row whose beta0 (1, or the nonsquare
@@ -32,8 +32,9 @@ row * p**m + alpha_code, so (0, 0) is index 0):
   so each representative of these rows stands for (p**m - 1) / 2 pairs.
 
 The weights sum to p**m + p**m (p**m - 1) = p**(2m).  The twist of a
-representative lies in the orbit of another one, so the class of g is read
-off f there (:func:`twist_index`): one Gram matrix per representative.
+representative lies in the orbit of another one, in a fixed row with its
+slots rotated, so the class of g is read off f there (:func:`twist_index`):
+one Gram matrix per representative.
 
 Classes.  The pass stores the (rank, discriminant character eps) class of a
 form as rank * 2 + (eps == -1) in a uint8; the zero pair is (0, +1).  Only
@@ -152,22 +153,6 @@ def field_table(field: FiniteField, name: str) -> np.ndarray:
     return view
 
 
-def _log_gather(field: FiniteField, by_log: np.ndarray, alphas, exponents) -> np.ndarray:
-    """by_log[log(a) + e mod n] for a in alphas (codes, rows) and e in exponents (columns).
-
-    by_log[e] is the value at pi**e of a function that vanishes at 0; the
-    exponent -1 stands for 0, so entries with a = 0 or e = -1 read 0.
-    """
-    la = field_table(field, "log")[np.asarray(alphas, np.int64)]
-    le = np.asarray(exponents, np.int64)
-    at = la[:, None] + le[None, :]
-    at %= field.n
-    out = by_log[at]
-    out[la < 0] = 0  # log[0] is a -1 sentinel
-    out[:, le < 0] = 0
-    return out
-
-
 def trace_of_powers(field: FiniteField, d: int) -> np.ndarray:
     """Subfield index of Tr_d(pi**e) for every exponent e, a read-only uint8 view.
 
@@ -178,27 +163,12 @@ def trace_of_powers(field: FiniteField, d: int) -> np.ndarray:
     return np.frombuffer(field.subfield_index_tables(d).trace_of_power, np.uint8)
 
 
-def _gram_entry_tables(field: FiniteField, params: CodeParams):
-    """Per-(i, j) lookup tables turning (alpha, beta) codes into Gram entries.
-
-    For each (i, j, u_ij, v_ij) of quadforms.gram_entries, tu[alpha] and
-    tv[beta] are the subfield indices of Tr_d(alpha u_ij) and Tr_d(beta v_ij),
-    so A[i][j](alpha, beta) = add[tu[alpha], tv[beta]].
-    """
-    entries = gram_entries(field, params)
-    trace_of_power = trace_of_powers(field, params.d)
-    every_code, log = np.arange(field.order), field_table(field, "log")
-    return [
-        (i, j, *_log_gather(field, trace_of_power, every_code, log[[u, v]]).T)
-        for i, j, u, v in entries
-    ]
-
-
 def pair_classes(
     field: FiniteField, params: CodeParams, alphas: np.ndarray, betas: np.ndarray
 ) -> np.ndarray:
-    """Packed class of f at each pair (alphas[i], betas[i]), as a uint8 array."""
-    return _block_classes(field, params, alphas.size, lambda lo, hi: (alphas[lo:hi], betas[lo:hi]))
+    """Packed class of f at each pair (alphas[i], betas[i]) of codes, as a uint8 array."""
+    la, lb = (field_table(field, "log")[x] for x in (alphas, betas))
+    return _block_classes(field, params, la.size, lambda lo, hi: (la[lo:hi], lb[lo:hi]))
 
 
 def _block_classes(
@@ -209,22 +179,28 @@ def _block_classes(
 ) -> np.ndarray:
     """Packed class of f at pairs 0..size-1, a block at a time; pairs(lo, hi) gives lo..hi-1.
 
-    A pair takes 4 s**2 + 64 bytes of a block (tracemalloc: 3.7-4.0 per
-    Gram entry at s = 8..11, plus its int64 codes and pivot indices): the
-    uint8 matrix and the uint8 products of its elimination.  numpy casts
-    the uint8 index arrays of the table gathers to intp in fixed-size
-    buffers, so those cost a block a constant, not bytes per pair.
+    pairs gives the exponents (a, b) of alpha and beta, -1 for 0 as in
+    field.log.  A[i][j] = add[Tr_d(pi**(a + log u_ij)), Tr_d(pi**(b + log v_ij))]
+    is read off :func:`trace_of_powers` laid out twice and then n zeros: no
+    reduction mod n, and an exponent of 0, moved to 2n a block, reads 0.
+
+    A pair takes 4 s**2 + 64 bytes of a block (tracemalloc: 244, 300, 366
+    and 435 at s = 8..11, with its int64 exponents and pivot indices): the
+    uint8 matrix and the uint8 products of its elimination.  numpy casts the
+    uint8 index arrays of the gathers to intp in fixed-size buffers, so
+    those cost a block a constant; the pass adds its 3n-byte read table.
     """
-    entries = _gram_entry_tables(field, params)
+    n, s, log = field.n, params.s, field.log
+    entries = [(i, j, log[u], log[v]) for i, j, u, v in gram_entries(field, params)]
+    read = np.concatenate([np.tile(trace_of_powers(field, params.d), 2), np.zeros(n, np.uint8)])
     tabs = subfield_tables(field, params.d)
-    s = params.s
     step = block_size(4 * s * s + 64)
     out = np.empty(size, np.uint8)
     for lo in range(0, size, step):
-        a, b = pairs(lo, min(lo + step, size))
+        a, b = (np.where(x < 0, 2 * n, x) for x in pairs(lo, min(lo + step, size)))
         mats = np.empty((a.size, s, s), np.uint8)
-        for i, j, tu, tv in entries:
-            vals = tabs.add[tu[a], tv[b]]
+        for i, j, lu, lv in entries:
+            vals = tabs.add[read[a + lu], read[b + lv]]
             mats[:, i, j] = vals
             if i != j:
                 mats[:, j, i] = vals
@@ -241,7 +217,7 @@ def representative_rows(field: FiniteField) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True, eq=False)
 class ClassData:
-    """Classes of f and g at every representative, and the pairs each stands for."""
+    """Classes of f and g at every representative (index row * p**m + slot), and its weight."""
 
     f: np.ndarray       # (3 p**m,) uint8 packed class of f
     g: np.ndarray       # (3 p**m,) uint8 packed class of g: f at the twist's representative
@@ -253,13 +229,13 @@ def t_class_data(
 ) -> ClassData:
     """Classes of f and g at every representative pair, with orbit weights.
 
-    The kernel runs on the representatives only; g is f read at
-    :func:`twist_index`.  Rank 0 may occur only at the zero pair (index 0)
-    and every other rank, of f and of g, must lie in the trichotomy
-    {s-2, s-1, s}; any violation aborts.  A pass of more than budget Gram
-    matrices (None: :data:`PAIR_BUDGET`) is refused, before any reuse.  The
-    result is memoized on the field per params, since several censuses share
-    the same pass.
+    The kernel runs on the representatives only; each row of g is a row of
+    f with its slots 1.. rotated (:func:`twist_index`).  Rank 0 may occur
+    only at the zero pair (index 0) and every other rank, of f and of g,
+    must lie in the trichotomy {s-2, s-1, s}; any violation aborts.  A pass
+    of more than budget Gram matrices (None: :data:`PAIR_BUDGET`) is
+    refused, before any reuse.  The result is memoized on the field per
+    params, since several censuses share the same pass.
     """
     rows = representative_rows(field)
     matrices = len(rows) * field.order  # f at every representative
@@ -267,15 +243,19 @@ def t_class_data(
 
     def compute() -> ClassData:
         order = field.order
-        beta0 = np.array([b for b, _ in rows], np.int64)
+        beta_logs = field_table(field, "log")[[b for b, _ in rows]]
 
         def representatives(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            row, alpha = np.divmod(np.arange(lo, hi, dtype=np.int64), order)
-            return alpha, beta0[row]
+            row, slot = np.divmod(np.arange(lo, hi, dtype=np.int64), order)
+            return slot - 1, beta_logs[row]  # slot 0: alpha = 0, exponent -1
 
         f = _block_classes(field, params, matrices, representatives)
-        weight = np.repeat(np.array([w for _, w in rows], np.int64), order)
-        data = ClassData(f=f, g=f[twist_index(field, params)], weight=weight)
+        f3, g = f.reshape(-1, order), np.empty((len(rows), order), np.uint8)
+        for gr, (target, shift) in zip(g, twist_index(field, params)):
+            gr[0] = f3[target, 0]  # slot 1 + a reads slot 1 + (a + shift) mod n
+            gr[1 : order - shift] = f3[target, 1 + shift :]
+            gr[order - shift :] = f3[target, 1 : 1 + shift]
+        data = ClassData(f=f, g=g.ravel(), weight=np.repeat([w for _, w in rows], order))
         for cls in (data.f, data.g):
             ranks = cls >> 1
             if ranks[0] != 0 or (ranks[1:] < params.s - 2).any():
@@ -285,8 +265,8 @@ def t_class_data(
     return field.memoized(("t_class_data", params), compute)
 
 
-def twist_index(field: FiniteField, params: CodeParams) -> np.ndarray:
-    """Index of the representative whose orbit holds the twist of each representative.
+def twist_index(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int], ...]:
+    """(target row, rotation) of each representative row: where the twists of its pairs lie.
 
     The twist (quadforms.twist_pair) sends (alpha, beta0) to (pi**e alpha,
     beta'), beta' = -pi beta0 = pi**w beta0, (e, w) the coordinate_exponents.
@@ -294,17 +274,17 @@ def twist_index(field: FiniteField, params: CodeParams) -> np.ndarray:
     the beta0 in {1, pi} with the quadratic character of beta', the parity
     of log beta' (log 1 = 0, log pi = 1), reached by x -> c x with
     c**2 = beta0 / beta'; that scales alpha by c**(p**k + 1) = (c**2)**e, so
-    the alpha there is pi**e (c**2)**e alpha: log arithmetic mod n only.
+    the alpha there is pi**e (c**2)**e alpha: 0 stays 0 and pi**a goes to
+    pi**(a + rotation), log arithmetic mod n only.
     """
     n, (e, w) = field.n, params.coordinate_exponents
     logs = field_table(field, "log")[[beta0 for beta0, _ in representative_rows(field)]].tolist()
-    targets, shifts = [0], [e]  # beta0 = 0 (log -1) stays on row 0
+    twists = [(0, e)]  # beta0 = 0 (log -1) stays on row 0
     for lb in logs[1:]:
         lt = (lb + w) % n  # log beta'
-        targets.append(1 + lt % 2)
-        shifts.append(e * (1 + logs[targets[-1]] - lt) % n)
-    alphas = _log_gather(field, field_table(field, "exp"), np.arange(field.order), shifts)
-    return (alphas + field.order * np.array(targets)).T.ravel()
+        target = 1 + lt % 2
+        twists.append((target, e * (1 + logs[target] - lt) % n))
+    return tuple(twists)
 
 
 def unpack_class(cls: int) -> tuple[int, int]:
@@ -337,7 +317,14 @@ def joint_histogram(
 
 def trace_rows(field: FiniteField, alphas, exponents) -> np.ndarray:
     """(len(alphas), len(exponents)) uint8 Tr_1^m(alphas[i] pi**exponents[j]), pi**-1 = 0."""
-    return _log_gather(field, trace_of_powers(field, 1), alphas, exponents)
+    la = field_table(field, "log")[np.asarray(alphas, np.int64)]
+    le = np.asarray(exponents, np.int64)
+    at = la[:, None] + le[None, :]
+    at %= field.n
+    out = trace_of_powers(field, 1)[at]
+    out[la < 0] = 0  # log[0] is a -1 sentinel
+    out[:, le < 0] = 0
+    return out
 
 
 def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
@@ -408,25 +395,34 @@ def _fourier(counts: np.ndarray, p: int, m: int) -> np.ndarray:
     return counts.reshape(p, p**m, -1)
 
 
+def direct_reads(field: FiniteField, params: CodeParams, twisted: bool = False) -> list:
+    """(alpha shift, read-out) of each T a direct pass adds, computed once a pass.
+
+    The read-out is the code of w = M b at each beta = b, M_ij = Tr(x**i x**j),
+    since Tr(beta z) = b . M z for digit vectors.  With twisted, T at the
+    twist (pi**e alpha, pi**w beta) follows T: alpha shifted by e, beta by w.
+    """
+    n, log, powers = field.n, field_table(field, "log"), params.p ** np.arange(field.m)
+    e, w = params.coordinate_exponents
+    return [
+        (shift, trace_rows(field, np.arange(field.order), (log[powers] + b_shift) % n) @ powers)
+        for shift, b_shift in ([(0, 0), (e, w)] if twisted else [(0, 0)])
+    ]
+
+
 def direct_counts(
-    field: FiniteField, params: CodeParams, alphas: np.ndarray, twisted: bool = False
+    field: FiniteField, params: CodeParams, alphas: np.ndarray, reads: list
 ) -> np.ndarray:
     """(len(alphas), p**m, p) counts c with T(alpha, beta) = sum c_j zeta_p**j.
 
-    Entry [i, beta] is the pair (alphas[i], beta).  Row alpha is the Fourier
-    transform of g(z) = sum of zeta_p**Tr(alpha x**(p**k+1)) over x**2 = z,
-    read at w = M b, M_ij = Tr(x**i x**j), since Tr(beta z) = b . M z for
-    digit vectors.  With twisted, the counts of S: T at the twist (pi**e alpha,
-    pi**w beta) is added, its row x = pi**t at 2e t + e, beta shifted by w.
+    Entry [i, beta] is the pair (alphas[i], beta); one T is added per term
+    of reads (:func:`direct_reads`), so twisted reads give S.  Row alpha is
+    the Fourier transform of g(z) = sum of zeta_p**Tr(alpha x**(p**k+1))
+    over x**2 = z; with an alpha shift, its row x = pi**t is at 2e t + shift.
     """
-    p, n, order = params.p, field.n, field.order
-    exp, log = field_table(field, "exp"), field_table(field, "log")
-    e, w = params.coordinate_exponents
-    t = np.arange(n, dtype=np.int64)
-    powers = p ** np.arange(field.m)
-    counts = 0
-    for shift, beta_shift in [(0, 0), (e, w)] if twisted else [(0, 0)]:
-        read = trace_rows(field, np.arange(order), (log[powers] + beta_shift) % n) @ powers  # M b
+    p, n, order, e = params.p, field.n, field.order, params.twist_exponent
+    exp, t, counts = field_table(field, "exp"), np.arange(n, dtype=np.int64), 0
+    for shift, read in reads:
         values = trace_rows(field, alphas, (2 * e * t + shift) % n).astype(np.int64)
         index = (values * alphas.size + np.arange(alphas.size)[:, None]) * order + exp[2 * t % n]
         g = np.bincount(index.ravel(), minlength=p * alphas.size * order).reshape(p, -1, order)
@@ -465,8 +461,9 @@ def direct_census(
     if ranked:
         pair_bytes += phi_pair_bytes(field.m)
     out: dict[tuple[int, ...], int] = {}
+    reads = direct_reads(field, params, twisted)
     for alphas, pairs in alpha_blocks(field.order, pair_bytes):
-        rows = direct_counts(field, params, alphas, twisted).reshape(-1, params.p)
+        rows = direct_counts(field, params, alphas, reads).reshape(-1, params.p)
         if ranked:
             rows = np.column_stack([rows, phi_ranks(field, params, *pairs)])
         # One int64 key per row; re-ranked to 0..distinct-1 before an overflow.

@@ -322,7 +322,8 @@ def gram_entries(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int
     :func:`gram_basis`, with u_ii = e_i**(p**k + 1), v_ii = e_i**2 and, for
     i < j, the half-polarized u_ij = (e_i**(p**k) e_j + e_i e_j**(p**k)) / 2,
     v_ij = e_i e_j, so that X A X' reproduces f on every element.  A field
-    that does not match params is a ParameterError (CodeParams.check_field).
+    that does not match params is a ParameterError (CodeParams.check_field);
+    a zero u_ij or v_ij (it has no exponent of pi) is an InternalInconsistency.
     """
 
     def compute() -> tuple[tuple[int, int, int, int], ...]:
@@ -335,6 +336,8 @@ def gram_entries(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int
             for j in range(i + 1, params.s):
                 u = field.add(field.mul(frob[i], basis[j]), field.mul(basis[i], frob[j]))
                 entries.append((i, j, field.mul(field.half, u), field.mul(basis[i], basis[j])))
+        if any(0 in (u, v) for _, _, u, v in entries):
+            raise InternalInconsistency("a Gram constant u_ij or v_ij is 0")
         return tuple(entries)
 
     # Keyed by the ints the entries depend on: hashing CodeParams costs a
@@ -357,8 +360,8 @@ def gram_matrix(field: FiniteField, params: CodeParams, alpha: int, beta: int) -
     la, lb = log[alpha], log[beta]  # log[0] is a -1 sentinel
     a = [[0] * params.s for _ in range(params.s)]
     for i, j, u, v in entries:
-        tu = trace_of_power[(la + log[u]) % n] if alpha and u else 0
-        tv = trace_of_power[(lb + log[v]) % n] if beta and v else 0
+        tu = trace_of_power[(la + log[u]) % n] if alpha else 0
+        tv = trace_of_power[(lb + log[v]) % n] if beta else 0
         a[i][j] = a[j][i] = codes[add[tu][tv]]
     return a
 

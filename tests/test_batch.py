@@ -203,10 +203,12 @@ class TestClassData:
     def test_looked_up_g_is_the_kernel_at_the_twist(self, pmk, choice):
         # Per representative, not per census: the class of g read off f
         # (twist_index, log arithmetic only) equals the kernel run on the
-        # scalar quadforms.twist_pair of that representative.
+        # scalar quadforms.twist_pair of that representative.  Slot 0 of a
+        # row is alpha = 0, slot 1 + a is alpha = pi**a.
         field, params = build_field(pmk[0], pmk[1], **choice), classify_parameters(*pmk)
         rows = representative_rows(field)
-        alphas = np.tile(np.arange(field.order, dtype=np.int64), len(rows))
+        slots = np.array([0] + [field.exp[a] for a in range(field.n)], np.int64)
+        alphas = np.tile(slots, len(rows))
         betas = np.repeat(np.array([b for b, _ in rows], np.int64), field.order)
         ta, tb = _twist_images(field, params)
         expected = pair_classes(field, params, ta[alphas], tb[betas])
@@ -439,6 +441,9 @@ def _traced_excess(run) -> int:
 _WORKING_SETS = {
     "classes-371": (
         (3, 7, 1), "batched_rank_disc", lambda code: t_class_data(code.field, code.params)
+    ),
+    "classes-391": (
+        (3, 9, 1), "batched_rank_disc", lambda code: t_class_data(code.field, code.params)
     ),
     "brute-371": ((3, 7, 1), "trace_rows", brute_weight_histogram),
     "direct-T-531": (

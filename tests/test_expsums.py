@@ -313,8 +313,8 @@ class TestVectorizedDirect:
         p, m, k = pmk
         f, pr = build_field(p, m), classify_parameters(p, m, k)
         every = np.arange(f.order)
-        t_rows = batch.direct_counts(f, pr, every)
-        s_rows = batch.direct_counts(f, pr, every, twisted=True)
+        t_rows = batch.direct_counts(f, pr, every, batch.direct_reads(f, pr))
+        s_rows = batch.direct_counts(f, pr, every, batch.direct_reads(f, pr, twisted=True))
         assert t_rows.shape == s_rows.shape == (f.order, f.order, p)
         assert (t_rows.sum(axis=2) == f.order).all()
         assert (s_rows.sum(axis=2) == 2 * f.order).all()
@@ -333,7 +333,7 @@ class TestVectorizedDirect:
         wide = 2**32 - 1
         rows = np.array([(1, 0, 0), (2, 0, 0), (wide, wide, wide)], np.int64)
         table = rows[np.arange(f.order**2) % 3].reshape(f.order, f.order, 3)
-        monkeypatch.setattr(batch, "direct_counts", lambda f, pr, alphas, twist: table[alphas])
+        monkeypatch.setattr(batch, "direct_counts", lambda f, pr, alphas, reads: table[alphas])
         census = batch.direct_census(f, pr, twisted=False)
         assert census == {(1, 0, 0): 243, (2, 0, 0): 243, (wide, wide, wide): 243}
 

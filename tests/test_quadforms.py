@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from twozero import batch, build_field, classify_parameters
+from twozero import batch, build_field, classify_parameters, quadforms
 from twozero.errors import (
     BothZero,
     InternalInconsistency,
@@ -19,6 +19,7 @@ from twozero.quadforms import (
     closed_rank_census,
     diagonalize,
     gram_basis,
+    gram_entries,
     gram_matrix,
     nullity_mod_p,
     phi,
@@ -223,6 +224,31 @@ class TestGram:
                     )
                 ]
                 assert acc == direct, (alpha, beta, x)
+
+    def test_no_gram_constant_is_zero(self):
+        # The batch pass reads every u_ij and v_ij as an exponent of pi and
+        # has no branch for a zero constant; gram_entries refuses one.  No
+        # valid point with p**m <= 3**7 and k <= 2m (every twist of each
+        # field) has one.
+        checked = 0
+        for p in (3, 5, 7, 11, 13):
+            for m in range(3, 8):
+                if p**m > 3**7:
+                    break
+                field = build_field(p, m)
+                for k in range(1, 2 * m + 1):
+                    try:
+                        params = classify_parameters(p, m, k)
+                    except STooSmall:
+                        continue
+                    assert all(u and v for _, _, u, v in gram_entries(field, params))
+                    checked += 1
+        assert checked == 52
+
+    def test_zero_gram_constant_is_refused(self, monkeypatch):
+        monkeypatch.setattr(quadforms, "gram_basis", lambda field, params: [0] * params.s)
+        with pytest.raises(InternalInconsistency, match="Gram constant"):
+            gram_entries(build_field(3, 4), classify_parameters(3, 4, 1))
 
 
 def _coordinate_map(f, basis, sub):
