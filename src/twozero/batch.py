@@ -7,10 +7,9 @@ at (pi**a, pi**b), u_ij and v_ij of quadforms.gram_entries as in the scalar
 quadforms.gram_matrix), and a batched symmetric Gaussian elimination reads
 off rank and discriminant character for the whole block at once, by the
 pivot rule of the scalar quadforms.diagonalize and with the same (rank,
-eps) result.  Scalar
-reference implementations of the same operations live in quadforms and
-expsums; the test suite checks the two routes against each other
-exhaustively on small fields.
+eps) result.  Scalar reference implementations of the same operations live
+in quadforms and expsums; the test suite checks the two routes against each
+other exhaustively on small fields.
 
 Field tables.  The kernels read the field's int64 exp and log tables in
 place (read-only views, :func:`field_table`) and take each multiplier of
@@ -38,8 +37,10 @@ one Gram matrix per representative.
 
 Classes.  The pass stores the (rank, discriminant character eps) class of a
 form as rank * 2 + (eps == -1) in a uint8; the zero pair is (0, +1).  Only
-:func:`joint_histogram` unpacks it (through :func:`unpack_class`): every
-consumer reads the census keyed by ((rank_f, eps_f), (rank_g, eps_g)).
+:func:`joint_histogram` unpacks it (through :func:`unpack_class`), as it
+folds each row of :func:`class_rows` with the orbit size of that row.  The
+pass keeps nothing but that census, keyed by ((rank_f, eps_f), (rank_g,
+eps_g)): :func:`t_class_data` memoizes it, and every consumer reads it.
 
 Direct oracles.  The last section runs over *all* p**(2m) pairs, in blocks
 of alpha rows, and shares neither the Gram matrices nor the representatives
@@ -53,7 +54,7 @@ orbit-reduced pass computes.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,54 +216,51 @@ def representative_rows(field: FiniteField) -> tuple[tuple[int, int], ...]:
     return ((0, 1), (1, half), (field.primitive_element, half))
 
 
-@dataclass(frozen=True, eq=False)
-class ClassData:
-    """Classes of f and g at every representative (index row * p**m + slot), and its weight."""
-
-    f: np.ndarray       # (3 p**m,) uint8 packed class of f
-    g: np.ndarray       # (3 p**m,) uint8 packed class of g: f at the twist's representative
-    weight: np.ndarray  # (3 p**m,) int64 orbit size; sums to p**(2m)
-
-
 def t_class_data(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
-) -> ClassData:
-    """Classes of f and g at every representative pair, with orbit weights.
+) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
+    """Joint class census of all pairs: :func:`joint_histogram` of :func:`class_rows`.
 
-    The kernel runs on the representatives only; each row of g is a row of
-    f with its slots 1.. rotated (:func:`twist_index`).  Rank 0 may occur
-    only at the zero pair (index 0) and every other rank, of f and of g,
-    must lie in the trichotomy {s-2, s-1, s}; any violation aborts.  A pass
-    of more than budget Gram matrices (None: :data:`PAIR_BUDGET`) is
-    refused, before any reuse.  The result is memoized on the field per
-    params, since several censuses share the same pass.
+    A pass of more than budget Gram matrices (None: :data:`PAIR_BUDGET`) is
+    refused, before any reuse.  Only the census is memoized on the field per
+    params; every consumer of the pass reads that one dict, unchanged.
     """
     rows = representative_rows(field)
     matrices = len(rows) * field.order  # f at every representative
     check_budget("pair pass", matrices, "Gram matrices", budget, PAIR_BUDGET)
+    return field.memoized(
+        ("t_class_data", params),
+        lambda: joint_histogram(params, *class_rows(field, params), [w for _, w in rows]),
+    )
 
-    def compute() -> ClassData:
-        order = field.order
-        beta_logs = field_table(field, "log")[[b for b, _ in rows]]
 
-        def representatives(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            row, slot = np.divmod(np.arange(lo, hi, dtype=np.int64), order)
-            return slot - 1, beta_logs[row]  # slot 0: alpha = 0, exponent -1
+def class_rows(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Packed classes of f and of g at every representative, two (3, p**m) uint8 arrays.
 
-        f = _block_classes(field, params, matrices, representatives)
-        f3, g = f.reshape(-1, order), np.empty((len(rows), order), np.uint8)
-        for gr, (target, shift) in zip(g, twist_index(field, params)):
-            gr[0] = f3[target, 0]  # slot 1 + a reads slot 1 + (a + shift) mod n
-            gr[1 : order - shift] = f3[target, 1 + shift :]
-            gr[order - shift :] = f3[target, 1 : 1 + shift]
-        data = ClassData(f=f, g=g.ravel(), weight=np.repeat([w for _, w in rows], order))
-        for cls in (data.f, data.g):
-            ranks = cls >> 1
-            if ranks[0] != 0 or (ranks[1:] < params.s - 2).any():
-                raise InternalInconsistency("rank trichotomy violated outside the zero pair")
-        return data
+    One row per representative row, indexed by slot.  Each row of g is a
+    row of f with its slots 1.. rotated (:func:`twist_index`).  Rank 0 may
+    occur only at the zero pair (row 0, slot 0) and every other rank, of f
+    and of g, must lie in the trichotomy {s-2, s-1, s}; any violation
+    aborts.  Unbudgeted and unmemoized, unlike :func:`t_class_data`.
+    """
+    order = field.order
+    beta_logs = field_table(field, "log")[[beta0 for beta0, _ in representative_rows(field)]]
 
-    return field.memoized(("t_class_data", params), compute)
+    def representatives(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        row, slot = np.divmod(np.arange(lo, hi, dtype=np.int64), order)
+        return slot - 1, beta_logs[row]  # slot 0: alpha = 0, exponent -1
+
+    f = _block_classes(field, params, beta_logs.size * order, representatives).reshape(-1, order)
+    g = np.empty_like(f)
+    for gr, (target, shift) in zip(g, twist_index(field, params)):
+        gr[0] = f[target, 0]  # slot 1 + a reads slot 1 + (a + shift) mod n
+        gr[1 : order - shift] = f[target, 1 + shift :]
+        gr[order - shift :] = f[target, 1 : 1 + shift]
+    for cls in (f, g):
+        ranks = cls.ravel() >> 1
+        if ranks[0] != 0 or (ranks[1:] < params.s - 2).any():
+            raise InternalInconsistency("rank trichotomy violated outside the zero pair")
+    return f, g
 
 
 def twist_index(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int], ...]:
@@ -293,16 +291,18 @@ def unpack_class(cls: int) -> tuple[int, int]:
 
 
 def joint_histogram(
-    params: CodeParams, data: ClassData
+    params: CodeParams, f: np.ndarray, g: np.ndarray, weights: Sequence[int]
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
     """Pairs by ((rank_f, eps_f), (rank_g, eps_g)), as Python ints.
 
-    data is the pass of :func:`t_class_data` for these params; its
-    weights must account for all p**(2m) pairs.  Absent classes are omitted.
+    f and g are rows of packed classes (:func:`class_rows`), each entry of
+    row r standing for weights[r] pairs; together they must account for all
+    p**(2m) pairs.  Absent classes are omitted.
     """
     width = 2 * params.s + 2
     counts = np.zeros((width, width), np.int64)
-    np.add.at(counts, (data.f, data.g), data.weight)
+    for fr, gr, weight in zip(f, g, weights, strict=True):
+        np.add.at(counts, (fr, gr), weight)
     if int(counts.sum()) != params.pairs:
         raise InternalInconsistency(f"class data covers {counts.sum()} of {params.pairs} pairs")
     rows, cols = np.nonzero(counts)

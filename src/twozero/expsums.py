@@ -555,10 +555,10 @@ def s_census_fast(
 def joint_class_census(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
-    """Pairs by ((rank_f, eps_f), (rank_g, eps_g)); see batch.joint_histogram."""
+    """Pairs by ((rank_f, eps_f), (rank_g, eps_g)); see batch.t_class_data."""
     from . import batch
 
-    return batch.joint_histogram(params, batch.t_class_data(field, params, budget=budget))
+    return batch.t_class_data(field, params, budget=budget)
 
 
 # -- E1 / E2 solution counts -------------------------------------------------

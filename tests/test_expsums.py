@@ -413,6 +413,7 @@ _GRAM_PATH = {
         "pair_classes",
         "batched_rank_disc",
         "t_class_data",
+        "class_rows",
         "subfield_tables",
         "representative_rows",
         "twist_index",
