@@ -257,8 +257,10 @@ def class_rows(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.n
         gr[1 : order - shift] = f[target, 1 + shift :]
         gr[order - shift :] = f[target, 1 : 1 + shift]
     for cls in (f, g):
-        ranks = cls.ravel() >> 1
-        if ranks[0] != 0 or (ranks[1:] < params.s - 2).any():
+        # A packed class 2 rank + eps bit has rank < s - 2 iff it is below
+        # 2 (s - 2), so a minimum over the flat view checks with no temporary.
+        flat = cls.ravel()
+        if flat[0] >> 1 != 0 or flat[1:].min() < 2 * (params.s - 2):
             raise InternalInconsistency("rank trichotomy violated outside the zero pair")
     return f, g
 

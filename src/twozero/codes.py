@@ -167,7 +167,7 @@ def build_code(
     # c = 1/(gamma h'(gamma)): the trace of pi**j at j = log c - i log gamma.
     h = h1 * h2
     derivative = [i * c % p for i, c in enumerate(h.coeffs)][1:]
-    tr, exp = field.trace_table, field.exp
+    tr = field.subfield_index_tables(1).trace_of_power  # the value Tr(pi**j) at index j
     terms = []
     for gamma in gammas:
         value = 0  # h'(gamma), by Horner
@@ -176,7 +176,7 @@ def build_code(
         step = -field.log[gamma] % n  # log of 1/gamma
         start = (step - field.log[value]) % n  # log of c
         stop = start + step * (n - 2 * m + 1)
-        terms.append([tr[exp[j % n]] for j in range(start, stop, step)])
+        terms.append([tr[j % n] for j in range(start, stop, step)])
     generator = Polynomial(p, map(add, *terms))
     _check_generator(generator, h, n)
 
@@ -208,10 +208,12 @@ def _check_generator(generator: Polynomial, h: Polynomial, n: int) -> None:
 def codeword(code: CyclicCode, alpha: int, beta: int) -> list[int]:
     """The trace sequence of the pair, one value in [0, p) per coordinate."""
     f, n = code.field, code.n
-    tr, exp = f.trace_table, f.exp
+    tr = f.subfield_index_tables(1).trace_of_power  # the value Tr(pi**j) at index j
     e_u, e_w = code.params.coordinate_exponents
+    la, lb = f.log[alpha], f.log[beta]  # read only when nonzero: log[0] is -1
     return [
-        (tr[f.mul(alpha, exp[e_u * i % n])] + tr[f.mul(beta, exp[e_w * i % n])]) % f.p
+        ((tr[(la + e_u * i) % n] if alpha else 0) + (tr[(lb + e_w * i) % n] if beta else 0))
+        % f.p
         for i in range(n)
     ]
 

@@ -305,7 +305,7 @@ def t_direct(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> C
     params.check_field(field)
     p = params.p
     counts = [0] * p
-    tr = field.trace_table
+    tr = field.subfield_index_tables(1).trace_of_power  # the value Tr(pi**j) at index j
     n, exp, log = field.n, field.exp, field.log
     add = field.add
     e1 = 2 * params.twist_exponent
@@ -315,7 +315,8 @@ def t_direct(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> C
     for t in range(n):
         u = exp[(la + t * e1) % n] if la >= 0 else 0
         w = exp[(lb + 2 * t) % n] if lb >= 0 else 0
-        counts[tr[add(u, w)]] += 1
+        total = add(u, w)
+        counts[tr[log[total]] if total else 0] += 1
     return CyclotomicInteger.from_counts(p, counts)
 
 

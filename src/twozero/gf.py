@@ -5,8 +5,8 @@ the coefficients of the element in the polynomial basis, so code 0 is the
 additive identity and code 1 the multiplicative identity.  A field carries
 a fixed monic irreducible modulus (the lexicographically smallest one, so
 rebuilding the same (p, m) is bit-for-bit reproducible), a fixed primitive
-element pi (the smallest code of multiplicative order p**m - 1), and eager
-tables used by every hot path.
+element pi (the smallest code of multiplicative order p**m - 1), and the
+eager exp, log and zech tables used by every hot path.
 
 There is one arithmetic.  :class:`Polynomial` modulo the modulus finds pi
 and the images of the basis x**j under multiplication by pi.  That map is
@@ -15,8 +15,9 @@ digits, and the walk over the powers of pi that gives the exp/log tables
 costs two divmods and four lookups per element.  After that every
 operation is a table lookup.  Multiplication adds logarithms, and addition
 uses Zech logarithms, zech[i] = log(1 + pi**i), since a + b = a (1 + b/a).
-The trace to a subfield is GF(p)-linear too, so each trace table is
-tabulated from the images of the basis x**j, one addition per code.
+The trace to a subfield is GF(p)-linear too, so the one trace table kept,
+Tr_d(pi**e) by exponent e, is tabulated from the traces of the basis x**j,
+one addition per code; a single trace is a sum of Frobenius conjugates.
 
 The module also houses polynomials over GF(p) (needed for moduli, minimal
 polynomials and the parity-check polynomial h1 h2 of the cyclic code; the
@@ -47,7 +48,7 @@ from .errors import (
 
 # Largest field (in elements) whose tables are built.  exp, log and zech take
 # 24 bytes per element; build_code peaks near 100 bytes per element (RSS,
-# CPython 3.11: 64 MiB at 3^12, 162 MiB at 3^13), so 2^21 elements bounds it
+# CPython 3.11: 61 MiB at 3^12, 152 MiB at 3^13), so 2^21 elements bounds it
 # near 200 MiB: 3^13 is built and 3^14 (about 450 MiB) and larger are refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
 
@@ -376,7 +377,9 @@ class SubfieldIndexTables:
 
     The scalar Gram path (quadforms.gram_matrix, quadforms.diagonalize) reads
     these lists and the batched kernel (batch.subfield_tables,
-    batch.trace_of_powers) reads numpy copies of them.
+    batch.trace_of_powers) reads numpy copies of them.  trace_of_power is
+    the field's only trace table, indexed by the exponent of pi; at d = 1
+    the index is the trace value itself, since the codes of GF(p) are 0..p-1.
     """
 
     codes: tuple[int, ...]     # index -> field code, ascending
@@ -397,8 +400,10 @@ class FiniteField:
     primitive (else InternalInconsistency).  All arithmetic is on integer
     codes through the int64 exp, log and zech arrays, never written after
     construction; numpy reads them in place (batch.field_table).  Derived
-    tables (subfield traces, subfield codes and index tables, class data)
-    are memoized on the instance, so they live exactly as long as the field.
+    tables (subfield codes, subfield index tables with their trace by
+    exponent, Gram entries, phi tables, class censuses) are memoized on the
+    instance, so they live exactly as long as the field.  No trace is kept
+    by code: :meth:`trace` sums the conjugates of one element.
     """
 
     def __init__(self, p: int, m: int, modulus: Polynomial, primitive: int) -> None:
@@ -416,10 +421,6 @@ class FiniteField:
         self.zech = array("q", (log[e - e % p + (e + 1) % p] for e in exp))
         self.neg_one = exp[self.n // 2]
         self.half = self.inv(2)
-
-        self.trace_table = self.trace_to_table(1)  # Tr_1^m, values in [0, p)
-        if any(t >= p for t in self.trace_table):
-            raise InternalInconsistency("trace left the prime subfield")
 
     def memoized(self, key, compute: Callable[[], T]) -> T:
         """compute(), evaluated once per key for this field."""
@@ -481,35 +482,13 @@ class FiniteField:
 
     def trace(self, a: int, l: int = 1) -> int:
         """Tr_l^m(a) = sum of a**(p**(l*i)); lands in the subfield GF(p**l)."""
-        return self.trace_to_table(l)[a]
-
-    def trace_to_table(self, d: int) -> tuple[int, ...]:
-        """Tr_d^m for every code, as a flat tuple.
-
-        Tr_d^m is GF(p)-linear, so the code c p**j + r (r < p**j) maps to
-        Tr_d^m(r) + c Tr_d^m(x**j); only the m images of the basis x**j are
-        Frobenius conjugate sums.
-        """
-        if d < 1 or self.m % d:
-            raise NotADivisor(f"d={d} does not divide m={self.m}")
-
-        def tabulate() -> tuple[int, ...]:
-            mul, add = self.mul, self.add
-            table: list[int] = []
-            for j in range(self.m):
-                image = t = self.p**j  # the code of x**j
-                for _ in range(self.m // d - 1):
-                    t = self.frobenius(t, d)
-                    image = add(image, t)
-                if j == 0:  # the codes c < p, in one comprehension
-                    table = [mul(c, image) for c in range(self.p)]
-                else:
-                    for c in range(1, self.p):
-                        shift = mul(c, image)
-                        table += [add(r, shift) for r in table[: self.p**j]]
-            return tuple(table)
-
-        return self.memoized(("trace_to_table", d), tabulate)
+        if l < 1 or self.m % l:
+            raise NotADivisor(f"l={l} does not divide m={self.m}")
+        total = t = a
+        for _ in range(self.m // l - 1):
+            t = self.frobenius(t, l)
+            total = self.add(total, t)
+        return total
 
     def subfield(self, d: int) -> tuple[int, ...]:
         """Sorted codes of the subfield GF(p**d) inside this field."""
@@ -527,10 +506,14 @@ class FiniteField:
         """The :class:`SubfieldIndexTables` of GF(p**d), memoized.
 
         Refuses a subfield of more than SUBFIELD_INDEX_BUDGET elements
-        (BudgetExceeded).  The trace table is one byte per element, read off
-        trace_to_table(d) along exp, so no per-element list is added.  The
-        scalar Gram path asks for the tables on every call, so a hit builds
-        nothing, not even a closure.
+        (BudgetExceeded).  This is the one place where traces are tabulated
+        and kept.  Tr_d^m is GF(p)-linear, so the code c p**j + r (r < p**j)
+        maps to Tr_d^m(r) + c Tr_d^m(x**j): one addition per code, from the m
+        conjugate sums Tr_d^m(x**j).  That list by code is transient; only its
+        subfield indices read along exp are kept, one byte per element, and a
+        trace outside GF(p**d) raises InternalInconsistency.  The scalar Gram
+        path asks for the tables on every call, so a hit builds nothing, not
+        even a closure.
         """
         key = ("subfield_index_tables", d)
         if key in self._memo:
@@ -542,7 +525,15 @@ class FiniteField:
         def table(op: Callable[[int, int], int]) -> list[list[int]]:
             return [[index[op(a, b)] for b in codes] for a in codes]
 
-        by_code = bytes(map(index.__getitem__, self.trace_to_table(d)))
+        by_code = [0]
+        for j in range(self.m):
+            image = self.trace(self.p**j, d)  # the code of x**j is p**j
+            shifts = [self.mul(c, image) for c in range(1, self.p)]
+            by_code += [self.add(t, shift) for shift in shifts for t in by_code]
+        try:
+            by_code = bytes(map(index.__getitem__, by_code))
+        except KeyError:
+            raise InternalInconsistency(f"a trace left GF({self.p}^{d})") from None
         self._memo[key] = tables = SubfieldIndexTables(
             codes=codes,
             index=index,

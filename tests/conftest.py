@@ -4,6 +4,20 @@ import pytest
 
 from twozero import build_code, build_field, classify_parameters
 from twozero.codes import ENGINES, run_engine
+from twozero.gf import Polynomial
+
+
+def conjugate_trace(field, a: int, d: int) -> int:
+    """Tr_d^m(a) as the sum of the conjugates a**(p**(d i)), in polynomials.
+
+    Polynomial arithmetic modulo the field's modulus: no field table is read,
+    so this is the definition against which every trace is checked.
+    """
+    acc = t = Polynomial(field.p, field.coeffs(a))
+    for _ in range(field.m // d - 1):
+        t = t.pow_mod(field.p**d, field.modulus)
+        acc = acc + t
+    return field.encode(acc.coeffs)
 
 
 @pytest.fixture(scope="session")

@@ -36,6 +36,8 @@ from twozero.errors import BudgetExceeded
 from twozero.expsums import CyclotomicInteger, t_fast, t_value
 from twozero.quadforms import Case, CodeParams, diagonalize, twist_pair
 
+from conftest import conjugate_trace
+
 
 def _to_index_matrix(tabs, mat):
     index = {int(c): i for i, c in enumerate(tabs.codes)}
@@ -115,7 +117,7 @@ def _character_sum(field, mat):
     index = {c: i for i, c in enumerate(elements)}
     add = np.array([[index[field.add(a, b)] for b in elements] for a in elements])
     mul = np.array([[index[field.mul(a, b)] for b in elements] for a in elements])
-    trace = np.array([field.trace_to_table(1)[c] for c in elements])
+    trace = np.array([conjugate_trace(field, c, 1) for c in elements])
     s = len(mat)
     xs = np.array(list(itertools.product(range(len(elements)), repeat=s)))
     value = np.zeros(len(xs), np.int64)
@@ -232,8 +234,7 @@ class TestClassData:
 
     def test_field_dies_with_its_memo(self, params341):
         field = build_field(3, 4)
-        field.trace_to_table(2)
-        field.subfield(2)
+        field.subfield_index_tables(2)
         t_class_data(field, params341)
         ref = weakref.ref(field)
         del field
@@ -298,8 +299,9 @@ class TestBruteHistogram:
         rows = trace_rows(field341, range(81), [field341.log[c] for c in codes])
         assert rows.shape == (81, 11)
         assert rows.dtype == np.uint8
-        tr = field341.trace_table
-        assert rows.tolist() == [[tr[field341.mul(a, c)] for c in codes] for a in range(81)]
+        assert rows.tolist() == [
+            [conjugate_trace(field341, field341.mul(a, c), 1) for c in codes] for a in range(81)
+        ]
 
 
 class TestFieldTables:
@@ -322,8 +324,12 @@ class TestFieldTables:
                 view[0] = 0
 
     def test_census_memoizes_no_table_copy(self, params341):
-        # No memo value holds an array of a pass's size, also inside a tuple
-        # or a dataclass, but the phi tables, which every phi block reuses.
+        # No memo value and no field attribute is or holds, also inside a
+        # tuple, a list or a dataclass, a tuple, list, bytes or array of a
+        # pass's size, but the phi tables, which every phi block reuses, and
+        # the subfield index tables, whose trace by exponent is the field's
+        # one trace table.  exp, log and zech are the field's array.array
+        # tables, which numpy reads in place.
         code = build_code(3, 4, 1)
         field = code.field
         brute_weight_histogram(code)
@@ -332,19 +338,18 @@ class TestFieldTables:
         phi_rank_histogram(field, params341)
         assert "log_array" not in field._memo
 
-        def arrays(value) -> list:
+        def pass_size(value) -> bool:
             if dataclasses.is_dataclass(value):
                 value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
-            if isinstance(value, tuple):
-                return [a for item in value for a in arrays(item)]
-            return [value] if isinstance(value, np.ndarray) else []
+            if isinstance(value, np.ndarray):
+                return value.size >= field.n
+            if isinstance(value, (tuple, list, bytes)):
+                return len(value) >= field.n or any(map(pass_size, value))
+            return False
 
-        copies = [
-            key
-            for key, value in field._memo.items()
-            if any(a.size >= field.n for a in arrays(value))
-        ]
-        assert copies == [("phi_tables", params341)]
+        holders = [key for key, value in field._memo.items() if pass_size(value)]
+        holders += [name for name, value in vars(field).items() if pass_size(value)]
+        assert set(holders) == {("phi_tables", params341), ("subfield_index_tables", 1)}
 
 
 # Every budgeted pass of batch: how to run it on a code within a budget, the
@@ -453,9 +458,9 @@ def _traced_excess(run) -> int:
 # Every blocked pass at a point where it spans several blocks: the point,
 # the kernel it calls once a block and how to run it.  The class pass keeps
 # only its census, so its excess also counts what it holds only while it
-# runs, all pass-size: its classes of f and g (6 bytes per field element) and
-# the temporaries of their rank check.  tracemalloc reads 1.04, 1.28 and
-# 1.75 x BLOCK_BYTES at (3, 7, 1), (3, 9, 1) and (3, 10, 1).
+# runs, pass-size: its classes of f and g (6 bytes per field element); their
+# rank check allocates nothing.  tracemalloc reads 1.04, 1.28, 1.75 and
+# 3.10 x BLOCK_BYTES at (3, 7, 1), (3, 9, 1), (3, 10, 1) and (3, 11, 1).
 _WORKING_SETS = {
     "classes-371": (
         (3, 7, 1), "batched_rank_disc", lambda code: t_class_data(code.field, code.params)

@@ -8,6 +8,8 @@ from twozero import build_field, gauss_sum
 from twozero.errors import NonRationalSum, ParameterError
 from twozero.expsums import CyclotomicInteger, SymbolicSumValue, subfield_gauss_sum
 
+from conftest import conjugate_trace
+
 
 class TestCyclotomicInteger:
     def test_basis_reduction(self):
@@ -76,7 +78,7 @@ class TestSubfieldGaussSum:
         f = build_field(p, d)
         counts = [0] * p
         for x in range(f.order):
-            counts[f.trace_table[f.mul(x, x)]] += 1
+            counts[conjugate_trace(f, f.mul(x, x), 1)] += 1
         direct = CyclotomicInteger.from_counts(p, counts)
         sym = subfield_gauss_sum(p, d)
         assert sym.cyclotomic() == direct

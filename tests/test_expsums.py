@@ -27,6 +27,8 @@ from twozero.expsums import (
 )
 from twozero.quadforms import closed_rank_census, rank_census
 
+from conftest import conjugate_trace
+
 
 def _t_oracle(field, params, alpha, beta):
     """Independent re-derivation of T: literal term-by-term accumulation."""
@@ -37,7 +39,7 @@ def _t_oracle(field, params, alpha, beta):
             field.mul(alpha, field.pow(x, pk1) if x else 0),
             field.mul(beta, field.mul(x, x)),
         )
-        counts[field.trace_table[inner]] += 1
+        counts[conjugate_trace(field, inner, 1)] += 1
     return CyclotomicInteger.from_counts(params.p, counts)
 
 

@@ -26,6 +26,8 @@ from twozero.gf import (
     prime_factors,
 )
 
+from conftest import conjugate_trace
+
 # -- table-free references ---------------------------------------------------
 # Digit-loop addition and negation on base-p codes, and multiplication as a
 # polynomial product modulo the field's modulus.  None of them reads the
@@ -58,15 +60,6 @@ def poly(field, a: int) -> Polynomial:
 
 def poly_mul(field, a: int, b: int) -> int:
     return field.encode((poly(field, a) * poly(field, b) % field.modulus).coeffs)
-
-
-def conjugate_trace(field, a: int, d: int) -> int:
-    """Tr_d^m(a) as the sum of the conjugates a**(p**(d i)), in polynomials."""
-    acc = t = poly(field, a)
-    for _ in range(field.m // d - 1):
-        t = t.pow_mod(field.p**d, field.modulus)
-        acc = acc + t
-    return field.encode(acc.coeffs)
 
 
 def polynomial_walk(field) -> list[int]:
@@ -186,7 +179,9 @@ class TestBuildField:
         assert a.modulus == b.modulus
         assert a.primitive_element == b.primitive_element
         assert a.exp == b.exp
-        assert a.trace_table == b.trace_table
+        assert a.subfield_index_tables(1).trace_of_power == (
+            b.subfield_index_tables(1).trace_of_power
+        )
 
     @pytest.mark.parametrize(
         "hook", [{"modulus_index": -1}, {"primitive_index": -1}], ids=["modulus", "primitive"]
@@ -319,11 +314,19 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("p,m", [(3, 6), (5, 4)])
     def test_trace_tables_are_conjugate_sums(self, p, m):
+        # The one trace table, Tr_d(pi**e) by exponent e, for every subfield
+        # it is built for, and the single traces, also at d = m.
         f = build_field(p, m)
         for d in range(1, m + 1):
-            if m % d == 0:
-                expected = tuple(conjugate_trace(f, a, d) for a in range(f.order))
-                assert f.trace_to_table(d) == expected
+            if m % d:
+                continue
+            if p**d <= 256:
+                tabs = f.subfield_index_tables(d)
+                for e, index in enumerate(tabs.trace_of_power):
+                    assert tabs.codes[index] == conjugate_trace(f, f.exp[e], d), (d, e)
+            assert [f.trace(a, d) for a in range(f.order)] == [
+                conjugate_trace(f, a, d) for a in range(f.order)
+            ], d
 
 
 class TestTrace:
@@ -339,13 +342,13 @@ class TestTrace:
         for x in range(9):
             total = (total + f.trace(x, 1)) % 3
         assert total == 0
-        assert sorted(f.trace_table).count(0) == 3
+        assert [f.trace(x, 1) for x in range(9)].count(0) == 3
 
     def test_trace_additivity(self, field341):
         f = field341
         for x in range(0, f.order, 5):
             for y in range(0, f.order, 7):
-                assert (f.trace_table[x] + f.trace_table[y]) % 3 == f.trace_table[f.add(x, y)]
+                assert (f.trace(x) + f.trace(y)) % 3 == f.trace(f.add(x, y))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_trace_transitivity_exhaustive(self, m):
@@ -365,6 +368,14 @@ class TestTrace:
     def test_trace_rejects_non_divisor(self, field341):
         with pytest.raises(NotADivisor):
             field341.trace(1, 3)
+
+    def test_trace_outside_the_subfield_is_an_inconsistency(self, monkeypatch):
+        # The trace table stores subfield indices, so a trace that left
+        # GF(p^d) is an internal fault, not a KeyError.
+        f = build_field(3, 4)
+        monkeypatch.setattr(f, "trace", lambda a, l=1: f.p)  # the code of x
+        with pytest.raises(InternalInconsistency, match="a trace left GF"):
+            f.subfield_index_tables(1)
 
 
 class TestQuadraticCharacter:
