@@ -51,6 +51,10 @@ EXIT_INVALID = 2
 EXIT_REFUSED = 3
 
 
+# The bytes.translate table from a coefficient below 10 to its decimal digit.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -97,7 +101,7 @@ def _format_weights(documents, agreement, fmt: str) -> str:
 
 def cmd_analyze(args) -> tuple[int, str]:
     code = build_code(args.p, args.m, args.k, modulus_index=args.modulus_index)
-    params = code.params
+    params, generator = code.params, code.generator_coefficients
     if args.format == "json":
         return EXIT_OK, _json_dumps(code_header(code))
     lines = [
@@ -107,8 +111,12 @@ def cmd_analyze(args) -> tuple[int, str]:
         f"code            [{code.n}, {code.dimension}] over GF({params.p})",
         f"h1              {code.h1}",
         f"h2              {code.h2}",
-        f"generator       degree {code.generator.degree}, coefficients "
-        + ("," if params.p > 10 else "").join(str(c) for c in code.generator.coeffs),
+        f"generator       degree {len(generator) - 1}, coefficients "
+        + (
+            ",".join(map(str, generator))
+            if params.p > 10
+            else generator.translate(_DIGITS).decode("ascii")
+        ),
     ]
     return EXIT_OK, "\n".join(lines) + "\n"
 

@@ -33,7 +33,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -105,13 +104,22 @@ class WeightDistribution:
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """The code together with its field and precomputed coordinate data."""
+    """The code together with its field and precomputed coordinate data.
+
+    The generator's n - 2m + 1 coefficients, ascending, are kept as one
+    bytes object (m >= 3 under the field-table budget, so p <= 127);
+    :attr:`generator` builds the Polynomial only when read.
+    """
 
     params: CodeParams
     field: FiniteField
     h1: Polynomial
     h2: Polynomial
-    generator: Polynomial
+    generator_coefficients: bytes
+
+    @property
+    def generator(self) -> Polynomial:
+        return Polynomial(self.params.p, self.generator_coefficients)
 
     @property
     def n(self) -> int:
@@ -140,8 +148,10 @@ def build_code(
     distinct of degree m, their product must divide x**n - 1 exactly, and
     both must have nonzero constant term; all of this is verified.  The
     generator g = (x**n - 1)/(h1 h2) is read off the partial fractions of
-    1/(h1 h2), with no polynomial division, and the divisibility check is
-    that g h1 h2 == x**n - 1, every coefficient compared, by one exact
+    1/(h1 h2), with no polynomial division and no Python object per
+    coefficient: two byte runs of the trace table, added as integers and
+    reduced mod p by one bytes.translate.  The divisibility check is that
+    g h1 h2 == x**n - 1, every coefficient compared, by one exact
     big-integer product (see _check_generator).
     """
     params = classify_parameters(p, m, k)
@@ -165,10 +175,11 @@ def build_code(
     # give g_i = sum of rho**(-i) / (rho h'(rho)).  h' has GF(p) coefficients,
     # so the roots conjugate to gamma sum to Tr(c gamma**(-i)) with
     # c = 1/(gamma h'(gamma)): the trace of pi**j at j = log c - i log gamma.
+    # A trace is below p <= 127, so the two runs add bytewise with no carry.
     h = h1 * h2
     derivative = [i * c % p for i, c in enumerate(h.coeffs)][1:]
     tr = field.subfield_index_tables(1).trace_of_power  # the value Tr(pi**j) at index j
-    terms = []
+    total = 0
     for gamma in gammas:
         value = 0  # h'(gamma), by Horner
         for c in reversed(derivative):
@@ -176,32 +187,47 @@ def build_code(
         step = -field.log[gamma] % n  # log of 1/gamma
         start = (step - field.log[value]) % n  # log of c
         stop = start + step * (n - 2 * m + 1)
-        terms.append([tr[j % n] for j in range(start, stop, step)])
-    generator = Polynomial(p, map(add, *terms))
+        run = bytes(map(tr.__getitem__, map(n.__rmod__, range(start, stop, step))))
+        total += int.from_bytes(run, "little")
+    generator = total.to_bytes(n - 2 * m + 1, "little").translate(_residues(p))
     _check_generator(generator, h, n)
 
-    return CyclicCode(params=params, field=field, h1=h1, h2=h2, generator=generator)
+    return CyclicCode(params=params, field=field, h1=h1, h2=h2, generator_coefficients=generator)
 
 
-def _check_generator(generator: Polynomial, h: Polynomial, n: int) -> None:
-    """Raise InternalInconsistency unless generator * h == x**n - 1 over GF(p).
+def _residues(p: int) -> bytes:
+    """The bytes.translate table that reduces every byte mod p."""
+    return bytes(c % p for c in range(256))
 
-    One Kronecker substitution: each polynomial becomes one integer with a
-    coefficient per fixed-width field, wide enough that no coefficient of
-    the integer product (at most min(len) (p-1)**2) carries into the next.
-    The product of a long by a short integer takes linear time.
+
+def _check_generator(generator: bytes, h: Polynomial, n: int) -> None:
+    """Raise InternalInconsistency unless generator * h == x**n - 1 over GF(h.p).
+
+    generator holds one coefficient per byte, ascending.  One Kronecker
+    substitution: each polynomial becomes one integer with a coefficient
+    per fixed-width field, wide enough that no coefficient of the integer
+    product (at most min(len) (p-1)**2) carries into the next, and the
+    product's fields, reduced mod p, are compared as bytes.  A field of
+    one byte takes the bytes as they are; a wider one widens them from an
+    iterator, since array(typecode, bytes) would read raw item bytes.  The
+    product of a long by a short integer takes linear time.
     """
-    p = generator.p
-    bound = min(len(generator.coeffs), len(h.coeffs)) * (p - 1) ** 2
+    p = h.p
+    bound = min(len(generator), len(h.coeffs)) * (p - 1) ** 2
     typecode = next(t for t in "BHIQ" if bound < 256 ** array(t).itemsize)
+    width = array(typecode).itemsize
     a, b = (
-        int.from_bytes(array(typecode, poly.coeffs).tobytes(), sys.byteorder)
-        for poly in (generator, h)
+        int.from_bytes(coeffs if width == 1 else array(typecode, iter(coeffs)), sys.byteorder)
+        for coeffs in (generator, bytes(h.coeffs))
     )
-    product = array(typecode)
-    size = len(generator.coeffs) + len(h.coeffs) - 1
-    product.frombytes((a * b).to_bytes(size * product.itemsize, sys.byteorder))
-    if [c % p for c in product] != [p - 1] + [0] * (n - 1) + [1]:
+    packed = (a * b).to_bytes((len(generator) + len(h.coeffs) - 1) * width, sys.byteorder)
+    if width == 1:
+        reduced = packed.translate(_residues(p))
+    else:
+        product = array(typecode)
+        product.frombytes(packed)
+        reduced = bytes(map(p.__rmod__, product))
+    if reduced != bytes([p - 1]) + bytes(n - 1) + b"\x01":
         raise InternalInconsistency("h1 h2 does not divide x^n - 1")
 
 
@@ -363,7 +389,7 @@ def code_header(code: CyclicCode) -> dict:
         "dimension": code.dimension,
         "h1": list(code.h1.coeffs),
         "h2": list(code.h2.coeffs),
-        "generator": list(code.generator.coeffs),
+        "generator": list(code.generator_coefficients),
     }
 
 

@@ -16,8 +16,10 @@ costs two divmods and four lookups per element.  After that every
 operation is a table lookup.  Multiplication adds logarithms, and addition
 uses Zech logarithms, zech[i] = log(1 + pi**i), since a + b = a (1 + b/a).
 The trace to a subfield is GF(p)-linear too, so the one trace table kept,
-Tr_d(pi**e) by exponent e, is tabulated from the traces of the basis x**j,
-one addition per code; a single trace is a sum of Frobenius conjugates.
+Tr_d(pi**e) by exponent e, is tabulated from the traces of the basis x**j
+in subfield indices, one bytes.translate per digit and multiplier through
+a row of the subfield add table; a single trace is a sum of Frobenius
+conjugates.
 
 The module also houses polynomials over GF(p) (needed for moduli, minimal
 polynomials and the parity-check polynomial h1 h2 of the cyclic code; the
@@ -47,9 +49,10 @@ from .errors import (
 )
 
 # Largest field (in elements) whose tables are built.  exp, log and zech take
-# 24 bytes per element; build_code peaks near 100 bytes per element (RSS,
-# CPython 3.11: 61 MiB at 3^12, 152 MiB at 3^13), so 2^21 elements bounds it
-# near 200 MiB: 3^13 is built and 3^14 (about 450 MiB) and larger are refused.
+# 24 bytes per element, 32 while zech is built; build_code peaks near 47
+# bytes per element (RSS, CPython 3.11: 33 MiB at 3^12, 71 MiB at 3^13), so
+# 2^21 elements bounds it near 100 MiB: 3^13 is built and 3^14 (about 200
+# MiB) and larger are refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
 
 # Largest subfield GF(q) given index tables: an index fits one byte, which the
@@ -416,9 +419,14 @@ class FiniteField:
         self._memo: dict = {}
 
         self.exp, self.log = exp, log = _exp_log(p, m, modulus, primitive)
-        # zech[i] = log(1 + pi**i): adding 1 changes digit 0 only.  The entry
-        # at n/2 is log(0) = -1, since pi**(n/2) = -1 (p odd, so n is even).
-        self.zech = array("q", (log[e - e % p + (e + 1) % p] for e in exp))
+        # zech[i] = log(1 + pi**i), one map over exp through plus_one[c] =
+        # log(c + 1).  Adding 1 changes digit 0 only: c + 1 for c % p < p - 1,
+        # and c + 1 - p for c % p == p - 1, whose slice wraps to residue 0.
+        # The entry at n/2 is log(0) = -1, since pi**(n/2) = -1 (p odd).
+        plus_one = log[1:]
+        plus_one.append(0)  # the last code has residue p - 1: set with its slice
+        plus_one[p - 1::p] = log[0::p]
+        self.zech = array("q", map(plus_one.__getitem__, exp))
         self.neg_one = exp[self.n // 2]
         self.half = self.inv(2)
 
@@ -508,39 +516,46 @@ class FiniteField:
         Refuses a subfield of more than SUBFIELD_INDEX_BUDGET elements
         (BudgetExceeded).  This is the one place where traces are tabulated
         and kept.  Tr_d^m is GF(p)-linear, so the code c p**j + r (r < p**j)
-        maps to Tr_d^m(r) + c Tr_d^m(x**j): one addition per code, from the m
-        conjugate sums Tr_d^m(x**j).  That list by code is transient; only its
-        subfield indices read along exp are kept, one byte per element, and a
-        trace outside GF(p**d) raises InternalInconsistency.  The scalar Gram
-        path asks for the tables on every call, so a hit builds nothing, not
-        even a closure.
+        maps to Tr_d^m(r) + c Tr_d^m(x**j), from the m conjugate sums
+        Tr_d^m(x**j).  The table of subfield indices by code grows by one
+        bytes.translate per digit j and multiplier c, through the row of the
+        add table at the index of c Tr_d^m(x**j); only its values read along
+        exp are kept, one byte per element.  A value outside GF(p**d), in the
+        tables or in a basis trace, raises InternalInconsistency.  The scalar
+        Gram path asks for the tables on every call, so a hit builds nothing,
+        not even a closure.
         """
         key = ("subfield_index_tables", d)
         if key in self._memo:
             return self._memo[key]
-        codes = self.subfield(d)
+        p, codes = self.p, self.subfield(d)
         check_budget("subfield index tables", len(codes), "elements", None, SUBFIELD_INDEX_BUDGET)
         index = {c: i for i, c in enumerate(codes)}
 
         def table(op: Callable[[int, int], int]) -> list[list[int]]:
             return [[index[op(a, b)] for b in codes] for a in codes]
 
-        by_code = [0]
-        for j in range(self.m):
-            image = self.trace(self.p**j, d)  # the code of x**j is p**j
-            shifts = [self.mul(c, image) for c in range(1, self.p)]
-            by_code += [self.add(t, shift) for shift in shifts for t in by_code]
         try:
-            by_code = bytes(map(index.__getitem__, by_code))
+            add, sub, mul = table(self.add), table(self.sub), table(self.mul)
+            inv = [0] + [index[self.inv(a)] for a in codes[1:]]
         except KeyError:
-            raise InternalInconsistency(f"a trace left GF({self.p}^{d})") from None
+            raise InternalInconsistency(f"a table entry left GF({p}^{d})") from None
+        try:
+            images = [index[self.trace(p**j, d)] for j in range(self.m)]  # x**j is code p**j
+        except KeyError:
+            raise InternalInconsistency(f"a trace left GF({p}^{d})") from None
+        # translate needs 256-byte tables; indices stay below q <= 256.
+        rows = [bytes(row).ljust(256, b"\0") for row in add]
+        by_code = bytes(1)  # the index of Tr_d^m(0) = 0; GF(p) codes are indices 0..p-1
+        for image in images:
+            by_code += b"".join(by_code.translate(rows[mul[c][image]]) for c in range(1, p))
         self._memo[key] = tables = SubfieldIndexTables(
             codes=codes,
             index=index,
-            add=table(self.add),
-            sub=table(self.sub),
-            mul=table(self.mul),
-            inv=[0] + [index[self.inv(a)] for a in codes[1:]],
+            add=add,
+            sub=sub,
+            mul=mul,
+            inv=inv,
             chi=[1] + [self.quadratic_character(a, d) for a in codes[1:]],
             trace_of_power=bytes(map(by_code.__getitem__, self.exp)),
         )

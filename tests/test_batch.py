@@ -34,6 +34,7 @@ from twozero.batch import (
 from twozero.codes import codeword_weight
 from twozero.errors import BudgetExceeded
 from twozero.expsums import CyclotomicInteger, t_fast, t_value
+from twozero.gf import Polynomial
 from twozero.quadforms import Case, CodeParams, diagonalize, twist_pair
 
 from conftest import conjugate_trace
@@ -329,7 +330,9 @@ class TestFieldTables:
         # pass's size, but the phi tables, which every phi block reuses, and
         # the subfield index tables, whose trace by exponent is the field's
         # one trace table.  exp, log and zech are the field's array.array
-        # tables, which numpy reads in place.
+        # tables, which numpy reads in place.  Neither does an attribute of
+        # the code, also inside a polynomial, hold a tuple or a list as long
+        # as the generator: its coefficients are one bytes object.
         code = build_code(3, 4, 1)
         field = code.field
         brute_weight_histogram(code)
@@ -350,6 +353,20 @@ class TestFieldTables:
         holders = [key for key, value in field._memo.items() if pass_size(value)]
         holders += [name for name, value in vars(field).items() if pass_size(value)]
         assert set(holders) == {("phi_tables", params341), ("subfield_index_tables", 1)}
+
+        generator_size = code.n - 2 * code.params.m + 1
+
+        def generator_size_tuple(value) -> bool:
+            if isinstance(value, Polynomial):
+                value = value.coeffs
+            if dataclasses.is_dataclass(value):
+                value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+            if isinstance(value, (tuple, list)):
+                return len(value) >= generator_size or any(map(generator_size_tuple, value))
+            return False
+
+        assert [name for name, value in vars(code).items() if generator_size_tuple(value)] == []
+        assert len(code.generator_coefficients) == generator_size
 
 
 # Every budgeted pass of batch: how to run it on a code within a budget, the

@@ -377,6 +377,14 @@ class TestTrace:
         with pytest.raises(InternalInconsistency, match="a trace left GF"):
             f.subfield_index_tables(1)
 
+    def test_sum_outside_the_subfield_is_an_inconsistency(self, monkeypatch):
+        # The trace table is read through rows of the subfield add table, so
+        # a sum that left GF(p^d) is an internal fault, not a KeyError.
+        f = build_field(3, 4)
+        monkeypatch.setattr(f, "add", lambda a, b: f.p)  # the code of x
+        with pytest.raises(InternalInconsistency, match="a table entry left GF"):
+            f.subfield_index_tables(1)
+
 
 class TestQuadraticCharacter:
     def test_one_is_square(self, field341):
