@@ -51,8 +51,11 @@ EXIT_INVALID = 2
 EXIT_REFUSED = 3
 
 
-# The bytes.translate table from a coefficient below 10 to its decimal digit.
+# The bytes.translate table from a coefficient below 10 to its decimal digit,
+# and the decimal names of all byte values, so that joining them makes no str
+# per coefficient.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_NAMES = [str(c) for c in range(256)]
 
 
 def _json_dumps(doc) -> str:
@@ -113,7 +116,7 @@ def cmd_analyze(args) -> tuple[int, str]:
         f"h2              {code.h2}",
         f"generator       degree {len(generator) - 1}, coefficients "
         + (
-            ",".join(map(str, generator))
+            ",".join(map(_NAMES.__getitem__, generator))
             if params.p > 10
             else generator.translate(_DIGITS).decode("ascii")
         ),

@@ -207,26 +207,22 @@ def _check_generator(generator: bytes, h: Polynomial, n: int) -> None:
     substitution: each polynomial becomes one integer with a coefficient
     per fixed-width field, wide enough that no coefficient of the integer
     product (at most min(len) (p-1)**2) carries into the next, and the
-    product's fields, reduced mod p, are compared as bytes.  A field of
-    one byte takes the bytes as they are; a wider one widens them from an
-    iterator, since array(typecode, bytes) would read raw item bytes.  The
-    product of a long by a short integer takes linear time.
+    product's fields, reduced mod p, are compared as bytes.  The bytes are
+    widened from an iterator, since array(typecode, bytes) would read raw
+    item bytes for a field wider than one byte.  The product of a long by a
+    short integer takes linear time.
     """
     p = h.p
     bound = min(len(generator), len(h.coeffs)) * (p - 1) ** 2
     typecode = next(t for t in "BHIQ" if bound < 256 ** array(t).itemsize)
-    width = array(typecode).itemsize
     a, b = (
-        int.from_bytes(coeffs if width == 1 else array(typecode, iter(coeffs)), sys.byteorder)
-        for coeffs in (generator, bytes(h.coeffs))
+        int.from_bytes(array(typecode, iter(coeffs)), sys.byteorder)
+        for coeffs in (generator, h.coeffs)
     )
-    packed = (a * b).to_bytes((len(generator) + len(h.coeffs) - 1) * width, sys.byteorder)
-    if width == 1:
-        reduced = packed.translate(_residues(p))
-    else:
-        product = array(typecode)
-        product.frombytes(packed)
-        reduced = bytes(map(p.__rmod__, product))
+    product = array(typecode)
+    size = len(generator) + len(h.coeffs) - 1
+    product.frombytes((a * b).to_bytes(size * product.itemsize, sys.byteorder))
+    reduced = bytes(map(p.__rmod__, product))
     if reduced != bytes([p - 1]) + bytes(n - 1) + b"\x01":
         raise InternalInconsistency("h1 h2 does not divide x^n - 1")
 

@@ -49,10 +49,10 @@ from .errors import (
 )
 
 # Largest field (in elements) whose tables are built.  exp, log and zech take
-# 24 bytes per element, 32 while zech is built; build_code peaks near 47
-# bytes per element (RSS, CPython 3.11: 33 MiB at 3^12, 71 MiB at 3^13), so
-# 2^21 elements bounds it near 100 MiB: 3^13 is built and 3^14 (about 200
-# MiB) and larger are refused.
+# 24 bytes per element; build_code peaks near 45 bytes per element (RSS,
+# CPython 3.11: 34 MiB at 3^12, 69 MiB at 3^13), so 2^21 elements bounds it
+# near 100 MiB: 3^13 is built and 3^14 (about 200 MiB) and larger are
+# refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
 
 # Largest subfield GF(q) given index tables: an index fits one byte, which the
@@ -419,14 +419,9 @@ class FiniteField:
         self._memo: dict = {}
 
         self.exp, self.log = exp, log = _exp_log(p, m, modulus, primitive)
-        # zech[i] = log(1 + pi**i), one map over exp through plus_one[c] =
-        # log(c + 1).  Adding 1 changes digit 0 only: c + 1 for c % p < p - 1,
-        # and c + 1 - p for c % p == p - 1, whose slice wraps to residue 0.
-        # The entry at n/2 is log(0) = -1, since pi**(n/2) = -1 (p odd).
-        plus_one = log[1:]
-        plus_one.append(0)  # the last code has residue p - 1: set with its slice
-        plus_one[p - 1::p] = log[0::p]
-        self.zech = array("q", map(plus_one.__getitem__, exp))
+        # zech[i] = log(1 + pi**i): adding 1 changes digit 0 only.  The entry
+        # at n/2 is log(0) = -1, since pi**(n/2) = -1 (p odd, so n is even).
+        self.zech = array("q", (log[e - e % p + (e + 1) % p] for e in exp))
         self.neg_one = exp[self.n // 2]
         self.half = self.inv(2)
 

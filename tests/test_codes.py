@@ -136,7 +136,8 @@ class TestGeneratorCheck:
     """_check_generator compares every coefficient of g h with x^n - 1.
 
     The product's coefficients pack into one byte at p = 3 and 7, two at
-    p = 11 and 13 and four at p = 127, so both ways of packing are seen.
+    p = 11 and 13 and four at p = 127, so the one packing is seen at three
+    widths.
     """
 
     @pytest.fixture(
