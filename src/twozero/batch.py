@@ -15,6 +15,8 @@ Field tables.  The kernels read the field's int64 exp and log tables in
 place (read-only views, :func:`field_table`) and take each multiplier of
 the code, a power of pi, as its exponent: the representatives, the Gram
 constants, the coordinate steps and the twist, (e, w) = coordinate_exponents.
+Every trace is read one way, off the 3n-byte :func:`read_table` at a + e for
+a multiplier pi**a (a = -1 for 0) and 0 <= e < n: no read reduces mod n.
 
 Representatives.  The substitution x -> c x (c in GF(p**m)*) sends
 (alpha, beta) to (alpha c**(p**k+1), beta c**2).  It keeps the class of f,
@@ -22,7 +24,9 @@ commutes with the twist (so keeps the class of g), and for c = pi**j it
 shifts the codeword cyclically by 2j (so keeps the weight).  Every census
 therefore runs over the 3 p**m representatives (alpha, beta0), alpha over
 the whole field and beta0 in {0, 1, pi}, in that row order (index row *
-p**m + slot, slot 0 for alpha = 0 and 1 + a for pi**a; (0, 0) is index 0):
+p**m + slot, slot 0 for alpha = 0 and 1 + a for pi**a; (0, 0) is index 0).
+The class and brute passes both walk alpha by slot, alpha = pi**(slot - 1),
+and both take beta0 as its exponent, -1, 0 or 1:
 
 * the beta0 = 0 row stands for itself, weight 1 per pair;
 * a pair with beta != 0 goes to the row whose beta0 (1, or the nonsquare
@@ -154,14 +158,14 @@ def field_table(field: FiniteField, name: str) -> np.ndarray:
     return view
 
 
-def trace_of_powers(field: FiniteField, d: int) -> np.ndarray:
-    """Subfield index of Tr_d(pi**e) for every exponent e, a read-only uint8 view.
+def read_table(field: FiniteField, d: int) -> np.ndarray:
+    """Subfield index of Tr_d(pi**e) at e and at n + e (0 <= e < n), then n zeros: 3n uint8.
 
-    A view of FiniteField.subfield_index_tables(d).trace_of_power; indices
-    are those of :func:`subfield_tables`.  At d = 1 the index is the trace
-    value itself, since the codes of GF(p) are 0..p-1.
+    A zero multiplier (log -1) is read at 2n.  Indices are those of
+    :func:`subfield_tables`; at d = 1 the index is the trace value itself.
     """
-    return np.frombuffer(field.subfield_index_tables(d).trace_of_power, np.uint8)
+    trace = np.frombuffer(field.subfield_index_tables(d).trace_of_power, np.uint8)
+    return np.concatenate([trace, trace, np.zeros(field.n, np.uint8)])
 
 
 def pair_classes(
@@ -182,8 +186,7 @@ def _block_classes(
 
     pairs gives the exponents (a, b) of alpha and beta, -1 for 0 as in
     field.log.  A[i][j] = add[Tr_d(pi**(a + log u_ij)), Tr_d(pi**(b + log v_ij))]
-    is read off :func:`trace_of_powers` laid out twice and then n zeros: no
-    reduction mod n, and an exponent of 0, moved to 2n a block, reads 0.
+    is read off :func:`read_table`, the -1 of alpha or beta = 0 moved to 2n.
 
     A pair takes 4 s**2 + 64 bytes of a block (tracemalloc: 244, 300, 366
     and 435 at s = 8..11, with its int64 exponents and pivot indices): the
@@ -193,7 +196,7 @@ def _block_classes(
     """
     n, s, log = field.n, params.s, field.log
     entries = [(i, j, log[u], log[v]) for i, j, u, v in gram_entries(field, params)]
-    read = np.concatenate([np.tile(trace_of_powers(field, params.d), 2), np.zeros(n, np.uint8)])
+    read = read_table(field, params.d)
     tabs = subfield_tables(field, params.d)
     step = block_size(4 * s * s + 64)
     out = np.empty(size, np.uint8)
@@ -211,9 +214,9 @@ def _block_classes(
 
 
 def representative_rows(field: FiniteField) -> tuple[tuple[int, int], ...]:
-    """(beta0, pairs per representative) of the three representative rows."""
+    """(log beta0, pairs per representative) of the rows beta0 = 0, 1 and pi; log 0 = -1."""
     half = field.n // 2
-    return ((0, 1), (1, half), (field.primitive_element, half))
+    return ((-1, 1), (0, half), (1, half))
 
 
 def t_class_data(
@@ -244,7 +247,7 @@ def class_rows(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.n
     aborts.  Unbudgeted and unmemoized, unlike :func:`t_class_data`.
     """
     order = field.order
-    beta_logs = field_table(field, "log")[[beta0 for beta0, _ in representative_rows(field)]]
+    beta_logs = np.array([lb for lb, _ in representative_rows(field)], np.int64)
 
     def representatives(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         row, slot = np.divmod(np.arange(lo, hi, dtype=np.int64), order)
@@ -278,7 +281,7 @@ def twist_index(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int]
     pi**(a + rotation), log arithmetic mod n only.
     """
     n, (e, w) = field.n, params.coordinate_exponents
-    logs = field_table(field, "log")[[beta0 for beta0, _ in representative_rows(field)]].tolist()
+    logs = [lb for lb, _ in representative_rows(field)]
     twists = [(0, e)]  # beta0 = 0 (log -1) stays on row 0
     for lb in logs[1:]:
         lt = (lb + w) % n  # log beta'
@@ -317,16 +320,15 @@ def joint_histogram(
 # -- brute-force codeword weights --------------------------------------------
 
 
-def trace_rows(field: FiniteField, alphas, exponents) -> np.ndarray:
-    """(len(alphas), len(exponents)) uint8 Tr_1^m(alphas[i] pi**exponents[j]), pi**-1 = 0."""
-    la = field_table(field, "log")[np.asarray(alphas, np.int64)]
-    le = np.asarray(exponents, np.int64)
-    at = la[:, None] + le[None, :]
-    at %= field.n
-    out = trace_of_powers(field, 1)[at]
-    out[la < 0] = 0  # log[0] is a -1 sentinel
-    out[:, le < 0] = 0
-    return out
+def trace_rows(read: np.ndarray, alpha_logs, exponents) -> np.ndarray:
+    """(len(alpha_logs), len(exponents)) uint8 Tr(pi**(alpha_logs[i] + exponents[j])).
+
+    read is :func:`read_table` at d = 1, each exponent lies in 0..n-1 and an
+    alpha log of -1 (alpha = 0) reads 0 at 2n.
+    """
+    la = np.asarray(alpha_logs, np.int64)
+    la = np.where(la < 0, 2 * read.size // 3, la)
+    return read[la[:, None] + np.asarray(exponents, np.int64)]
 
 
 def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
@@ -334,25 +336,25 @@ def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
 
     Distinct pairs give distinct codewords (the code has dimension 2m), so
     the pair census is the codeword census.  Each block of alpha rows of the
-    trace matrix is compared against the broadcast row of every
-    representative beta0, and each weight counts once per pair its
-    representatives stand for.  A row takes 10 n bytes of a block
-    (tracemalloc: 9.1-9.8 per coordinate at n >= 2186): the int64 gather
-    index of :func:`trace_rows`, the uint8 trace and the bool compare.  A
-    pass of more than budget coordinate checks (None:
-    :data:`DEFAULT_BRUTE_BUDGET`) is refused.
+    trace matrix, alpha by slot as in :func:`class_rows`, is compared
+    against the broadcast row of every representative beta0, and each
+    weight counts once per pair its representatives stand for.  A row
+    takes 10 n bytes of a block (tracemalloc: 10.0 per coordinate at n =
+    2186 and 6560): the int64 gather index of :func:`trace_rows`, the uint8
+    trace and the bool compare.  A pass of more than budget coordinate
+    checks (None: :data:`DEFAULT_BRUTE_BUDGET`) is refused.
     """
     field, n = code.field, code.n
     rows = representative_rows(field)
     checks = len(rows) * field.order * n
     check_budget("brute enumeration", checks, "coordinate checks", budget, DEFAULT_BRUTE_BUDGET)
-    steps = np.arange(n, dtype=np.int64)
+    read, steps = read_table(field, 1), np.arange(n, dtype=np.int64)
     u_steps, w_steps = (e * steps % n for e in code.params.coordinate_exponents)
-    neg_rw = (field.p - trace_rows(field, [beta for beta, _ in rows], w_steps)) % field.p
+    neg_rw = (field.p - trace_rows(read, [lb for lb, _ in rows], w_steps)) % field.p
     hist = np.zeros(n + 1, np.int64)
     step = block_size(10 * n)
     for lo in range(0, field.order, step):
-        ru = trace_rows(field, np.arange(lo, min(lo + step, field.order)), u_steps)
+        ru = trace_rows(read, np.arange(lo, min(lo + step, field.order)) - 1, u_steps)
         for r, (_, weight) in enumerate(rows):
             zeros = (ru == neg_rw[r]).sum(axis=1)
             hist += weight * np.bincount(n - zeros, minlength=n + 1)
@@ -397,39 +399,42 @@ def _fourier(counts: np.ndarray, p: int, m: int) -> np.ndarray:
     return counts.reshape(p, p**m, -1)
 
 
-def direct_reads(field: FiniteField, params: CodeParams, twisted: bool = False) -> list:
-    """(alpha shift, read-out) of each T a direct pass adds, computed once a pass.
+def direct_reads(field: FiniteField, params: CodeParams, twisted: bool = False) -> tuple:
+    """(read table, [(alpha shift, read-out) of each T]) of a direct pass, computed once a pass.
 
-    The read-out is the code of w = M b at each beta = b, M_ij = Tr(x**i x**j),
-    since Tr(beta z) = b . M z for digit vectors.  With twisted, T at the
-    twist (pi**e alpha, pi**w beta) follows T: alpha shifted by e, beta by w.
+    The read table is :func:`read_table` at d = 1.  The read-out is the code
+    of w = M b at each beta = b, M_ij = Tr(x**i x**j), since Tr(beta z) =
+    b . M z for digit vectors.  With twisted, T at the twist (pi**e alpha,
+    pi**w beta) follows T: alpha shifted by e, beta by w.
     """
     n, log, powers = field.n, field_table(field, "log"), params.p ** np.arange(field.m)
-    e, w = params.coordinate_exponents
-    return [
-        (shift, trace_rows(field, np.arange(field.order), (log[powers] + b_shift) % n) @ powers)
+    (e, w), read = params.coordinate_exponents, read_table(field, 1)
+    return read, [
+        (shift, trace_rows(read, log, (log[powers] + b_shift) % n) @ powers)
         for shift, b_shift in ([(0, 0), (e, w)] if twisted else [(0, 0)])
     ]
 
 
 def direct_counts(
-    field: FiniteField, params: CodeParams, alphas: np.ndarray, reads: list
+    field: FiniteField, params: CodeParams, alphas: np.ndarray, reads: tuple
 ) -> np.ndarray:
     """(len(alphas), p**m, p) counts c with T(alpha, beta) = sum c_j zeta_p**j.
 
-    Entry [i, beta] is the pair (alphas[i], beta); one T is added per term
-    of reads (:func:`direct_reads`), so twisted reads give S.  Row alpha is
-    the Fourier transform of g(z) = sum of zeta_p**Tr(alpha x**(p**k+1))
-    over x**2 = z; with an alpha shift, its row x = pi**t is at 2e t + shift.
+    Entry [i, beta] is the pair (alphas[i], beta) of codes; one T is added
+    per read-out of reads (:func:`direct_reads`), so twisted reads give S.
+    Row alpha is the Fourier transform of g(z) = sum of zeta_p**Tr(alpha
+    x**(p**k+1)) over x**2 = z; with an alpha shift, its row x = pi**t is
+    at 2e t + shift.
     """
     p, n, order, e = params.p, field.n, field.order, params.twist_exponent
-    exp, t, counts = field_table(field, "exp"), np.arange(n, dtype=np.int64), 0
-    for shift, read in reads:
-        values = trace_rows(field, alphas, (2 * e * t + shift) % n).astype(np.int64)
+    exp, log, (read, terms) = field_table(field, "exp"), field_table(field, "log"), reads
+    t, counts = np.arange(n, dtype=np.int64), 0
+    for shift, readout in terms:
+        values = trace_rows(read, log[alphas], (2 * e * t + shift) % n).astype(np.int64)
         index = (values * alphas.size + np.arange(alphas.size)[:, None]) * order + exp[2 * t % n]
         g = np.bincount(index.ravel(), minlength=p * alphas.size * order).reshape(p, -1, order)
         g[0, :, 0] += 1  # x = 0
-        counts = counts + _fourier(g, p, field.m)[:, read]
+        counts = counts + _fourier(g, p, field.m)[:, readout]
     return counts.transpose(2, 1, 0)
 
 

@@ -389,21 +389,16 @@ def code_header(code: CyclicCode) -> dict:
     }
 
 
-def code_report(
-    code: CyclicCode,
-    *,
-    engines: tuple[str, ...] = ("brute", "sums", "closed"),
-    budget: int | None = None,
-) -> dict:
+def code_report(code: CyclicCode, *, budget: int | None = None) -> dict:
     """Structured summary: parameters, polynomials, distributions, agreement.
 
-    Engines that are out of budget or unsupported for the case are reported
-    as unavailable rather than failing the whole report; at least one must
-    run.
+    Every engine of :data:`ENGINES` runs; those that are out of budget or
+    unsupported for the case are reported as unavailable rather than failing
+    the whole report, and at least one must run.
     """
     dists: dict[str, WeightDistribution] = {}
     unavailable: dict[str, str] = {}
-    for engine in engines:
+    for engine in ENGINES:
         try:
             dists[engine] = run_engine(code, engine, budget=budget)
         except (BudgetExceeded, UnsupportedCase) as exc:

@@ -379,10 +379,10 @@ class SubfieldIndexTables:
     """GF(q) = GF(p**d) arithmetic on indices 0..q-1 (index i is codes[i]; 0 is zero).
 
     The scalar Gram path (quadforms.gram_matrix, quadforms.diagonalize) reads
-    these lists and the batched kernel (batch.subfield_tables,
-    batch.trace_of_powers) reads numpy copies of them.  trace_of_power is
-    the field's only trace table, indexed by the exponent of pi; at d = 1
-    the index is the trace value itself, since the codes of GF(p) are 0..p-1.
+    these lists and the batched kernels read numpy copies of them
+    (batch.subfield_tables, batch.read_table).  trace_of_power is the
+    field's only trace table, indexed by the exponent of pi; at d = 1 the
+    index is the trace value itself, since the codes of GF(p) are 0..p-1.
     """
 
     codes: tuple[int, ...]     # index -> field code, ascending

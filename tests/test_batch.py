@@ -25,6 +25,7 @@ from twozero.batch import (
     joint_histogram,
     pair_classes,
     phi_rank_histogram,
+    read_table,
     representative_rows,
     subfield_tables,
     t_class_data,
@@ -205,12 +206,13 @@ class TestClassData:
         # Per representative, not per census: the class of g read off f
         # (twist_index, log arithmetic only) equals the kernel run on the
         # scalar quadforms.twist_pair of that representative.  Slot 0 of a
-        # row is alpha = 0, slot 1 + a is alpha = pi**a.
+        # row is alpha = 0, slot 1 + a is alpha = pi**a; beta0 = pi**lb is
+        # at slot 1 + lb, lb = -1 for 0.
         field, params = build_field(pmk[0], pmk[1], **choice), classify_parameters(*pmk)
         rows = representative_rows(field)
         slots = np.array([0] + [field.exp[a] for a in range(field.n)], np.int64)
         alphas = np.tile(slots, len(rows))
-        betas = np.repeat(np.array([b for b, _ in rows], np.int64), field.order)
+        betas = np.repeat(slots[[1 + lb for lb, _ in rows]], field.order)
         ta, tb = _twist_images(field, params)
         expected = pair_classes(field, params, ta[alphas], tb[betas])
         assert np.array_equal(class_rows(field, params)[1].ravel(), expected)
@@ -266,21 +268,23 @@ class TestClassData:
 
 class TestBruteHistogram:
     def test_matches_scalar_weights(self, code341):
-        hist = brute_weight_histogram(code341)
-        scalar = [0] * (code341.n + 1)
-        for a in range(81):
-            for b in range(81):
-                scalar[codeword_weight(code341, a, b)] += 1
-        assert hist == scalar
+        # (3, 5, 2) has odd s: no closed engine, so brute == sums is the only
+        # engine cross-check there, and this scalar count backs it.
+        for code in (code341, build_code(3, 5, 2)):
+            scalar = [0] * (code.n + 1)
+            for a in range(code.field.order):
+                for b in range(code.field.order):
+                    scalar[codeword_weight(code, a, b)] += 1
+            assert brute_weight_histogram(code) == scalar, code.params
 
     def test_all_pairs_loop_531(self):
         code = build_code(5, 3, 1)
         field, n = code.field, code.n
         pi = field.primitive_element
         u_step, w_step = field.pow(pi, code.params.twist_exponent), field.neg(pi)
-        log = field.log
-        ru = trace_rows(field, range(field.order), [log[field.pow(u_step, i)] for i in range(n)])
-        rw = trace_rows(field, range(field.order), [log[field.pow(w_step, i)] for i in range(n)])
+        log, read = field.log, read_table(field, 1)
+        ru = trace_rows(read, log, [log[field.pow(u_step, i)] for i in range(n)])
+        rw = trace_rows(read, log, [log[field.pow(w_step, i)] for i in range(n)])
         expected = [0] * (n + 1)
         for b in range(field.order):
             nonzero = ((ru + rw[b][None, :]) % field.p != 0).sum(axis=1)
@@ -293,16 +297,21 @@ class TestBruteHistogram:
         for choice in ({"modulus_index": 1}, {"primitive_index": 1}):
             assert brute_weight_histogram(build_code(3, 4, 1, **choice)) == hist, choice
 
-    def test_trace_rows_shape(self, field341, code341):
-        # Columns are exponents of pi, -1 standing for the zero element.
-        pi_e = field341.pow(field341.primitive_element, code341.params.twist_exponent)
-        codes = [0] + [field341.pow(pi_e, i) for i in range(10)]
-        rows = trace_rows(field341, range(81), [field341.log[c] for c in codes])
-        assert rows.shape == (81, 11)
-        assert rows.dtype == np.uint8
-        assert rows.tolist() == [
-            [conjugate_trace(field341, field341.mul(a, c), 1) for c in codes] for a in range(81)
-        ]
+    def test_trace_rows_shape(self):
+        # Rows are alpha by code, read as its log (-1 for alpha = 0); columns
+        # are exponents of pi.
+        for pmk in ((3, 4, 1), (5, 3, 1)):
+            code = build_code(*pmk)
+            field = code.field
+            pi_e = field.pow(field.primitive_element, code.params.twist_exponent)
+            codes = [field.pow(pi_e, i) for i in range(10)]
+            rows = trace_rows(read_table(field, 1), field.log, [field.log[c] for c in codes])
+            assert rows.shape == (field.order, 10)
+            assert rows.dtype == np.uint8
+            assert rows.tolist() == [
+                [conjugate_trace(field, field.mul(a, c), 1) for c in codes]
+                for a in range(field.order)
+            ], pmk
 
 
 class TestFieldTables:
@@ -425,7 +434,7 @@ class TestBudgets:
         def no_work(*args, **kwargs):
             raise AssertionError("the pass began before its budget check")
 
-        for kernel in ("_block_classes", "trace_rows", "direct_counts", "phi_ranks"):
+        for kernel in ("read_table", "_block_classes", "trace_rows", "direct_counts", "phi_ranks"):
             monkeypatch.setattr(batch, kernel, no_work)
         with pytest.raises(BudgetExceeded):
             run(build_code(*pmk), needed - 1)  # a fresh field: nothing memoized

@@ -11,6 +11,10 @@ through a numpy copy, and take the twist as exponent shifts, never through
 the scalar quadforms.twist_pair, which stays the reference the tests
 compare them with.
 
+One trace read: batch.py reads the field's trace table only in
+batch.read_table, and trace_rows reads it at alpha log + exponent with no
+reduction mod n, as _block_classes does.
+
 One budget notion: every check_budget call sits in the function whose loop
 it bounds (batch's passes, expsums' E1/E2 counts, gf's tables), so no
 other module re-derives the size of a pass to budget it.
@@ -116,6 +120,62 @@ def _owners(tree: ast.Module) -> list[tuple[str, ast.AST]]:
         else:
             owners.append((node.name if isinstance(node, ast.FunctionDef) else "<module>", node))
     return owners
+
+
+def _trace_table_owners(tree: ast.Module) -> list[str]:
+    """The owner of each trace_of_power: attribute, name, string, import or definition."""
+    return [
+        name
+        for name, owner in _owners(tree)
+        for node in ast.walk(owner)
+        if "trace_of_power"
+        in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))
+        or (isinstance(node, ast.Constant) and node.value == "trace_of_power")
+    ]
+
+
+REDUCERS = {"mod", "remainder", "fmod", "divmod"}
+
+
+def _reductions(function: ast.AST) -> list[str]:
+    """Each %, %= and mod-like call (np.mod, np.remainder, np.fmod, divmod) in function."""
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            found.append("%" if isinstance(node, ast.BinOp) else "%=")
+        elif isinstance(node, ast.Call):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called in REDUCERS:
+                found.append(called)
+    return found
+
+
+def test_the_trace_read_rule_sees_every_spelling():
+    source = (
+        "from .gf import trace_of_power\n"
+        "def read_table(field, d):\n"
+        "    return field.subfield_index_tables(d).trace_of_power\n"
+        "def trace_rows(read, a, e):\n"
+        "    tr = getattr(tabs, 'trace_of_power')\n"
+        "    at = a % 3\n"
+        "    at %= 3\n"
+        "    return np.mod(at, 3) + np.remainder(at, 3) + np.fmod(at, 3) + divmod(at, 3)[0]\n"
+        "class Tables:\n"
+        "    trace_of_power: bytes\n"
+    )
+    tree = ast.parse(source)
+    assert _trace_table_owners(tree) == ["<module>", "read_table", "trace_rows", "Tables"]
+    functions = dict(_owners(tree))
+    assert sorted(_reductions(functions["trace_rows"])) == [
+        "%", "%=", "divmod", "fmod", "mod", "remainder"
+    ]
+    assert _reductions(functions["read_table"]) == []
+
+
+def test_batch_reads_every_trace_one_way():
+    tree = ast.parse((PACKAGE / "batch.py").read_text(encoding="utf-8"))
+    assert _trace_table_owners(tree) == ["read_table"]
+    assert _reductions(dict(_owners(tree))["trace_rows"]) == []
 
 
 def _budget_checkers(tree: ast.Module) -> list[str]:
