@@ -18,31 +18,29 @@ constants, the coordinate steps and the twist, (e, w) = coordinate_exponents.
 Every trace is read one way, off the 3n-byte :func:`read_table` at a + e for
 a multiplier pi**a (a = -1 for 0) and 0 <= e < n: no read reduces mod n.
 
-Representatives.  The substitution x -> c x (c in GF(p**m)*) sends
-(alpha, beta) to (alpha c**(p**k+1), beta c**2).  It keeps the class of f,
-commutes with the twist (so keeps the class of g), and for c = pi**j it
-shifts the codeword cyclically by 2j (so keeps the weight).  Every census
-therefore runs over the 3 p**m representatives (alpha, beta0), alpha over
-the whole field and beta0 in {0, 1, pi}, in that row order (index row *
-p**m + slot, slot 0 for alpha = 0 and 1 + a for pi**a; (0, 0) is index 0).
-The class and brute passes both walk alpha by slot, alpha = pi**(slot - 1),
-and both take beta0 as its exponent, -1, 0 or 1:
+Representatives.  x -> c x (c in GF(p**m)*) sends (alpha, beta) to
+(alpha c**(p**k+1), beta c**2) and shifts the codeword cyclically; the
+Frobenius (alpha, beta) -> (alpha**p, beta**p) permutes its coordinates.
+Both keep the weight and the classes of f and of g (they commute with the
+twist up to an x -> c x).  :func:`representatives` lists one pair (pi**a,
+pi**b) per orbit, -1 for 0, with the number of pairs it stands for:
 
-* the beta0 = 0 row stands for itself, weight 1 per pair;
-* a pair with beta != 0 goes to the row whose beta0 (1, or the nonsquare
-  pi) has the quadratic character of beta, by exactly the two c = +-c0
-  with c**2 = beta0 / beta; -1 acts trivially because p**k + 1 is even,
-  so each representative of these rows stands for (p**m - 1) / 2 pairs.
+* b = -1: alpha = 0 (1 pair) and pi**j for j < g = gcd(p**k + 1, n) (n/g);
+* b = 0 and 1, beta0 = 1 and the nonsquare pi (a beta != 0 reaches the
+  beta0 of its character by c = +-c0, and -1 fixes alpha): alpha = 0 (n/2)
+  and each a least in its cycle under a -> p a + (1 - p) e b mod n, the
+  Frobenius and then the c that brings pi**(p b) back to pi**b (n/2 times
+  the cycle length, a divisor of m).
 
-The weights sum to p**m + p**m (p**m - 1) = p**(2m).  The twist of a
-representative lies in the orbit of another one, in a fixed row with its
-slots rotated, so the class of g is read off f there (:func:`twist_index`):
-one Gram matrix per representative.
+The zero pair is index 0; the sizes sum to p**m + p**m n = p**(2m).  The
+class and brute passes take their pairs only from this list, and g is f
+at the twist (pi**(a + e), pi**(b + w)), (e, w) = coordinate_exponents, by
+its own elimination.
 
 Classes.  The pass stores the (rank, discriminant character eps) class of a
 form as rank * 2 + (eps == -1) in a uint8; the zero pair is (0, +1).  Only
 :func:`joint_histogram` unpacks it (through :func:`unpack_class`), as it
-folds each row of :func:`class_rows` with the orbit size of that row.  The
+weights the classes of f and g at each representative by its size.  The
 pass keeps nothing but that census, keyed by ((rank_f, eps_f), (rank_g,
 eps_g)): :func:`t_class_data` memoizes it, and every consumer reads it.
 
@@ -58,7 +56,7 @@ orbit-reduced pass computes.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,21 +170,19 @@ def pair_classes(
     field: FiniteField, params: CodeParams, alphas: np.ndarray, betas: np.ndarray
 ) -> np.ndarray:
     """Packed class of f at each pair (alphas[i], betas[i]) of codes, as a uint8 array."""
-    la, lb = (field_table(field, "log")[x] for x in (alphas, betas))
-    return _block_classes(field, params, la.size, lambda lo, hi: (la[lo:hi], lb[lo:hi]))
+    log = field_table(field, "log")
+    return _block_classes(field, params, log[alphas], log[betas])[0]
 
 
 def _block_classes(
-    field: FiniteField,
-    params: CodeParams,
-    size: int,
-    pairs: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    field: FiniteField, params: CodeParams, a: np.ndarray, b: np.ndarray, shifts=((0, 0),)
 ) -> np.ndarray:
-    """Packed class of f at pairs 0..size-1, a block at a time; pairs(lo, hi) gives lo..hi-1.
+    """Packed class of f at (pi**(a[i] + t), pi**(b[i] + u)), row per shift (t, u) of shifts.
 
-    pairs gives the exponents (a, b) of alpha and beta, -1 for 0 as in
-    field.log.  A[i][j] = add[Tr_d(pi**(a + log u_ij)), Tr_d(pi**(b + log v_ij))]
-    is read off :func:`read_table`, the -1 of alpha or beta = 0 moved to 2n.
+    a and b are exponents, -1 for 0 as in field.log, and a shift keeps -1 at
+    -1; each block is eliminated once per shift, off one read table.  A[i][j]
+    = add[Tr_d(pi**(a + log u_ij)), Tr_d(pi**(b + log v_ij))] is read off
+    :func:`read_table`, the -1 of alpha or beta = 0 moved to 2n.
 
     A pair takes 4 s**2 + 64 bytes of a block (tracemalloc: 244, 300, 366
     and 435 at s = 8..11, with its int64 exponents and pivot indices): the
@@ -199,95 +195,102 @@ def _block_classes(
     read = read_table(field, params.d)
     tabs = subfield_tables(field, params.d)
     step = block_size(4 * s * s + 64)
-    out = np.empty(size, np.uint8)
-    for lo in range(0, size, step):
-        a, b = (np.where(x < 0, 2 * n, x) for x in pairs(lo, min(lo + step, size)))
-        mats = np.empty((a.size, s, s), np.uint8)
-        for i, j, lu, lv in entries:
-            vals = tabs.add[read[a + lu], read[b + lv]]
-            mats[:, i, j] = vals
-            if i != j:
-                mats[:, j, i] = vals
-        rank, disc = batched_rank_disc(mats, tabs)
-        out[lo : lo + a.size] = rank * 2 + (disc < 0)
+    out = np.empty((len(shifts), a.size), np.uint8)
+    for lo in range(0, a.size, step):
+        # int64, like every index here: int32 loops add 0.4 MiB of numpy code to the RSS.
+        ab = (a[lo : lo + step].astype(np.int64), b[lo : lo + step].astype(np.int64))
+        for classes, shift in zip(out, shifts):
+            ea, eb = (np.where(x < 0, 2 * n, (x + t) % n) for x, t in zip(ab, shift))
+            mats = np.empty((ea.size, s, s), np.uint8)
+            for i, j, lu, lv in entries:
+                vals = tabs.add[read[ea + lu], read[eb + lv]]
+                mats[:, i, j] = vals
+                if i != j:
+                    mats[:, j, i] = vals
+            rank, disc = batched_rank_disc(mats, tabs)
+            classes[lo : lo + ea.size] = rank * 2 + (disc < 0)
     return out
 
 
-def representative_rows(field: FiniteField) -> tuple[tuple[int, int], ...]:
-    """(log beta0, pairs per representative) of the rows beta0 = 0, 1 and pi; log 0 = -1."""
-    half = field.n // 2
-    return ((-1, 1), (0, half), (1, half))
+def representatives(
+    field: FiniteField, params: CodeParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit representatives (pi**a, pi**b) of all pairs: int32 a, b (-1 for 0), int64 sizes.
+
+    size[i] is the number of pairs representative i stands for, the zero
+    pair first; see the module docstring for the orbits.
+    """
+    params.check_field(field)
+    n, p, m, e = field.n, field.p, field.m, params.twist_exponent
+    g, half = math.gcd(2 * e, n), n // 2  # g = gcd(p**k + 1, n)
+
+    def run(row, a, sizes):  # int32 exponents are kept: n < 2**21 under the table budget
+        return np.asarray(a, np.int32), np.full(len(a), row, np.int32), np.asarray(sizes, np.int64)
+
+    parts = [run(-1, range(-1, g), [1] + [n // g] * g)]
+    # Pairs per cycle minimum by its r returns in m steps: n/2 times the cycle
+    # length m / r, looked up; numpy's integer division adds 0.4 MiB to the RSS.
+    cycle_sizes = np.array([0] + [half * (m // r) for r in range(1, m + 1)])
+    # An exponent takes 40 bytes of a block of the walk, int64 steps and counts
+    # (tracemalloc: 37.9 to 39.4 at p**m = 3**8, 3**10, 5**6 and 7**5).
+    step = block_size(40)
+    for row in (0, 1):
+        shift = (1 - p) * e * row % n  # Frobenius on alpha at beta0 = pi**row
+        parts.append(run(row, [-1], [half]))
+        for lo in range(0, n, step):
+            first = np.arange(lo, min(lo + step, n))
+            x, least, returns = first, np.ones(first.size, bool), np.zeros_like(first)
+            for _ in range(m):  # the cycle length divides m
+                x = (p * x + shift) % n
+                least &= x >= first  # no step of the cycle lands below a
+                returns += x == first
+            parts.append(run(row, first[least], cycle_sizes[returns[least]]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def t_class_data(
     field: FiniteField, params: CodeParams, *, budget: int | None = None
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
-    """Joint class census of all pairs: :func:`joint_histogram` of :func:`class_rows`.
+    """Joint class census of all pairs: :func:`joint_histogram` of :func:`representative_classes`.
 
-    A pass of more than budget Gram matrices (None: :data:`PAIR_BUDGET`) is
-    refused, before any reuse.  Only the census is memoized on the field per
+    The pass eliminates two Gram matrices per representative, f and g, and
+    more than budget of them (None: :data:`PAIR_BUDGET`) is refused, before
+    any reuse.  The census and that count are memoized on the field per
     params; every consumer of the pass reads that one dict, unchanged.
     """
-    rows = representative_rows(field)
-    matrices = len(rows) * field.order  # f at every representative
-    check_budget("pair pass", matrices, "Gram matrices", budget, PAIR_BUDGET)
-    return field.memoized(
-        ("t_class_data", params),
-        lambda: joint_histogram(params, *class_rows(field, params), [w for _, w in rows]),
-    )
+    walked = []  # the list, if this call walked it to count the matrices
+
+    def matrices() -> int:
+        walked.extend(representatives(field, params))
+        return 2 * walked[0].size
+
+    needed = field.memoized(("pair pass matrices", params), matrices)
+    check_budget("pair pass", needed, "Gram matrices", budget, PAIR_BUDGET)
+
+    def census() -> dict:
+        a, b, sizes = walked or representatives(field, params)
+        return joint_histogram(params, *representative_classes(field, params, a, b), sizes)
+
+    return field.memoized(("t_class_data", params), census)
 
 
-def class_rows(field: FiniteField, params: CodeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Packed classes of f and of g at every representative, two (3, p**m) uint8 arrays.
+def representative_classes(
+    field: FiniteField, params: CodeParams, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed classes of f and of g at the representatives (pi**a, pi**b), two uint8 arrays.
 
-    One row per representative row, indexed by slot.  Each row of g is a
-    row of f with its slots 1.. rotated (:func:`twist_index`).  Rank 0 may
-    occur only at the zero pair (row 0, slot 0) and every other rank, of f
-    and of g, must lie in the trichotomy {s-2, s-1, s}; any violation
-    aborts.  Unbudgeted and unmemoized, unlike :func:`t_class_data`.
+    g is f at the twist (pi**(a + e), pi**(b + w)), by its own elimination.
+    Rank 0 may occur only at the zero pair, index 0, and every other rank
+    must lie in the trichotomy {s-2, s-1, s}; any violation aborts.
+    Unbudgeted and unmemoized, unlike :func:`t_class_data`.
     """
-    order = field.order
-    beta_logs = np.array([lb for lb, _ in representative_rows(field)], np.int64)
-
-    def representatives(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        row, slot = np.divmod(np.arange(lo, hi, dtype=np.int64), order)
-        return slot - 1, beta_logs[row]  # slot 0: alpha = 0, exponent -1
-
-    f = _block_classes(field, params, beta_logs.size * order, representatives).reshape(-1, order)
-    g = np.empty_like(f)
-    for gr, (target, shift) in zip(g, twist_index(field, params)):
-        gr[0] = f[target, 0]  # slot 1 + a reads slot 1 + (a + shift) mod n
-        gr[1 : order - shift] = f[target, 1 + shift :]
-        gr[order - shift :] = f[target, 1 : 1 + shift]
+    f, g = _block_classes(field, params, a, b, ((0, 0), params.coordinate_exponents))
     for cls in (f, g):
         # A packed class 2 rank + eps bit has rank < s - 2 iff it is below
-        # 2 (s - 2), so a minimum over the flat view checks with no temporary.
-        flat = cls.ravel()
-        if flat[0] >> 1 != 0 or flat[1:].min() < 2 * (params.s - 2):
+        # 2 (s - 2), so a minimum checks with no temporary.
+        if cls[0] >> 1 != 0 or cls[1:].min() < 2 * (params.s - 2):
             raise InternalInconsistency("rank trichotomy violated outside the zero pair")
     return f, g
-
-
-def twist_index(field: FiniteField, params: CodeParams) -> tuple[tuple[int, int], ...]:
-    """(target row, rotation) of each representative row: where the twists of its pairs lie.
-
-    The twist (quadforms.twist_pair) sends (alpha, beta0) to (pi**e alpha,
-    beta'), beta' = -pi beta0 = pi**w beta0, (e, w) the coordinate_exponents.
-    For beta0 = 0 that is a representative of row 0.  Otherwise its row is
-    the beta0 in {1, pi} with the quadratic character of beta', the parity
-    of log beta' (log 1 = 0, log pi = 1), reached by x -> c x with
-    c**2 = beta0 / beta'; that scales alpha by c**(p**k + 1) = (c**2)**e, so
-    the alpha there is pi**e (c**2)**e alpha: 0 stays 0 and pi**a goes to
-    pi**(a + rotation), log arithmetic mod n only.
-    """
-    n, (e, w) = field.n, params.coordinate_exponents
-    logs = [lb for lb, _ in representative_rows(field)]
-    twists = [(0, e)]  # beta0 = 0 (log -1) stays on row 0
-    for lb in logs[1:]:
-        lt = (lb + w) % n  # log beta'
-        target = 1 + lt % 2
-        twists.append((target, e * (1 + logs[target] - lt) % n))
-    return tuple(twists)
 
 
 def unpack_class(cls: int) -> tuple[int, int]:
@@ -296,18 +299,17 @@ def unpack_class(cls: int) -> tuple[int, int]:
 
 
 def joint_histogram(
-    params: CodeParams, f: np.ndarray, g: np.ndarray, weights: Sequence[int]
+    params: CodeParams, f: np.ndarray, g: np.ndarray, weights: np.ndarray
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
     """Pairs by ((rank_f, eps_f), (rank_g, eps_g)), as Python ints.
 
-    f and g are rows of packed classes (:func:`class_rows`), each entry of
-    row r standing for weights[r] pairs; together they must account for all
+    f and g are packed classes (:func:`representative_classes`), entry i
+    standing for weights[i] pairs; together they must account for all
     p**(2m) pairs.  Absent classes are omitted.
     """
     width = 2 * params.s + 2
     counts = np.zeros((width, width), np.int64)
-    for fr, gr, weight in zip(f, g, weights, strict=True):
-        np.add.at(counts, (fr, gr), weight)
+    np.add.at(counts, (f, g), weights)
     if int(counts.sum()) != params.pairs:
         raise InternalInconsistency(f"class data covers {counts.sum()} of {params.pairs} pairs")
     rows, cols = np.nonzero(counts)
@@ -335,29 +337,26 @@ def brute_weight_histogram(code, *, budget: int | None = None) -> list[int]:
     """Weight histogram over all pairs by direct coordinate counting.
 
     Distinct pairs give distinct codewords (the code has dimension 2m), so
-    the pair census is the codeword census.  Each block of alpha rows of the
-    trace matrix, alpha by slot as in :func:`class_rows`, is compared
-    against the broadcast row of every representative beta0, and each
-    weight counts once per pair its representatives stand for.  A row
-    takes 10 n bytes of a block (tracemalloc: 10.0 per coordinate at n =
-    2186 and 6560): the int64 gather index of :func:`trace_rows`, the uint8
-    trace and the bool compare.  A pass of more than budget coordinate
-    checks (None: :data:`DEFAULT_BRUTE_BUDGET`) is refused.
+    the pair census is the codeword census.  Each of the
+    :func:`representatives` reads Tr(alpha u_i) and -Tr(beta w_i) at every
+    coordinate i, and its weight counts once per pair it stands for.  It
+    takes 10 n bytes of a block (tracemalloc: 9.0 to 9.5 per coordinate at
+    n = 2186, 10.0 at 6560): the int64 gather index of a :func:`trace_rows`
+    and the uint8 traces.  More than budget coordinate checks (None:
+    :data:`DEFAULT_BRUTE_BUDGET`) is refused.
     """
     field, n = code.field, code.n
-    rows = representative_rows(field)
-    checks = len(rows) * field.order * n
+    a, b, sizes = representatives(field, code.params)
+    checks = a.size * n
     check_budget("brute enumeration", checks, "coordinate checks", budget, DEFAULT_BRUTE_BUDGET)
     read, steps = read_table(field, 1), np.arange(n, dtype=np.int64)
     u_steps, w_steps = (e * steps % n for e in code.params.coordinate_exponents)
-    neg_rw = (field.p - trace_rows(read, [lb for lb, _ in rows], w_steps)) % field.p
     hist = np.zeros(n + 1, np.int64)
     step = block_size(10 * n)
-    for lo in range(0, field.order, step):
-        ru = trace_rows(read, np.arange(lo, min(lo + step, field.order)) - 1, u_steps)
-        for r, (_, weight) in enumerate(rows):
-            zeros = (ru == neg_rw[r]).sum(axis=1)
-            hist += weight * np.bincount(n - zeros, minlength=n + 1)
+    for lo in range(0, a.size, step):
+        neg = (field.p - trace_rows(read, b[lo : lo + step], w_steps)) % field.p
+        zeros = (trace_rows(read, a[lo : lo + step], u_steps) == neg).sum(axis=1)
+        np.add.at(hist, n - zeros, sizes[lo : lo + step])
     return [int(h) for h in hist]
 
 

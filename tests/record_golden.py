@@ -76,6 +76,8 @@ INVOCATIONS = _point_invocations() + [
     # verify with explicit checks
     ["verify", "3", "4", "1", "--checks", "e1,e2,example"],
     ["verify", "3", "6", "4", "--checks", "identities,max-rank"],
+    # brute at an OddS point past 3**8, within the default budget
+    ["weights", "3", "9", "3", "--engines", "brute"],
     # exit 2: invalid parameters
     ["analyze", "3", "2", "1"],
     ["analyze", "4", "6", "1"],
@@ -89,7 +91,6 @@ INVOCATIONS = _point_invocations() + [
     ["analyze", "3", "100000000", "1"],
     ["analyze", "3", "14", "1"],
     ["weights", "3", "4", "1", "--engines", "brute", "--budget", "100"],
-    ["weights", "3", "9", "3", "--engines", "brute"],
     ["sums", "3", "6", "4", "--sum", "T", "--engine", "direct"],
     ["sums", "3", "6", "4", "--sum", "S", "--engine", "direct"],
     ["census", "3", "4", "1", "--budget", "10"],

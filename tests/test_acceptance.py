@@ -206,7 +206,7 @@ def test_criterion_7_cli_contract(tmp_path):
     ok_invalid = run("analyze", 3, 2, 1).returncode == 2
     details.append(f"analyze 3 2 1 exits 2: {ok_invalid}")
 
-    ok_budget = run("weights", 3, 9, 3, "--engines", "brute").returncode == 3
+    ok_budget = run("weights", 3, 10, 2, "--engines", "brute").returncode == 3
     details.append(f"budget-refused brute run exits 3: {ok_budget}")
 
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -18,7 +18,6 @@ from twozero import batch, build_code, build_field, classify_parameters
 from twozero.batch import (
     batched_rank_disc,
     brute_weight_histogram,
-    class_rows,
     direct_census,
     direct_terms,
     field_table,
@@ -26,7 +25,8 @@ from twozero.batch import (
     pair_classes,
     phi_rank_histogram,
     read_table,
-    representative_rows,
+    representative_classes,
+    representatives,
     subfield_tables,
     t_class_data,
     trace_rows,
@@ -164,14 +164,21 @@ def _all_pairs(field):
 def _exhaustive_joint(field, params):
     """Joint census from the kernel run over every pair and its twist, weight 1 each.
 
-    The twist comes from the scalar quadforms.twist_pair, so this oracle
-    shares nothing with the lookup that gives t_class_data its g.
+    The twist comes from the scalar quadforms.twist_pair, and the pairs are
+    all of them, so this oracle shares neither the twisted exponents nor the
+    representatives that t_class_data takes.
     """
     alphas, betas = _all_pairs(field)
     ta, tb = _twist_images(field, params)
     f = pair_classes(field, params, alphas, betas)
     g = pair_classes(field, params, ta[alphas], tb[betas])
-    return joint_histogram(params, f[None], g[None], [1])
+    return joint_histogram(params, f, g, np.ones(f.size, np.int64))
+
+
+def _codes(field, exponents):
+    """Field code of pi**x at each exponent x, 0 at -1, by scalar powers."""
+    pi = field.primitive_element
+    return np.array([field.pow(pi, x) if x >= 0 else 0 for x in exponents.tolist()], np.int64)
 
 
 _FIELD_CHOICES = ({}, {"modulus_index": 1}, {"primitive_index": 1})
@@ -186,15 +193,61 @@ class TestClassData:
                 expected = t_fast(field341, params341, a, b)
                 assert t_value(params341, *unpack_class(int(cls[a * 81 + b]))) == expected
 
-    @pytest.mark.parametrize("pmk", [(3, 4, 1), (3, 5, 1), (5, 3, 1), (3, 6, 4)])
+    @pytest.mark.parametrize(
+        "pmk", [(3, 4, 1), (3, 5, 1), (5, 3, 1), (3, 6, 4), (3, 4, 3), (5, 4, 1)]
+    )
     def test_representatives_match_all_pairs(self, pmk):
         params = classify_parameters(*pmk)
         for choice in _FIELD_CHOICES:
             field = build_field(pmk[0], pmk[1], **choice)
-            f, g = class_rows(field, params)
-            assert f.shape == g.shape == (3, field.order)
-            assert sum(w for _, w in representative_rows(field)) * field.order == params.pairs
+            a, b, sizes = representatives(field, params)
+            f, g = representative_classes(field, params, a, b)
+            assert f.shape == g.shape == b.shape == sizes.shape == a.shape
+            assert int(sizes.sum()) == params.pairs
             assert t_class_data(field, params) == _exhaustive_joint(field, params), choice
+
+    @pytest.mark.parametrize("pmk", [(3, 4, 1), (3, 4, 3), (5, 3, 1)], ids=["341", "343", "531"])
+    def test_each_representative_stands_for_its_orbit(self, pmk):
+        # Each orbit is built from scalar field operations: x -> c x over
+        # every c, (alpha, beta) -> (alpha c**(p**k+1), beta c**2), and, for
+        # beta != 0, the Frobenius powers (the beta = 0 row is reduced by
+        # x -> c x alone).  The orbits partition the pairs, each has the
+        # size its representative states, and the class of f, the class at
+        # the scalar twist_pair and the codeword weight are constant on it.
+        code = build_code(*pmk)
+        field, params = code.field, code.params
+        p, m, k = pmk
+        a, b, sizes = representatives(field, params)
+        assert a.size == b.size == sizes.size
+        assert (a[0], b[0]) == (-1, -1)
+        seen, pairs, owner = set(), [], []
+        for i, (alpha, beta, size) in enumerate(
+            zip(_codes(field, a).tolist(), _codes(field, b).tolist(), sizes.tolist())
+        ):
+            orbit = {
+                (
+                    field.frobenius(field.mul(alpha, field.pow(c, p**k + 1)), j),
+                    field.frobenius(field.mul(beta, field.mul(c, c)), j),
+                )
+                for c in range(1, field.order)
+                for j in range(m if beta else 1)
+            }
+            assert len(orbit) == size, (i, alpha, beta)
+            assert seen.isdisjoint(orbit), (i, alpha, beta)
+            seen |= orbit
+            pairs += sorted(orbit)
+            owner += [i] * size
+        assert len(seen) == params.pairs
+        alphas, betas = np.array(pairs, np.int64).T
+        ta, tb = _twist_images(field, params)
+        owner = np.array(owner)
+        first = np.searchsorted(owner, owner)  # the first pair of each orbit
+        for name, values in (
+            ("f", pair_classes(field, params, alphas, betas)),
+            ("g", pair_classes(field, params, ta[alphas], tb[betas])),
+            ("weight", np.array([codeword_weight(code, x, y) for x, y in pairs])),
+        ):
+            assert np.array_equal(values, values[first]), name
 
     @pytest.mark.parametrize("choice", _FIELD_CHOICES, ids=["default", "modulus1", "primitive1"])
     @pytest.mark.parametrize(
@@ -203,19 +256,17 @@ class TestClassData:
         ids=lambda pmk: "".join(map(str, pmk)),
     )
     def test_looked_up_g_is_the_kernel_at_the_twist(self, pmk, choice):
-        # Per representative, not per census: the class of g read off f
-        # (twist_index, log arithmetic only) equals the kernel run on the
-        # scalar quadforms.twist_pair of that representative.  Slot 0 of a
-        # row is alpha = 0, slot 1 + a is alpha = pi**a; beta0 = pi**lb is
-        # at slot 1 + lb, lb = -1 for 0.
+        # Per representative, not per census: the class of g, eliminated at
+        # the twisted exponents (log arithmetic only), equals the kernel run
+        # on the scalar quadforms.twist_pair of the representative's codes,
+        # and the class of f the kernel run on those codes.
         field, params = build_field(pmk[0], pmk[1], **choice), classify_parameters(*pmk)
-        rows = representative_rows(field)
-        slots = np.array([0] + [field.exp[a] for a in range(field.n)], np.int64)
-        alphas = np.tile(slots, len(rows))
-        betas = np.repeat(slots[[1 + lb for lb, _ in rows]], field.order)
+        a, b, _ = representatives(field, params)
+        alphas, betas = _codes(field, a), _codes(field, b)
         ta, tb = _twist_images(field, params)
-        expected = pair_classes(field, params, ta[alphas], tb[betas])
-        assert np.array_equal(class_rows(field, params)[1].ravel(), expected)
+        f, g = representative_classes(field, params, a, b)
+        assert np.array_equal(f, pair_classes(field, params, alphas, betas))
+        assert np.array_equal(g, pair_classes(field, params, ta[alphas], tb[betas]))
 
     def test_modulus_and_primitive_independence(self, field341, params341):
         joint = t_class_data(field341, params341)
@@ -227,6 +278,22 @@ class TestClassData:
         first = t_class_data(field, params341)
         assert t_class_data(field, params341) is first
         assert t_class_data(build_field(3, 4), params341) is not first
+
+    def test_memo_hit_redoes_nothing(self, params341, monkeypatch):
+        # A second call reads the memoized census and matrix count: it walks
+        # no representatives and eliminates nothing, yet still checks its
+        # budget against that count.
+        field = build_field(3, 4)
+        first = t_class_data(field, params341)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a memo hit redid the pass")
+
+        for kernel in ("representatives", "_block_classes"):
+            monkeypatch.setattr(batch, kernel, no_work)
+        assert t_class_data(field, params341) is first
+        with pytest.raises(BudgetExceeded, match="106 Gram matrices > budget 105"):
+            t_class_data(field, params341, budget=105)
 
     def test_memoized_per_params(self):
         # Two parameter sets on one field each get their own census.
@@ -259,10 +326,13 @@ class TestClassData:
         assert not [key for key in joint if 0 < key[0][0] < s and 0 < key[1][0] < s]
 
     def test_budget_counts_the_gram_matrices(self, params341):
+        # f and g at each of the 53 representatives of (3, 4, 1).
         field = build_field(3, 4)
-        with pytest.raises(BudgetExceeded, match="243 Gram matrices > budget 242"):
-            t_class_data(field, params341, budget=3 * field.order - 1)
-        joint = t_class_data(field, params341, budget=3 * field.order)
+        needed = 2 * representatives(field, params341)[0].size
+        assert needed == 106
+        with pytest.raises(BudgetExceeded, match="106 Gram matrices > budget 105"):
+            t_class_data(field, params341, budget=needed - 1)
+        joint = t_class_data(field, params341, budget=needed)
         assert sum(joint.values()) == params341.pairs
 
 
@@ -384,12 +454,12 @@ class TestFieldTables:
 _PASSES = {
     "pair-pass": (
         lambda code, budget: t_class_data(code.field, code.params, budget=budget),
-        lambda code: len(representative_rows(code.field)) * code.field.order,
+        lambda code: 2 * representatives(code.field, code.params)[0].size,
         "pair pass needs {} Gram matrices",
     ),
     "brute": (
         lambda code, budget: brute_weight_histogram(code, budget=budget),
-        lambda code: len(representative_rows(code.field)) * code.field.order * code.n,
+        lambda code: representatives(code.field, code.params)[0].size * code.n,
         "brute enumeration needs {} coordinate checks",
     ),
     "direct-T": (
@@ -484,12 +554,14 @@ def _traced_excess(run) -> int:
 # Every blocked pass at a point where it spans several blocks: the point,
 # the kernel it calls once a block and how to run it.  The class pass keeps
 # only its census, so its excess also counts what it holds only while it
-# runs, pass-size: its classes of f and g (6 bytes per field element); their
-# rank check allocates nothing.  tracemalloc reads 1.04, 1.28, 1.75 and
-# 3.10 x BLOCK_BYTES at (3, 7, 1), (3, 9, 1), (3, 10, 1) and (3, 11, 1).
+# runs, pass-size: its representatives (16 bytes each) and their classes of
+# f and g (2 bytes each); their rank check allocates nothing.  tracemalloc
+# reads 0.56, 1.18, 1.36, 1.84 and 3.22 x BLOCK_BYTES at (3, 7, 1), (3, 8,
+# 1), (3, 9, 1), (3, 10, 1) and (3, 11, 1); at (3, 7, 1) the list fits one
+# block.
 _WORKING_SETS = {
-    "classes-371": (
-        (3, 7, 1), "batched_rank_disc", lambda code: t_class_data(code.field, code.params)
+    "classes-381": (
+        (3, 8, 1), "batched_rank_disc", lambda code: t_class_data(code.field, code.params)
     ),
     "classes-391": (
         (3, 9, 1), "batched_rank_disc", lambda code: t_class_data(code.field, code.params)
@@ -556,7 +628,7 @@ class TestWorkingSet:
         inner = getattr(batch, kernel)
         monkeypatch.setattr(batch, kernel, lambda *a, **kw: calls.append(1) or inner(*a, **kw))
         run(code)  # warms the field's tables
-        assert len(calls) >= 3  # several blocks (trace_rows: one more call, outside them)
+        assert len(calls) >= 3  # several blocks
         code.field._memo.pop(("t_class_data", code.params), None)
         assert _traced_excess(lambda: run(code)) <= 2 * batch.BLOCK_BYTES
 

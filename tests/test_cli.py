@@ -99,9 +99,9 @@ class TestWeights:
         assert doc["rows"][0] == {"weight": 0, "frequency": 1}
 
     def test_budget_refusal_exits_3(self):
-        proc = run_cli("weights", 3, 9, 3, "--engines", "brute")
+        proc = run_cli("weights", 3, 10, 2, "--engines", "brute")
         assert proc.returncode == 3
-        assert "needs 1162202418 coordinate checks > budget 400000000" in proc.stderr
+        assert "needs 700958808 coordinate checks > budget 400000000" in proc.stderr
 
     def test_brute_within_budget_382(self):
         proc = run_cli("weights", 3, 8, 2, "--engines", "brute,closed")
@@ -338,9 +338,9 @@ class TestVerify:
         assert refusal == "refused: every check was skipped; nothing was verified"
 
     def test_max_rank_respects_budget(self):
-        proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 1000)
+        proc = run_cli("verify", 3, 6, 4, "--checks", "max-rank", "--budget", 500)
         assert proc.returncode == 3
-        assert "refused: pair pass needs 2187 Gram matrices > budget 1000" in proc.stderr
+        assert "refused: pair pass needs 526 Gram matrices > budget 500" in proc.stderr
 
 
 class TestModulusAndWorkers:

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from twozero import build_code, build_field, classify_parameters, codes
+from twozero.batch import representatives
 from twozero.codes import (
     WeightDistribution,
     _check_generator,
@@ -339,13 +340,16 @@ class TestEngines:
             assert weight_distribution_sums(alt).same_rows(dists341["sums"])
 
     def test_budget_refusals(self, code341):
-        # brute makes 3 p**m n = 19440 coordinate checks; sums eliminates
-        # 3 p**m = 243 Gram matrices.
-        with pytest.raises(BudgetExceeded, match="19440 coordinate checks"):
-            weight_distribution_brute(code341, budget=19439)
-        assert weight_distribution_brute(code341, budget=19440).total == 3**8
-        with pytest.raises(BudgetExceeded, match="243 Gram matrices"):
-            weight_distribution_sums(code341, budget=242)
+        # Over the r = 53 orbit representatives of (3, 4, 1), brute makes
+        # r n = 4240 coordinate checks and sums eliminates 2 r = 106 Gram
+        # matrices, f and g at each.
+        r = representatives(code341.field, code341.params)[0].size
+        checks, matrices = r * code341.n, 2 * r
+        with pytest.raises(BudgetExceeded, match=f"{checks} coordinate checks"):
+            weight_distribution_brute(code341, budget=checks - 1)
+        assert weight_distribution_brute(code341, budget=checks).total == 3**8
+        with pytest.raises(BudgetExceeded, match=f"{matrices} Gram matrices"):
+            weight_distribution_sums(code341, budget=matrices - 1)
 
 
 class TestWeightDistribution:

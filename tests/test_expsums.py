@@ -192,9 +192,11 @@ class TestClosedDistributions:
     def test_census_budget_refusal(self, field341, params341):
         with pytest.raises(BudgetExceeded):
             t_census_direct(field341, params341, budget=1000)
-        # The fast census is one pass of 3 p**m = 243 Gram matrices.
-        with pytest.raises(BudgetExceeded, match="243 Gram matrices"):
-            t_census_fast(field341, params341, budget=242)
+        # The fast census is one pass of 2 r = 106 Gram matrices: f and g at
+        # each of the r = 53 orbit representatives.
+        matrices = 2 * batch.representatives(field341, params341)[0].size
+        with pytest.raises(BudgetExceeded, match=f"{matrices} Gram matrices"):
+            t_census_fast(field341, params341, budget=matrices - 1)
 
 
 class TestE1E2:
@@ -415,10 +417,9 @@ _GRAM_PATH = {
         "pair_classes",
         "batched_rank_disc",
         "t_class_data",
-        "class_rows",
+        "representatives",
+        "representative_classes",
         "subfield_tables",
-        "representative_rows",
-        "twist_index",
         "gram_entries",
     ),
     quadforms: ("gram_entries", "gram_matrix", "diagonalize"),
