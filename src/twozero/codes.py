@@ -33,6 +33,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -48,7 +49,7 @@ from .expsums import (
     s_fast,
     t_value,
 )
-from .gf import FiniteField, Polynomial, build_field
+from .gf import FiniteField, Polynomial, berlekamp_massey, build_field, linear_recurrence
 from .quadforms import CodeParams, classify_parameters
 
 
@@ -142,25 +143,36 @@ def build_code(
     modulus_index: int = 0,
     primitive_index: int = 0,
 ) -> CyclicCode:
-    """Construct the code for (p, m, k).
+    """Construct the code for (p, m, k), reading no per-element table of the field.
 
     h1 = minpoly(-pi**(-1)) and h2 = minpoly(pi**(-(p**k+1)/2)) must be
     distinct of degree m, their product must divide x**n - 1 exactly, and
-    both must have nonzero constant term; all of this is verified.  The
-    generator g = (x**n - 1)/(h1 h2) is read off the partial fractions of
-    1/(h1 h2), with no polynomial division and no Python object per
-    coefficient: two byte runs of the trace table, added as integers and
-    reduced mod p by one bytes.translate.  The divisibility check is that
-    g h1 h2 == x**n - 1, every coefficient compared, by one exact
-    big-integer product (see _check_generator).
+    both must have nonzero constant term; all of this is verified.  Each
+    h_gamma is read off the traces Tr(gamma**(-i)), i < 2m, by
+    Berlekamp-Massey, with the traces of the basis from the modulus by
+    Newton's identities.  The generator g = (x**n - 1)/(h1 h2) is read off the
+    partial fractions of 1/(h1 h2), with no polynomial division and no Python
+    object per coefficient: two runs of gf.linear_recurrence, added as
+    integers and reduced mod p by one bytes.translate.  The divisibility
+    check is that g h1 h2 == x**n - 1, every coefficient compared, by one
+    exact big-integer product (see _check_generator).
     """
     params = classify_parameters(p, m, k)
     field = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
-    pi = field.primitive_element
-    n = field.n
+    modulus, n = field.modulus, field.n
+    basis_traces = modulus.power_sums()  # Tr(x**j)
+    pi = Polynomial(p, field.coeffs(field.primitive_element))
 
-    gammas = (field.neg(field.inv(pi)), field.inv(field.pow(pi, params.twist_exponent)))
-    h1, h2 = (field.minimal_polynomial(gamma) for gamma in gammas)
+    def minimal_polynomial(inverse: Polynomial) -> Polynomial:
+        # The minimal polynomial of gamma = 1/inverse, from Tr(inverse**i).
+        traces, power = [], Polynomial.one(p)
+        for _ in range(2 * m):
+            traces.append(sum(map(mul, power.coeffs, basis_traces)) % p)
+            power = power * inverse % modulus
+        return berlekamp_massey(p, traces).monic()
+
+    # 1/gamma for gamma = -pi**(-1) and pi**(-e)
+    h1, h2 = map(minimal_polynomial, (-pi, pi.pow_mod(params.twist_exponent, modulus)))
     if h1.degree != m or h2.degree != m:
         raise InternalInconsistency(
             f"deg h1 = {h1.degree}, deg h2 = {h2.degree}; both must equal m = {m}"
@@ -171,25 +183,26 @@ def build_code(
         raise InternalInconsistency("h1, h2 must have nonzero constant term")
 
     # h = h1 h2 divides x**n - 1, so g is minus the power series 1/h cut at
-    # degree n - 2m.  Partial fractions over the 2m distinct roots rho of h
-    # give g_i = sum of rho**(-i) / (rho h'(rho)).  h' has GF(p) coefficients,
-    # so the roots conjugate to gamma sum to Tr(c gamma**(-i)) with
-    # c = 1/(gamma h'(gamma)): the trace of pi**j at j = log c - i log gamma.
-    # A trace is below p <= 127, so the two runs add bytewise with no carry.
+    # degree n - 2m.  Partial fractions split -1/h into a/h_gamma over the two
+    # factors, a = -1/h_other mod h_gamma, and the series of a/h_gamma is the
+    # run g_i = Tr(c gamma**(-i)) with c = 1/(gamma h'(gamma)).  Its recurrence
+    # is the monic reciprocal of h_gamma, the minimal polynomial of 1/gamma,
+    # and its first m terms are those of the series.  A term is below
+    # p <= 127, so the two runs add bytewise with no carry.
     h = h1 * h2
-    derivative = [i * c % p for i, c in enumerate(h.coeffs)][1:]
-    tr = field.subfield_index_tables(1).trace_of_power  # the value Tr(pi**j) at index j
+    count = n - 2 * m + 1
     total = 0
-    for gamma in gammas:
-        value = 0  # h'(gamma), by Horner
-        for c in reversed(derivative):
-            value = field.add(field.mul(value, gamma), c)
-        step = -field.log[gamma] % n  # log of 1/gamma
-        start = (step - field.log[value]) % n  # log of c
-        stop = start + step * (n - 2 * m + 1)
-        run = bytes(map(tr.__getitem__, map(n.__rmod__, range(start, stop, step))))
-        total += int.from_bytes(run, "little")
-    generator = total.to_bytes(n - 2 * m + 1, "little").translate(_residues(p))
+    for own, other in ((h1, h2), (h2, h1)):
+        a = (-other.inverse_mod(own)).coeffs + (0,) * m
+        inv0 = pow(own.coeffs[0], -1, p)
+        initial: list[int] = []
+        for i in range(m):
+            acc = a[i] - sum(map(mul, own.coeffs[1 : i + 1], reversed(initial)))
+            initial.append(acc * inv0 % p)
+        reciprocal = Polynomial(p, reversed(own.coeffs)).monic()
+        taps = [-c % p for c in reciprocal.coeffs[:m]]
+        total += int.from_bytes(linear_recurrence(p, taps, initial, count), "little")
+    generator = total.to_bytes(count, "little").translate(_residues(p))
     _check_generator(generator, h, n)
 
     return CyclicCode(params=params, field=field, h1=h1, h2=h2, generator_coefficients=generator)
@@ -197,7 +210,7 @@ def build_code(
 
 def _residues(p: int) -> bytes:
     """The bytes.translate table that reduces every byte mod p."""
-    return bytes(c % p for c in range(256))
+    return (bytes(range(p)) * (256 // p + 1))[:256]
 
 
 def _check_generator(generator: bytes, h: Polynomial, n: int) -> None:

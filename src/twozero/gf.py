@@ -4,9 +4,10 @@ Elements are integer *codes* in [0, p**m): the base-p digits of a code are
 the coefficients of the element in the polynomial basis, so code 0 is the
 additive identity and code 1 the multiplicative identity.  A field carries
 a fixed monic irreducible modulus (the lexicographically smallest one, so
-rebuilding the same (p, m) is bit-for-bit reproducible), a fixed primitive
-element pi (the smallest code of multiplicative order p**m - 1), and the
-eager exp, log and zech tables used by every hot path.
+rebuilding the same (p, m) is bit-for-bit reproducible) and a fixed
+primitive element pi (the smallest code of multiplicative order p**m - 1).
+Building a field runs those two searches and nothing per element; the exp,
+log and zech tables of the hot paths are built on their first read.
 
 There is one arithmetic.  :class:`Polynomial` modulo the modulus finds pi
 and the images of the basis x**j under multiplication by pi.  That map is
@@ -22,10 +23,13 @@ a row of the subfield add table; a single trace is a sum of Frobenius
 conjugates.
 
 The module also houses polynomials over GF(p) (needed for moduli, minimal
-polynomials and the parity-check polynomial h1 h2 of the cyclic code; the
-generator is read off traces, not divided out, see codes.build_code), the
-trace maps to arbitrary subfields, the quadratic character of a subfield,
-and the 2-adic valuation used by the parameter case split.
+polynomials and the parity-check polynomial h1 h2 of the cyclic code), the
+power sums of a polynomial's roots (Newton's identities), Berlekamp-Massey,
+and one kernel for linear recurring sequences over GF(p), which
+codes.build_code reads the generator and the minimal polynomials from
+without any table of the field.  Then the trace maps to arbitrary
+subfields, the quadratic character of a subfield, and the 2-adic valuation
+used by the parameter case split.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import prod
+from operator import mul
 from typing import Callable, Iterator, TypeVar
 
 from .errors import (
@@ -48,11 +53,12 @@ from .errors import (
     check_budget,
 )
 
-# Largest field (in elements) whose tables are built.  exp, log and zech take
-# 24 bytes per element; build_code peaks near 45 bytes per element (RSS,
-# CPython 3.11: 34 MiB at 3^12, 69 MiB at 3^13), so 2^21 elements bounds it
-# near 100 MiB: 3^13 is built and 3^14 (about 200 MiB) and larger are
-# refused.
+# Largest field (in elements) that is built.  exp, log and zech take 24 bytes
+# per element, built on their first read: a fresh process that reads them
+# peaks near 25 bytes per element above the interpreter's 15 MiB (RSS,
+# CPython 3.11: 52 MiB at 3^13), while build_code reads none of them and
+# peaks near 9 (29 MiB at 3^13).  So 2^21 elements bounds the tables near
+# 65 MiB: 3^13 is built and 3^14 (about 130 MiB) and larger are refused.
 DEFAULT_TABLE_BUDGET = 1 << 21
 
 # Largest subfield GF(q) given index tables: an index fits one byte, which the
@@ -211,15 +217,48 @@ class Polynomial:
     def __mod__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[1]
 
+    def monic(self) -> Polynomial:
+        """self divided by its leading coefficient (the zero polynomial stays zero)."""
+        if self.is_zero:
+            return self
+        inv_lead = pow(self.coeffs[-1], -1, self.p)
+        return Polynomial(self.p, [c * inv_lead for c in self.coeffs])
+
     def gcd(self, other: Polynomial) -> Polynomial:
         """Monic greatest common divisor."""
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
-        if a.is_zero:
-            return a
-        inv_lead = pow(a.coeffs[-1], -1, self.p)
-        return Polynomial(self.p, [c * inv_lead for c in a.coeffs])
+        return a.monic()
+
+    def inverse_mod(self, mod: Polynomial) -> Polynomial:
+        """The u of degree below mod's with u self == 1 (mod mod), by extended Euclid.
+
+        Raises DivisionByZero unless self and mod are coprime.
+        """
+        r0, r1 = mod, self % mod
+        u0, u1 = Polynomial.zero(self.p), Polynomial.one(self.p)  # u_i self == r_i (mod mod)
+        while not r1.is_zero:
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, u0 - q * u1
+        if r0.degree != 0:
+            raise DivisionByZero("polynomial not invertible modulo the modulus")
+        inv = pow(r0.coeffs[0], -1, self.p)
+        return Polynomial(self.p, [c * inv for c in u0.coeffs])
+
+    def power_sums(self) -> list[int]:
+        """P_j = sum of r**j over the roots r of this monic polynomial, for j < m.
+
+        Newton's identities over GF(p), f = x**m + a_(m-1) x**(m-1) + ... + a_0:
+        P_0 = m and P_j = -(j a_(m-j) + sum of a_(m-i) P_(j-i) over 0 < i < j).
+        For the modulus of a field, P_j is Tr(x**j).
+        """
+        p, a, m = self.p, self.coeffs, self.degree
+        sums = [m % p]
+        for j in range(1, m):
+            sums.append(-(j * a[m - j] + sum(a[m - i] * sums[j - i] for i in range(1, j))) % p)
+        return sums
 
     def pow_mod(self, e: int, mod: Polynomial) -> Polynomial:
         result = Polynomial.one(self.p)
@@ -254,6 +293,93 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(p={self.p}, {self})"
+
+
+def berlekamp_massey(p: int, sequence: list[int]) -> Polynomial:
+    """The connection polynomial C of least degree L of a sequence over GF(p).
+
+    C = 1 + c_1 x + ... + c_L x**L with s_i + c_1 s_(i-1) + ... + c_L s_(i-L)
+    = 0 for L <= i < len(sequence) (Massey, IEEE Trans. IT 15, 1969).  From
+    2L terms of a sequence of linear complexity L it is unique: for the traces
+    s_i = Tr(delta**i) of an element of degree m, C is the reciprocal of the
+    minimal polynomial of delta, so C made monic is that of 1/delta.
+    """
+    c, b = [1], [1]  # current and previous connection polynomials
+    length, shift, last = 0, 1, 1
+    for i, s in enumerate(sequence):
+        discrepancy = (s + sum(c[j] * sequence[i - j] for j in range(1, length + 1))) % p
+        if not discrepancy:
+            shift += 1
+            continue
+        scale = discrepancy * pow(last, -1, p)
+        previous = c
+        c = c + [0] * (len(b) + shift - len(c))
+        for j, bj in enumerate(b):
+            c[j + shift] = (c[j + shift] - scale * bj) % p
+        if 2 * length <= i:
+            length, b, last, shift = i + 1 - length, previous, discrepancy, 1
+        else:
+            shift += 1
+    return Polynomial(p, c[: length + 1])
+
+
+def linear_recurrence(p: int, taps: list[int], initial: list[int], count: int) -> bytes:
+    """The first count terms of s_(t+m) = sum of taps[j] s_(t+j) over GF(p), one byte each.
+
+    s_0 .. s_(m-1) are initial, m = len(taps), every value is in [0, p),
+    and p <= 127.  A run is linear in its state (s_t .. s_(t+m-1)): the
+    w = L + m terms from a state are the sum over j of s_(t+j) U_j, where U_j
+    is the run from the j-th unit state.  Each step reads that sum from two
+    tables, over the low h = ceil(m/2) and the high m - h digits of the
+    state, keyed by their bytes.  An entry holds its w terms reduced mod p as
+    one integer, a byte per term, so the sum of two entries carries nowhere
+    (2p - 2 < 256) and one bytes.translate reduces it.  A step keeps L terms,
+    and the m after them are the next state.  L = ceil(count / (p**h +
+    p**(m-h))), so the steps and the table entries are each about p**(m/2),
+    and a table holds about count bytes.
+
+    U_(m-1) comes from the recurrence term by term; shifting U_j by one term
+    gives U_(j-1) + taps[j] U_(m-1), which gives the other U_j as bytes.
+    """
+    m, h = len(taps), (len(taps) + 1) // 2
+    block = -(-count // (p**h + p ** (m - h))) or 1
+    width = block + m
+    residues = (bytes(range(p)) * (256 // p + 1))[:256]  # c -> c mod p
+    scaled = [bytes(d * c % p for c in range(p)).ljust(256, b"\0") for d in range(p)]
+    digits = [bytes((d,)) for d in range(p)]
+
+    tail = [0] * (m - 1) + [1]  # U_(m-1), to width + m - 1 terms
+    while len(tail) < width + m - 1:
+        tail.append(sum(map(mul, taps, tail[-m:])) % p)
+    units = [bytes(tail)]
+    for j in range(m - 1, 0, -1):  # U_(j-1) = U_j shifted, minus taps[j] U_(m-1)
+        size = len(units[-1]) - 1
+        total = int.from_bytes(units[-1][1:], "little") + int.from_bytes(
+            units[0][:size].translate(scaled[-taps[j] % p]), "little"
+        )
+        units.append(total.to_bytes(size, "little").translate(residues))
+    units = [unit[:width] for unit in reversed(units)]  # U_0 .. U_(m-1)
+
+    def table(half: list[bytes]) -> dict[bytes, int]:
+        entries = {b"": 0}
+        for unit in half:
+            rows = [int.from_bytes(unit.translate(scaled[d]), "little") for d in range(p)]
+            entries = {
+                key + digits[d]: int.from_bytes(
+                    (value + row).to_bytes(width, "little").translate(residues), "little"
+                )
+                for d, row in enumerate(rows)
+                for key, value in entries.items()
+            }
+        return entries
+
+    low, high = table(units[:h]), table(units[h:])
+    state, runs = bytes(initial), []
+    for _ in range(-(-count // block)):
+        run = (low[state[:h]] + high[state[h:]]).to_bytes(width, "little").translate(residues)
+        runs.append(run[:block])
+        state = run[block:]
+    return b"".join(runs)[:count]
 
 
 def is_irreducible(f: Polynomial) -> bool:
@@ -328,9 +454,8 @@ def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[array
     sum does not carry (each digit is at most 2p - 2).  n0 and n1 read the
     low h and the high m - h radix-R digits of the sum and give the base-p
     code of those digits reduced mod p, so one step is two divmods and four
-    lookups.  All six tables are int64 arrays.
-
-    Raises InternalInconsistency unless pi is primitive.
+    lookups.  All six tables are int64 arrays.  pi must be primitive, as
+    FiniteField checks.
     """
     h, radix = (m + 1) // 2, 2 * p - 1
     pi = Polynomial(p, _digits(primitive, p, m))
@@ -368,9 +493,6 @@ def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[array
         hi, lo = divmod(cur, half)
         hi, lo = divmod(t0[lo] + t1[hi], radix_half)
         cur = n0[lo] + n1[hi]
-    # pi is primitive iff its first n powers are all the nonzero codes.
-    if -1 in islice(log, 1, None):
-        raise InternalInconsistency("primitive element order mismatch")
     return exp, log
 
 
@@ -395,19 +517,57 @@ class SubfieldIndexTables:
     trace_of_power: bytes      # index of Tr_d^m(pi**e) for e in [0, p**m - 1)
 
 
-class FiniteField:
-    """GF(p**m) with a fixed modulus, primitive element and eager tables.
+class _Unbuilt:
+    """Stands in for a table of a field before the tables are built.
 
-    Construct through :func:`build_field`.  The exp and log tables come
-    from one walk over the powers of the primitive element, which must be
-    primitive (else InternalInconsistency).  All arithmetic is on integer
-    codes through the int64 exp, log and zech arrays, never written after
-    construction; numpy reads them in place (batch.field_table).  Derived
-    tables (subfield codes, subfield index tables with their trace by
-    exponent, Gram entries, phi tables, class censuses) are memoized on the
-    instance, so they live exactly as long as the field.  No trace is kept
-    by code: :meth:`trace` sums the conjugates of one element.
+    Indexing it reads the field's table of that name, which builds them.
     """
+
+    __slots__ = ("field", "name")
+
+    def __init__(self, field: FiniteField, name: str) -> None:
+        self.field, self.name = field, name
+
+    def __getitem__(self, index: int) -> int:
+        return getattr(self.field, self.name)[index]
+
+
+class _BuiltOnRead:
+    """exp, log or zech of a FiniteField: its first read builds all three.
+
+    A non-data descriptor: the build stores the arrays as instance
+    attributes, which every later read finds first.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, field: FiniteField | None, owner: type | None = None):
+        if field is None:
+            return self
+        field._build_tables()
+        return getattr(field, self.name)
+
+
+class FiniteField:
+    """GF(p**m) with a fixed modulus and primitive element, tables on first use.
+
+    Construct through :func:`build_field`.  The constructor refuses a pi that
+    is not primitive (InternalInconsistency), by the order tests of the
+    primitive search, and builds nothing per element.  The int64 exp, log and
+    zech arrays come from one walk over the powers of pi on the first read of
+    any of them and then stay on the instance; they are never written after
+    that, and numpy reads them in place (batch.field_table).  All arithmetic
+    on integer codes goes through them.  Derived tables (subfield codes,
+    subfield index tables with their trace by exponent, Gram entries, phi
+    tables, class censuses) are memoized on the instance, so they live
+    exactly as long as the field.  No trace is kept by code: :meth:`trace`
+    sums the conjugates of one element.
+    """
+
+    # exp[i] = the code of pi**i, log[code] = i (log[0] = -1) and
+    # zech[i] = log(1 + pi**i), built on their first read (_build_tables).
+    exp, log, zech = _BuiltOnRead(), _BuiltOnRead(), _BuiltOnRead()
 
     def __init__(self, p: int, m: int, modulus: Polynomial, primitive: int) -> None:
         self.p = p
@@ -417,13 +577,25 @@ class FiniteField:
         self.modulus = modulus
         self.primitive_element = primitive
         self._memo: dict = {}
+        if not _is_primitive(p, m, modulus, primitive, prime_factors(self.n)):
+            raise InternalInconsistency("primitive element order mismatch")
+        self.neg_one = p - 1  # the GF(p) codes of -1 and of 1/2
+        self.half = (p + 1) // 2
+        # The scalar methods read the tables under these names.  A name that
+        # the class also holds, as exp does, is read about 12 ns slower on
+        # CPython 3.11, which cannot specialize it.
+        self._exp, self._log, self._zech = (_Unbuilt(self, t) for t in ("exp", "log", "zech"))
 
-        self.exp, self.log = exp, log = _exp_log(p, m, modulus, primitive)
-        # zech[i] = log(1 + pi**i): adding 1 changes digit 0 only.  The entry
-        # at n/2 is log(0) = -1, since pi**(n/2) = -1 (p odd, so n is even).
-        self.zech = array("q", (log[e - e % p + (e + 1) % p] for e in exp))
-        self.neg_one = exp[self.n // 2]
-        self.half = self.inv(2)
+    def _build_tables(self) -> None:
+        """Walk the powers of pi into exp and log, then zech, under both names of each."""
+        p = self.p
+        exp, log = _exp_log(p, self.m, self.modulus, self.primitive_element)
+        # Adding 1 changes digit 0 only.  The entry at n/2 is log(0) = -1,
+        # since pi**(n/2) = -1 (p odd, so n is even).
+        zech = array("q", (log[e - e % p + (e + 1) % p] for e in exp))
+        self.exp = self._exp = exp
+        self.log = self._log = log
+        self.zech = self._zech = zech
 
     def memoized(self, key, compute: Callable[[], T]) -> T:
         """compute(), evaluated once per key for this field."""
@@ -448,12 +620,12 @@ class FiniteField:
             return b
         if not b:
             return a
-        la = self.log[a]
-        z = self.zech[(self.log[b] - la) % self.n]
-        return 0 if z < 0 else self.exp[(la + z) % self.n]
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % self.n]
+        return 0 if z < 0 else self._exp[(la + z) % self.n]
 
     def neg(self, a: int) -> int:
-        return self.exp[(self.log[a] + self.n // 2) % self.n] if a else 0
+        return self._exp[(self._log[a] + self.n // 2) % self.n] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -461,25 +633,25 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % self.n]
+        return self._exp[(self._log[a] + self._log[b]) % self.n]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return self.exp[(-self.log[a]) % self.n]
+        return self._exp[(-self._log[a]) % self.n]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return 0 if e else 1
-        return self.exp[(self.log[a] * e) % self.n]
+        return self._exp[(self._log[a] * e) % self.n]
 
     def frobenius(self, a: int, j: int = 1) -> int:
         """a**(p**j)."""
         if a == 0:
             return 0
-        return self.exp[(self.log[a] * pow(self.p, j, self.n)) % self.n]
+        return self._exp[(self._log[a] * pow(self.p, j, self.n)) % self.n]
 
     # -- traces, subfields, characters --------------------------------------
 
@@ -500,7 +672,7 @@ class FiniteField:
 
         def codes() -> tuple[int, ...]:
             step = self.n // (self.p**d - 1)
-            found = {0} | {self.exp[(j * step) % self.n] for j in range(self.p**d - 1)}
+            found = {0} | {self._exp[(j * step) % self.n] for j in range(self.p**d - 1)}
             return tuple(sorted(found))
 
         return self.memoized(("subfield", d), codes)
@@ -559,7 +731,7 @@ class FiniteField:
     def in_subfield(self, a: int, d: int) -> bool:
         if a == 0:
             return True
-        return self.log[a] % (self.n // (self.p**d - 1)) == 0
+        return self._log[a] % (self.n // (self.p**d - 1)) == 0
 
     def quadratic_character(self, a: int, d: int | None = None) -> int:
         """+1 if a is a nonzero square in GF(p**d), -1 otherwise.
@@ -573,7 +745,7 @@ class FiniteField:
             d = self.m
         if not self.in_subfield(a, d):
             raise ParameterError(f"code {a} is not in the subfield GF({self.p}^{d})")
-        r = (self.log[a] * ((self.p**d - 1) // 2)) % self.n
+        r = (self._log[a] * ((self.p**d - 1) // 2)) % self.n
         if r == 0:
             return 1
         if r == self.n // 2:
@@ -645,20 +817,26 @@ def build_field(
         raise ParameterError(f"primitive_index must be nonnegative, got {primitive_index}")
 
     n = p**m - 1
-    first, *rest = primes = prime_factors(n)  # n is even, so first == 2
+    primes = prime_factors(n)
     if primitive_index >= n // prod(primes) * prod(ell - 1 for ell in primes):  # phi(n)
         raise ParameterError(f"fewer than {primitive_index + 1} primitive elements")
 
     modulus = next(islice(irreducible_polynomials(p, m), modulus_index, None))
-    one = Polynomial.one(p)
+    primitives = (g for g in range(1, p**m) if _is_primitive(p, m, modulus, g, primes))
+    return FiniteField(p, m, modulus, next(islice(primitives, primitive_index, None)))
 
-    def is_primitive(g: int) -> bool:
-        candidate = Polynomial(p, _digits(g, p, m))
-        # candidate**n is the first-th power of candidate**(n/first).
-        head = candidate.pow_mod(n // first, modulus)
-        if head.pow_mod(first, modulus) != one:
-            raise InternalInconsistency("modulus is not irreducible")
-        return head != one and all(candidate.pow_mod(n // ell, modulus) != one for ell in rest)
 
-    primitive = next(islice(filter(is_primitive, range(1, p**m)), primitive_index, None))
-    return FiniteField(p, m, modulus, primitive)
+def _is_primitive(p: int, m: int, modulus: Polynomial, g: int, primes: list[int]) -> bool:
+    """Whether the code g has multiplicative order n = p**m - 1 modulo the modulus.
+
+    primes are the prime factors of n, 2 first.  g**n is the square of
+    g**(n/2), and g**n != 1 means the modulus is reducible
+    (InternalInconsistency).
+    """
+    n, one = p**m - 1, Polynomial.one(p)
+    first, *rest = primes
+    candidate = Polynomial(p, _digits(g, p, m))
+    head = candidate.pow_mod(n // first, modulus)
+    if head.pow_mod(first, modulus) != one:
+        raise InternalInconsistency("modulus is not irreducible")
+    return head != one and all(candidate.pow_mod(n // ell, modulus) != one for ell in rest)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -267,6 +268,26 @@ class TestClassData:
         f, g = representative_classes(field, params, a, b)
         assert np.array_equal(f, pair_classes(field, params, alphas, betas))
         assert np.array_equal(g, pair_classes(field, params, ta[alphas], tb[betas]))
+
+    @pytest.mark.parametrize(
+        "pmk",
+        [(3, 4, 1), (3, 4, 3), (3, 6, 1), (3, 5, 2), (3, 9, 3), (5, 4, 1), (7, 3, 1), (13, 3, 2)],
+        ids=lambda pmk: "".join(map(str, pmk)),
+    )
+    def test_row_sizes_are_burnside_counts(self, pmk):
+        # Row b = -1 is 0 and the g = gcd(p**k + 1, n) cosets of x -> c x.
+        # Rows b = 0 and 1 are 0 and the cycles of a -> p a + (1 - p) e b
+        # mod n, whose j-th power fixes gcd(p**j - 1, n) exponents (gcd(0, n)
+        # = n), so Burnside counts (1/m) times their sum over j < m cycles.
+        p, m, k = pmk
+        field, params = build_field(p, m), classify_parameters(*pmk)
+        n = field.n
+        _, b, _ = representatives(field, params)
+        rows = {row: int((b == row).sum()) for row in (-1, 0, 1)}
+        cycles, rest = divmod(sum(math.gcd(p**j - 1, n) for j in range(m)), m)
+        assert rest == 0
+        assert rows == {-1: 1 + math.gcd(p**k + 1, n), 0: 1 + cycles, 1: 1 + cycles}
+        assert b.size == {(3, 4, 1): 53, (3, 6, 1): 265, (3, 9, 3): 4393}.get(pmk, b.size)
 
     def test_modulus_and_primitive_independence(self, field341, params341):
         joint = t_class_data(field341, params341)

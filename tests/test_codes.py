@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from twozero import build_code, build_field, classify_parameters, codes
+from twozero import build_code, build_field, classify_parameters, cli, codes
 from twozero.batch import representatives
 from twozero.codes import (
     WeightDistribution,
@@ -100,6 +100,44 @@ def test_generator_is_the_dense_quotient(pmk, hook):
     assert code.generator == quot
 
 
+# The generator points, the OddS points (3, 3, 1), (5, 3, 1), (7, 3, 1) and
+# (3, 5, 1) among them, and further flavours.
+_SMALL_POINTS = [*_GENERATOR_POINTS, (3, 4, 3), (3, 5, 2), (3, 6, 1), (7, 4, 1)]
+
+
+@pytest.mark.parametrize(
+    "hook", [{}, {"modulus_index": 1}, {"primitive_index": 1}],
+    ids=["default", "modulus1", "primitive1"],
+)
+@pytest.mark.parametrize("pmk", _SMALL_POINTS, ids=lambda t: "".join(map(str, t)))
+def test_h1_h2_are_the_minimal_polynomials_by_tables(pmk, hook):
+    # build_code reads h1 and h2 off traces by Berlekamp-Massey; the field's
+    # minimal_polynomial multiplies out the conjugates through exp, log and
+    # zech.
+    code = build_code(*pmk, **hook)
+    f, pi = code.field, code.field.primitive_element
+    gamma1 = f.neg(f.inv(pi))
+    gamma2 = f.inv(f.pow(pi, code.params.twist_exponent))
+    assert (code.h1, code.h2) == (f.minimal_polynomial(gamma1), f.minimal_polynomial(gamma2))
+
+
+def test_construction_reads_no_table_of_the_field(monkeypatch, capsys):
+    # Neither build_code nor analyze builds exp, log, zech or a trace table.
+    code = build_code(3, 8, 1)
+    built = []
+
+    def recording_build_code(*args, **kwargs):
+        built.append(build_code(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_code", recording_build_code)
+    assert cli.main(["analyze", "3", "8", "1"]) == 0
+    assert "h1" in capsys.readouterr().out
+    for field in (code.field, built[0].field):
+        assert not {"exp", "log", "zech"} & set(vars(field))
+        assert not [key for key in field._memo if key[0] == "subfield_index_tables"]
+
+
 def _synthetic_127():
     # x^126 - 1 = prod (x - a) over GF(127)*; this h has 6 of its roots.
     h = Polynomial(127, [1])
@@ -117,10 +155,11 @@ def _code(p, m, k):
 
 
 def test_build_code_peaks_below_16_bytes_an_element(monkeypatch):
-    # On a built field, build_code makes the trace table and the generator
-    # as bytes, with no Python object per element.  tracemalloc reads a
-    # 9.2-byte peak per element at (3, 10, 1), against 52.6 when the
-    # generator was a tuple of ints read off lists of traces.
+    # On a built field, build_code reads no table of the field and makes
+    # the generator as bytes, with no Python object per element.
+    # tracemalloc reads a 7.2-byte peak per element at (3, 10, 1), 9.2 when
+    # the trace table was built here, and 52.6 when the generator was a
+    # tuple of ints read off lists of traces.
     field = build_field(3, 10)
     monkeypatch.setattr(codes, "build_field", lambda *args, **kwargs: field)
     tracemalloc.start()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import subprocess
 import sys
 from itertools import islice
@@ -20,9 +21,11 @@ from twozero.errors import (
 from twozero.gf import (
     FiniteField,
     Polynomial,
+    berlekamp_massey,
     irreducible_count,
     irreducible_polynomials,
     is_irreducible,
+    linear_recurrence,
     prime_factors,
 )
 
@@ -300,6 +303,27 @@ class TestExpWalk:
         with pytest.raises(InternalInconsistency):
             FiniteField(3, 4, f.modulus, f.exp[2])
 
+    @pytest.mark.parametrize("first", ["exp", "log", "zech", "add"])
+    def test_tables_are_built_on_first_read_and_kept(self, first):
+        # Whichever is read first, a table or an operation, one walk builds
+        # all three, which later reads return unchanged.
+        f = build_field(3, 5)
+        assert not {"exp", "log", "zech"} & set(vars(f))
+        if first == "add":
+            assert f.add(5, 7) == digit_add(3, 5, 7)
+        else:
+            getattr(f, first)
+        tables = {name: getattr(f, name) for name in ("exp", "log", "zech")}
+        assert {name: vars(f)[name] for name in tables} == tables
+        assert all(getattr(f, name) is table for name, table in tables.items())
+        assert list(f.exp) == polynomial_walk(f)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_minus_one_and_one_half_are_prime_field_codes(self, p):
+        f = build_field(p, 3)
+        assert f.neg_one == f.neg(1) == p - 1
+        assert f.half == f.inv(2) and f.mul(f.half, 2) == 1
+
 
 class TestAgainstReferences:
     @pytest.mark.parametrize("p,m,modulus_index,primitive_index", SMALL_FIELDS)
@@ -487,3 +511,114 @@ class TestPolynomial:
     def test_str(self):
         assert str(Polynomial(3, (1, 0, 1))) == "x^2 + 1"
         assert str(Polynomial(3, ())) == "0"
+
+
+def naive_recurrence(p: int, taps: list[int], initial: list[int], count: int) -> list[int]:
+    """s_(t+m) = sum of taps[j] s_(t+j) mod p, one term at a time."""
+    s, m = list(initial), len(taps)
+    while len(s) < count:
+        s.append(sum(t * x for t, x in zip(taps, s[-m:])) % p)
+    return s[:count]
+
+
+# Every p of {3, 5, 7, 11, 13, 127} and every m from 3 to 8, at points whose
+# half-state tables (p**ceil(m/2) entries) stay small.
+_RECURRENCE_POINTS = [
+    *((3, m) for m in range(3, 9)),
+    (5, 3), (5, 6), (7, 4), (7, 5), (11, 3), (11, 6), (13, 3), (13, 4), (127, 3),
+]
+
+
+class TestLinearRecurrence:
+    @pytest.mark.parametrize("p,m", _RECURRENCE_POINTS)
+    def test_equals_naive_recurrence_across_block_seams(self, p, m):
+        # A step keeps L = ceil(count / size) terms, size = p**ceil(m/2) +
+        # p**floor(m/2).  At count = j size the last block is full, at j size
+        # - 1 it is one term short, and at j size + 1 L grows by one: every
+        # seam is crossed with L - 1, L and L + 1 terms after it.
+        rng = random.Random(p * 100 + m)
+        size = p ** ((m + 1) // 2) + p ** (m // 2)
+        counts = [0, 1, m - 1, m, m + 1, size // 2] + [
+            j * size + delta for j in (1, 2, 3) for delta in (-1, 0, 1)
+        ]
+        for trial in range(2):
+            taps = [rng.randrange(p) for _ in range(m)]
+            initial = [rng.randrange(p) for _ in range(m)]
+            reference = bytes(naive_recurrence(p, taps, initial, max(counts)))
+            for count in counts:
+                assert linear_recurrence(p, taps, initial, count) == reference[:count], (
+                    trial,
+                    count,
+                )
+
+    @pytest.mark.parametrize(
+        "p,m,hook",
+        [
+            (p, m, {name: index})
+            for p, m in ((3, 7), (3, 8), (5, 4), (7, 3), (13, 3))
+            for name in ("modulus_index", "primitive_index")
+            for index in range(3)
+        ],
+        ids=lambda v: v if isinstance(v, int) else "-".join(f"{k}{i}" for k, i in v.items()),
+    )
+    def test_trace_by_exponent_is_the_run_of_pi(self, p, m, hook):
+        # c = 1 and delta = pi: Tr(pi**e) for e < n has the recurrence of the
+        # minimal polynomial of pi and starts at the conjugate sums of pi**i.
+        f = build_field(p, m, **hook)
+        pi = f.primitive_element
+        taps = [-c % p for c in f.minimal_polynomial(pi).coeffs[:m]]
+        initial = [conjugate_trace(f, f.pow(pi, i), 1) for i in range(m)]
+        assert linear_recurrence(p, taps, initial, f.n) == (
+            f.subfield_index_tables(1).trace_of_power
+        )
+
+
+class TestNewtonAndMassey:
+    @pytest.mark.parametrize(
+        "p,m,modulus_index",
+        [(3, 4, 0), (3, 4, 2), (3, 6, 1), (5, 3, 0), (5, 5, 1), (7, 4, 2), (13, 3, 1), (3, 2, 0)],
+    )
+    def test_power_sums_of_the_modulus_are_basis_traces(self, p, m, modulus_index):
+        # Tr(x**j) for j < m; x**j is the code p**j.
+        f = build_field(p, m, modulus_index=modulus_index)
+        assert f.modulus.power_sums() == [conjugate_trace(f, p**j, 1) for j in range(m)]
+
+    @pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (7, 5), (13, 2)])
+    def test_massey_finds_the_recurrence_of_a_random_sequence(self, p, m):
+        rng = random.Random(p + m)
+        for _ in range(5):
+            taps = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(m - 1)]
+            initial = [rng.randrange(p) for _ in range(m)]
+            terms = naive_recurrence(p, taps, initial, 2 * m)
+            connection = berlekamp_massey(p, terms)
+            # C_0 = 1 and sum over j of C_j s_(i-j) vanishes for deg C <= i < 2m,
+            # with deg C at most m, the order of the recurrence that made s.
+            length = connection.degree
+            assert connection.coeffs[0] == 1 and length <= m
+            for i in range(length, 2 * m):
+                assert sum(c * terms[i - j] for j, c in enumerate(connection.coeffs)) % p == 0
+
+    def test_massey_inverts_minimal_polynomials(self, field341):
+        f = field341
+        for a in range(1, f.order):
+            traces = [conjugate_trace(f, f.pow(a, i), 1) for i in range(2 * f.m)]
+            expected = f.minimal_polynomial(f.inv(a))
+            if expected.degree == f.m:
+                assert berlekamp_massey(3, traces).monic() == expected, a
+
+
+class TestInverseMod:
+    def test_inverse_times_element_is_one(self):
+        rng = random.Random(7)
+        modulus = next(irreducible_polynomials(5, 4))
+        for _ in range(50):
+            a = Polynomial(5, [rng.randrange(5) for _ in range(4)])
+            if a.is_zero:
+                continue
+            u = a.inverse_mod(modulus)
+            assert u.degree < 4 and (u * a) % modulus == Polynomial.one(5)
+
+    def test_common_factor_is_refused(self):
+        common = Polynomial(3, (1, 1))
+        with pytest.raises(DivisionByZero):
+            (common * Polynomial(3, (2, 1))).inverse_mod(common * common)
