@@ -30,7 +30,6 @@ vanishes identically, which build_code asserts via h1(0), h2(0) != 0).
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
@@ -49,7 +48,15 @@ from .expsums import (
     s_fast,
     t_value,
 )
-from .gf import FiniteField, Polynomial, berlekamp_massey, build_field, linear_recurrence
+from .gf import (
+    FiniteField,
+    Packing,
+    Polynomial,
+    berlekamp_massey,
+    build_field,
+    linear_recurrence,
+    residue_table,
+)
 from .quadforms import CodeParams, classify_parameters
 
 
@@ -150,7 +157,8 @@ def build_code(
     both must have nonzero constant term; all of this is verified.  Each
     h_gamma is read off the traces Tr(gamma**(-i)), i < 2m, by
     Berlekamp-Massey, with the traces of the basis from the modulus by
-    Newton's identities.  The generator g = (x**n - 1)/(h1 h2) is read off the
+    Newton's identities and the powers of 1/gamma as packed residues on the
+    field's gf.Reducer.  The generator g = (x**n - 1)/(h1 h2) is read off the
     partial fractions of 1/(h1 h2), with no polynomial division and no Python
     object per coefficient: two runs of gf.linear_recurrence, added as
     integers and reduced mod p by one bytes.translate.  The divisibility
@@ -159,20 +167,21 @@ def build_code(
     """
     params = classify_parameters(p, m, k)
     field = build_field(p, m, modulus_index=modulus_index, primitive_index=primitive_index)
-    modulus, n = field.modulus, field.n
-    basis_traces = modulus.power_sums()  # Tr(x**j)
-    pi = Polynomial(p, field.coeffs(field.primitive_element))
+    reducer, n = field.reducer, field.n
+    basis_traces = field.modulus.power_sums()  # Tr(x**j)
+    pi = field.coeffs(field.primitive_element)
 
-    def minimal_polynomial(inverse: Polynomial) -> Polynomial:
+    def minimal_polynomial(inverse: int) -> Polynomial:
         # The minimal polynomial of gamma = 1/inverse, from Tr(inverse**i).
-        traces, power = [], Polynomial.one(p)
+        traces, power = [], reducer.one
         for _ in range(2 * m):
-            traces.append(sum(map(mul, power.coeffs, basis_traces)) % p)
-            power = power * inverse % modulus
+            traces.append(sum(map(mul, reducer.reduce(power, m), basis_traces)) % p)
+            power = reducer.mul(power, inverse)
         return berlekamp_massey(p, traces).monic()
 
-    # 1/gamma for gamma = -pi**(-1) and pi**(-e)
-    h1, h2 = map(minimal_polynomial, (-pi, pi.pow_mod(params.twist_exponent, modulus)))
+    # 1/gamma for gamma = -pi**(-1) and pi**(-e), as packed residues
+    negated, packed_pi = reducer.pack([-c % p for c in pi]), reducer.pack(pi)
+    h1, h2 = map(minimal_polynomial, (negated, reducer.pow(packed_pi, params.twist_exponent)))
     if h1.degree != m or h2.degree != m:
         raise InternalInconsistency(
             f"deg h1 = {h1.degree}, deg h2 = {h2.degree}; both must equal m = {m}"
@@ -202,41 +211,31 @@ def build_code(
         reciprocal = Polynomial(p, reversed(own.coeffs)).monic()
         taps = [-c % p for c in reciprocal.coeffs[:m]]
         total += int.from_bytes(linear_recurrence(p, taps, initial, count), "little")
-    generator = total.to_bytes(count, "little").translate(_residues(p))
+    generator = total.to_bytes(count, "little").translate(residue_table(p))
     _check_generator(generator, h, n)
 
     return CyclicCode(params=params, field=field, h1=h1, h2=h2, generator_coefficients=generator)
-
-
-def _residues(p: int) -> bytes:
-    """The bytes.translate table that reduces every byte mod p."""
-    return (bytes(range(p)) * (256 // p + 1))[:256]
 
 
 def _check_generator(generator: bytes, h: Polynomial, n: int) -> None:
     """Raise InternalInconsistency unless generator * h == x**n - 1 over GF(h.p).
 
     generator holds one coefficient per byte, ascending.  One Kronecker
-    substitution: each polynomial becomes one integer with a coefficient
-    per fixed-width field, wide enough that no coefficient of the integer
-    product (at most min(len) (p-1)**2) carries into the next, and the
-    product's fields, reduced mod p, are compared as bytes.  The bytes are
-    widened from an iterator, since array(typecode, bytes) would read raw
-    item bytes for a field wider than one byte.  The product of a long by a
-    short integer takes linear time.
+    substitution (gf.Packing): each polynomial becomes one integer with a
+    coefficient per fixed-width field, wide enough that no coefficient of
+    the integer product (at most min(len) (p-1)**2) carries into the next.
+    The product's fields are reduced mod p by the reducer's helper, one
+    bytes.translate at one-byte fields, and compared with x**n - 1 packed
+    the same way.  The product of a long by a short integer takes linear
+    time.
     """
     p = h.p
-    bound = min(len(generator), len(h.coeffs)) * (p - 1) ** 2
-    typecode = next(t for t in "BHIQ" if bound < 256 ** array(t).itemsize)
-    a, b = (
-        int.from_bytes(array(typecode, iter(coeffs)), sys.byteorder)
-        for coeffs in (generator, h.coeffs)
-    )
-    product = array(typecode)
-    size = len(generator) + len(h.coeffs) - 1
-    product.frombytes((a * b).to_bytes(size * product.itemsize, sys.byteorder))
-    reduced = bytes(map(p.__rmod__, product))
-    if reduced != bytes([p - 1]) + bytes(n - 1) + b"\x01":
+    packing = Packing(p, min(len(generator), len(h.coeffs)) * (p - 1) ** 2)
+    product = packing.pack(generator) * packing.pack(h.coeffs)
+    reduced = packing.reduce(product, len(generator) + len(h.coeffs) - 1)
+    if int.from_bytes(reduced, sys.byteorder) != packing.pack(
+        bytes([p - 1]) + bytes(n - 1) + b"\x01"
+    ):
         raise InternalInconsistency("h1 h2 does not divide x^n - 1")
 
 

@@ -9,13 +9,18 @@ primitive element pi (the smallest code of multiplicative order p**m - 1).
 Building a field runs those two searches and nothing per element; the exp,
 log and zech tables of the hot paths are built on their first read.
 
-There is one arithmetic.  :class:`Polynomial` modulo the modulus finds pi
-and the images of the basis x**j under multiplication by pi.  That map is
-GF(p)-linear, so it is tabulated on the low and the high half of a code's
-digits, and the walk over the powers of pi that gives the exp/log tables
-costs two divmods and four lookups per element.  After that every
-operation is a table lookup.  Multiplication adds logarithms, and addition
-uses Zech logarithms, zech[i] = log(1 + pi**i), since a + b = a (1 + b/a).
+Both searches, the field's check of pi and every power that code
+construction takes run on one :class:`Reducer` per modulus: a residue is
+one integer with a fixed-width field per coefficient (Kronecker
+substitution), and a product modulo the modulus is a handful of C-level
+big-integer and bytes operations, with no Python step per coefficient.
+:class:`Polynomial` modulo the modulus gives the images of the basis x**j
+under multiplication by pi.  That map is GF(p)-linear, so it is tabulated
+on the low and the high half of a code's digits, and the walk over the
+powers of pi that gives the exp/log tables costs two divmods and four
+lookups per element.  After that every operation is a table lookup.
+Multiplication adds logarithms, and addition uses Zech logarithms,
+zech[i] = log(1 + pi**i), since a + b = a (1 + b/a).
 The trace to a subfield is GF(p)-linear too, so the one trace table kept,
 Tr_d(pi**e) by exponent e, is tabulated from the traces of the basis x**j
 in subfield indices, one bytes.translate per digit and multiplier through
@@ -34,6 +39,7 @@ used by the parameter case split.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -261,14 +267,9 @@ class Polynomial:
         return sums
 
     def pow_mod(self, e: int, mod: Polynomial) -> Polynomial:
-        result = Polynomial.one(self.p)
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        """self**e modulo mod, for e >= 0 and mod of degree at least 1, on a Reducer of mod."""
+        reducer = Reducer(mod)
+        return reducer.unpack(reducer.pow(reducer.pack((self % mod).coeffs), e))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -323,6 +324,133 @@ def berlekamp_massey(p: int, sequence: list[int]) -> Polynomial:
     return Polynomial(p, c[: length + 1])
 
 
+def residue_table(p: int) -> bytes:
+    """The bytes.translate table that reduces every byte mod p."""
+    return (bytes(range(p)) * (256 // p + 1))[:256]
+
+
+class Packing:
+    """Polynomials over GF(p) packed into integers by Kronecker substitution.
+
+    Coefficient i of a polynomial of L coefficients is field i of one
+    integer of L fields, in the machine's byte order, so that an array of
+    the fields' typecode reads them in place.  A field is the narrowest of
+    1, 2, 4 or 8 bytes that holds bound.  The integer product of two packed
+    polynomials is their packed product, with every coefficient unreduced,
+    as long as none of those passes bound; :meth:`reduce` then takes each
+    field mod p.
+    """
+
+    __slots__ = ("p", "typecode", "width", "residues")
+
+    def __init__(self, p: int, bound: int) -> None:
+        self.p = p
+        typecodes = [t for t in "BHIQ" if bound < 256 ** array(t).itemsize]
+        if not typecodes:
+            raise ParameterError(f"no field of at most 8 bytes holds {bound}")
+        self.typecode = typecodes[0]
+        self.width = array(self.typecode).itemsize
+        self.residues = residue_table(p) if self.width == 1 else None
+
+    def pack(self, coeffs) -> int:
+        """coeffs (bytes, or ints below 256**width) as one integer, coeffs[i] in field i.
+
+        bytes go into wider fields by one slice assignment, since
+        array(typecode, bytes) would read their raw bytes as items.
+        """
+        if self.width == 1 or not isinstance(coeffs, bytes):
+            return int.from_bytes(array(self.typecode, coeffs), sys.byteorder)
+        wide = bytearray(len(coeffs) * self.width)
+        wide[0 if sys.byteorder == "little" else self.width - 1 :: self.width] = coeffs
+        return int.from_bytes(wide, sys.byteorder)
+
+    def reduce(self, value: int, count: int) -> bytes | array:
+        """The count fields of value, each reduced mod p, indexed by coefficient.
+
+        One-byte fields come back as bytes, by one bytes.translate, and wider
+        ones as an array of the typecode, by one map of int.__rmod__.  Either
+        way int.from_bytes(result[i:j], sys.byteorder) packs fields i..j-1
+        again.
+        """
+        if self.width == 1:
+            return value.to_bytes(count, sys.byteorder).translate(self.residues)
+        fields = array(self.typecode)
+        fields.frombytes(value.to_bytes(count * self.width, sys.byteorder))
+        return array(self.typecode, map(self.p.__rmod__, fields))
+
+
+class Reducer(Packing):
+    """Products and powers of residues modulo one polynomial f over GF(p), packed.
+
+    A residue has the m = deg f >= 1 fields of its coefficients, each wide
+    enough for m (p - 1)**2, the bound on a coefficient of the product of two
+    residues.  A product is four steps: one big-integer multiply; one
+    reduction of its 2m - 1 fields mod p; adding rows[i][d], the packed
+    d x**(m+i) mod f, for the digit d of each of the m - 1 high fields to the
+    low m fields (a sum of m fields below p each, so nothing carries); and a
+    second reduction of those m fields.  rows holds p multiples of each
+    x**(m+i), read off one product with the packed 0, 1, .., p - 1 spaced m
+    fields apart.  No step runs Python per coefficient.
+    """
+
+    __slots__ = ("m", "rows", "one")
+
+    def __init__(self, modulus: Polynomial) -> None:
+        p, m = modulus.p, modulus.degree
+        if m < 1:
+            raise ParameterError(f"a reducer needs a modulus of degree at least 1, got {m}")
+        super().__init__(p, m * (p - 1) ** 2)
+        self.m = m
+        self.one = self.pack_residue((1,))
+        self.rows: list[list[int]] = []
+        if m == 1:
+            return
+        # x**(m+i+1) = x x**(m+i): shift the fields up by one and add the top
+        # field times x**m = -(f - lead x**m)/lead.
+        scale = -pow(modulus.coeffs[-1], -1, p)
+        first = self.pack([c * scale % p for c in modulus.coeffs[:m]])
+        zero = self.reduce(0, 1)
+        power = powers = self.reduce(first, m)  # fields of each x**(m+i) mod f, i < m - 1
+        for _ in range(m - 2):
+            shifted = int.from_bytes(zero + power[:-1], sys.byteorder)
+            power = self.reduce(shifted + power[-1] * first, m)
+            powers += power
+        size = len(powers)
+        spread = array(self.typecode, [0]) * (p * size)
+        spread[::size] = array(self.typecode, range(p))
+        multiples = self.reduce(self.pack(spread) * self.pack(powers), (p + 1) * size - 1)
+        self.rows = [
+            [int.from_bytes(multiples[d : d + m], sys.byteorder) for d in range(i, p * size, size)]
+            for i in range(0, size, m)
+        ]
+
+    def pack_residue(self, coeffs) -> int:
+        """The packed residue of coefficients coeffs (at most m, each in [0, p))."""
+        return self.pack(list(coeffs) + [0] * (self.m - len(coeffs)))
+
+    def unpack(self, residue: int) -> Polynomial:
+        return Polynomial(self.p, self.reduce(residue, self.m))
+
+    def mul(self, a: int, b: int) -> int:
+        """The packed residue of a b mod f."""
+        m = self.m
+        product = self.reduce(a * b, 2 * m - 1)
+        low = int.from_bytes(product[:m], sys.byteorder)
+        low = sum(map(list.__getitem__, self.rows, product[m:]), low)
+        return int.from_bytes(self.reduce(low, m), sys.byteorder)
+
+    def pow(self, a: int, e: int) -> int:
+        """The packed residue of a**e mod f (e >= 0), by square-and-multiply from the top bit."""
+        if not e:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
 def linear_recurrence(p: int, taps: list[int], initial: list[int], count: int) -> bytes:
     """The first count terms of s_(t+m) = sum of taps[j] s_(t+j) over GF(p), one byte each.
 
@@ -344,7 +472,7 @@ def linear_recurrence(p: int, taps: list[int], initial: list[int], count: int) -
     m, h = len(taps), (len(taps) + 1) // 2
     block = -(-count // (p**h + p ** (m - h))) or 1
     width = block + m
-    residues = (bytes(range(p)) * (256 // p + 1))[:256]  # c -> c mod p
+    residues = residue_table(p)
     scaled = [bytes(d * c % p for c in range(p)).ljust(256, b"\0") for d in range(p)]
     digits = [bytes((d,)) for d in range(p)]
 
@@ -383,25 +511,34 @@ def linear_recurrence(p: int, taps: list[int], initial: list[int], count: int) -
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Rabin's irreducibility criterion over GF(p).
+    """Rabin's irreducibility criterion over GF(p), after a test for roots.
 
-    f of degree m is irreducible iff x**(p**m) == x (mod f) and, for each
-    prime l dividing m, gcd(x**(p**(m/l)) - x, f) is constant.  The gcd test
-    is required: a mere "x**(p**(m/l)) != x mod f" check misses reducible
-    polynomials whose factor degrees divide different m/l (e.g. degrees
-    1+2+3 at m=6).
+    A monic f of degree m >= 2 with a root in GF(p) has a linear factor, and
+    most reducible candidates are caught so, by evaluating f at 0, 1, ..,
+    p - 1.  For the rest, f is irreducible iff x**(p**m) == x (mod f) and,
+    for each prime l dividing m, gcd(x**(p**(m/l)) - x, f) is constant
+    (M. O. Rabin, SIAM J. Comput. 9, 1980).  The gcd test is required: a
+    mere "x**(p**(m/l)) != x mod f" check misses reducible polynomials whose
+    factor degrees divide different m/l (e.g. degrees 1+2+3 at m=6).  The
+    powers x**(p**j) come one from the last by a p-th power on one Reducer
+    of f.
     """
     p, m = f.p, f.degree
     if m < 1 or not f.is_monic:
         return False
     if m == 1:
         return True
-    x = Polynomial.x(p)
-    for ell in prime_factors(m):
-        h = x.pow_mod(p ** (m // ell), f) - x
-        if h.gcd(f).degree != 0:
+    if any(f(c) == 0 for c in range(p)):
+        return False
+    reducer = Reducer(f)
+    x = reducer.pack_residue((0, 1))
+    gcd_steps = {m // ell for ell in prime_factors(m)}
+    power = x
+    for j in range(1, m + 1):
+        power = reducer.pow(power, p)  # x**(p**j)
+        if j in gcd_steps and (reducer.unpack(power) - Polynomial.x(p)).gcd(f).degree != 0:
             return False
-    return x.pow_mod(p**m, f) == x % f
+    return power == x
 
 
 def irreducible_polynomials(p: int, m: int) -> Iterator[Polynomial]:
@@ -577,7 +714,8 @@ class FiniteField:
         self.modulus = modulus
         self.primitive_element = primitive
         self._memo: dict = {}
-        if not _is_primitive(p, m, modulus, primitive, prime_factors(self.n)):
+        self.reducer = Reducer(modulus)
+        if not _is_primitive(self.reducer, primitive, prime_factors(self.n)):
             raise InternalInconsistency("primitive element order mismatch")
         self.neg_one = p - 1  # the GF(p) codes of -1 and of 1/2
         self.half = (p + 1) // 2
@@ -804,7 +942,10 @@ def build_field(
     count of irreducibles (or of primitive elements) is refused unsearched.
     The checks run in this order: m >= 1, the size gate, the table budget
     (DegreeTooLarge, before the trial division of is_prime), p an odd prime,
-    then the two indices.
+    then the two indices.  The modulus search runs is_irreducible on each
+    candidate (a root test, then Rabin's test on a Reducer of the
+    candidate); the primitive search runs the order tests of _is_primitive
+    on one Reducer of the modulus, and the field builds its own to check pi.
     """
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
@@ -822,21 +963,24 @@ def build_field(
         raise ParameterError(f"fewer than {primitive_index + 1} primitive elements")
 
     modulus = next(islice(irreducible_polynomials(p, m), modulus_index, None))
-    primitives = (g for g in range(1, p**m) if _is_primitive(p, m, modulus, g, primes))
+    reducer = Reducer(modulus)
+    primitives = (g for g in range(1, p**m) if _is_primitive(reducer, g, primes))
     return FiniteField(p, m, modulus, next(islice(primitives, primitive_index, None)))
 
 
-def _is_primitive(p: int, m: int, modulus: Polynomial, g: int, primes: list[int]) -> bool:
-    """Whether the code g has multiplicative order n = p**m - 1 modulo the modulus.
+def _is_primitive(reducer: Reducer, g: int, primes: list[int]) -> bool:
+    """Whether the code g has multiplicative order n = p**m - 1 modulo the reducer's modulus.
 
     primes are the prime factors of n, 2 first.  g**n is the square of
     g**(n/2), and g**n != 1 means the modulus is reducible
-    (InternalInconsistency).
+    (InternalInconsistency).  Every power is taken on the packed residues
+    of the reducer.
     """
-    n, one = p**m - 1, Polynomial.one(p)
+    p, m = reducer.p, reducer.m
+    n, one = p**m - 1, reducer.one
     first, *rest = primes
-    candidate = Polynomial(p, _digits(g, p, m))
-    head = candidate.pow_mod(n // first, modulus)
-    if head.pow_mod(first, modulus) != one:
+    candidate = reducer.pack_residue(_digits(g, p, m))
+    head = reducer.pow(candidate, n // first)
+    if reducer.pow(head, first) != one:
         raise InternalInconsistency("modulus is not irreducible")
-    return head != one and all(candidate.pow_mod(n // ell, modulus) != one for ell in rest)
+    return head != one and all(reducer.pow(candidate, n // ell) != one for ell in rest)

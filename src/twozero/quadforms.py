@@ -28,10 +28,10 @@ copies, so there is one definition of subfield arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     BothZero,
@@ -67,16 +67,18 @@ class CodeParams:
     s: int
     q: int
     case: Case
+    # (A, B) with G = A + B*sqrt(q*) the subfield Gauss sum, derived once per
+    # params in __post_init__ and stored like the fields, so that reading it
+    # leaves the instance's compact attribute storage as it is.
+    gauss_sum: tuple[int, int] = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gauss_sum", gauss_sum_parts(self.p, self.d))
 
     @property
     def q_star(self) -> int:
         """Signed subfield size (-1)**((q-1)/2) * q."""
         return self.q if (self.q - 1) // 2 % 2 == 0 else -self.q
-
-    @cached_property
-    def gauss_sum(self) -> tuple[int, int]:
-        """(A, B) with G = A + B*sqrt(q*) the subfield Gauss sum, derived once per params."""
-        return gauss_sum_parts(self.p, self.d)
 
     @property
     def twist_exponent(self) -> int:

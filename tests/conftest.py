@@ -7,15 +7,31 @@ from twozero.codes import ENGINES, run_engine
 from twozero.gf import Polynomial
 
 
+def power_mod(a: Polynomial, e: int, mod: Polynomial) -> Polynomial:
+    """a**e modulo mod (e >= 0), by square-and-multiply on Polynomial * and %.
+
+    Polynomial.pow_mod runs on gf.Reducer; this reference shares nothing with
+    it but the schoolbook product and remainder of Polynomial.
+    """
+    result, base = Polynomial.one(a.p) % mod, a % mod
+    while e:
+        if e & 1:
+            result = result * base % mod
+        base = base * base % mod
+        e >>= 1
+    return result
+
+
 def conjugate_trace(field, a: int, d: int) -> int:
     """Tr_d^m(a) as the sum of the conjugates a**(p**(d i)), in polynomials.
 
-    Polynomial arithmetic modulo the field's modulus: no field table is read,
-    so this is the definition against which every trace is checked.
+    Polynomial arithmetic modulo the field's modulus: no field table and no
+    packed residue is read, so this is the definition against which every
+    trace is checked.
     """
     acc = t = Polynomial(field.p, field.coeffs(a))
     for _ in range(field.m // d - 1):
-        t = t.pow_mod(field.p**d, field.modulus)
+        t = power_mod(t, field.p**d, field.modulus)
         acc = acc + t
     return field.encode(acc.coeffs)
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import subprocess
 import sys
-from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from twozero.errors import (
 from twozero.gf import (
     FiniteField,
     Polynomial,
+    Reducer,
     berlekamp_massey,
     irreducible_count,
     irreducible_polynomials,
@@ -29,7 +31,7 @@ from twozero.gf import (
     prime_factors,
 )
 
-from conftest import conjugate_trace
+from conftest import conjugate_trace, power_mod
 
 # -- table-free references ---------------------------------------------------
 # Digit-loop addition and negation on base-p codes, and multiplication as a
@@ -79,7 +81,7 @@ def primitive_search(p: int, m: int, modulus: Polynomial, index: int) -> int:
     n, one = p**m - 1, Polynomial.one(p)
     for g in range(1, p**m):
         candidate = Polynomial(p, [g // p**i % p for i in range(m)])
-        if all(candidate.pow_mod(n // ell, modulus) != one for ell in prime_factors(n)):
+        if all(power_mod(candidate, n // ell, modulus) != one for ell in prime_factors(n)):
             if index == 0:
                 return g
             index -= 1
@@ -94,11 +96,12 @@ def totient(n: int) -> int:
 
 # m = 1 leaves the high half of a code empty, odd m splits it unevenly, and
 # p = 11, 13 give a wide radix 2p - 1.  Every modulus and primitive index
-# up to 2 that the field has.
+# up to 2 that the field has, counted without a search, so that collecting
+# the tests runs no field arithmetic.
 WALK_FIELDS = [
     (p, m, mi, pi)
     for p, m in ((3, 1), (5, 1), (3, 2), (3, 5), (5, 3), (7, 3), (11, 2), (13, 3), (3, 9))
-    for mi in range(len(list(islice(irreducible_polynomials(p, m), 3))))
+    for mi in range(min(3, irreducible_count(p, m)))
     for pi in range(min(3, totient(p**m - 1)))
 ]
 
@@ -492,6 +495,107 @@ class TestIrreducibility:
         composite = deg1 * deg2 * deg3
         assert composite.degree == 6
         assert not is_irreducible(composite)
+
+
+# Every p of {3, 5, 7, 11, 13, 127} at every m from 1 to 8, and the points
+# past them: m = 1 at p = 17, the first whose product (16 * 16 = 256) needs
+# two-byte fields, and the widest coefficients the field budget admits.
+_REDUCER_POINTS = [(p, m) for p in (3, 5, 7, 11, 13, 127) for m in range(1, 9)] + [
+    (17, 1),
+    (1447, 2),
+    (2097143, 1),
+]
+
+
+def random_polynomial(rng: random.Random, p: int, size: int) -> Polynomial:
+    return Polynomial(p, [rng.randrange(p) for _ in range(size)])
+
+
+class TestReducer:
+    @pytest.mark.parametrize("p,m", _REDUCER_POINTS)
+    def test_products_and_powers_equal_the_schoolbook_reference(self, p, m):
+        # Any modulus of degree m, not only irreducible or monic ones.  Every
+        # packed result must be the canonical packing of the reference, so
+        # fields left unreduced fail too.
+        rng = random.Random(1000 * p + m)
+        modulus = random_polynomial(rng, p, m) + Polynomial(p, [0] * m + [rng.randrange(1, p)])
+        reducer = Reducer(modulus)
+        top = Polynomial(p, [p - 1] * m)  # the largest coefficients of any product
+        pairs = [(top, top)]
+        pairs += [(random_polynomial(rng, p, m), random_polynomial(rng, p, m)) for _ in range(8)]
+        for a, b in pairs:
+            packed_a = reducer.pack_residue(a.coeffs)
+            product = reducer.mul(packed_a, reducer.pack_residue(b.coeffs))
+            assert product == reducer.pack_residue((a * b % modulus).coeffs), (a, b)
+            e = rng.randrange(2 * p**m)
+            expected = power_mod(a, e, modulus)
+            assert reducer.pow(packed_a, e) == reducer.pack_residue(expected.coeffs), (a, e)
+            assert a.pow_mod(e, modulus) == expected
+
+    @pytest.mark.parametrize(
+        "p,m,width",
+        [
+            (3, 8, 1),
+            (13, 1, 1),
+            (17, 1, 2),
+            (127, 4, 2),
+            (127, 5, 4),
+            (1447, 2, 4),
+            (2097143, 1, 8),
+        ],
+    )
+    def test_fields_are_the_narrowest_that_hold_m_times_p_minus_1_squared(self, p, m, width):
+        # m (p - 1)**2 is 256 at (17, 1), which one byte cannot hold.
+        assert Reducer(Polynomial(p, [1] * m + [1])).width == width
+
+    def test_unpack_reads_the_residue(self):
+        modulus = Polynomial(5, (2, 0, 0, 1))
+        reducer = Reducer(modulus)
+        residue = Polynomial(5, (4, 0, 3))
+        assert reducer.unpack(reducer.pack_residue(residue.coeffs)) == residue
+        assert reducer.unpack(reducer.one) == Polynomial.one(5)
+
+    def test_pow_mod_reduces_a_long_base(self):
+        modulus = Polynomial(7, (3, 1, 0, 1))
+        base = Polynomial(7, (1, 2, 3, 4, 5, 6, 1))
+        assert base.pow_mod(10, modulus) == power_mod(base, 10, modulus)
+        assert base.pow_mod(0, modulus) == Polynomial.one(7)
+
+    def test_refuses_a_constant_modulus(self):
+        with pytest.raises(ParameterError):
+            Reducer(Polynomial(3, (2,)))
+
+
+# The modulus and pi of every search in tests/golden/field_searches.jsonl,
+# recorded by tests/record_field_searches.py.
+_LEDGER = Path(__file__).resolve().parent / "golden" / "field_searches.jsonl"
+_SEARCHES = [json.loads(line) for line in _LEDGER.read_text(encoding="utf-8").splitlines()]
+
+
+def _search_param(row: dict):
+    # A primitive search at p = 1447 tries about 1450 codes, 0.2 s a row.
+    marks = [pytest.mark.extended] if row["p"] == 1447 else []
+    name = "{p}-{m}-{modulus_index}-{primitive_index}".format(**row)
+    return pytest.param(row, id=name, marks=marks)
+
+
+class TestFieldSearchLedger:
+    def test_ledger_covers_every_point(self):
+        points = {(row["p"], row["m"]) for row in _SEARCHES}
+        small = {(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 11) if p**m <= 3**10}
+        assert small <= points and len(_SEARCHES) == 6 * len(points)
+
+    @pytest.mark.parametrize("row", [_search_param(row) for row in _SEARCHES])
+    def test_build_field_picks_the_recorded_modulus_and_pi(self, row):
+        indices = {key: row[key] for key in ("modulus_index", "primitive_index")}
+        if "refused" in row:
+            with pytest.raises(ParameterError) as refusal:
+                build_field(row["p"], row["m"], **indices)
+            assert str(refusal.value) == row["refused"]
+        else:
+            f = build_field(row["p"], row["m"], **indices)
+            assert list(f.modulus.coeffs) == row["modulus"]
+            assert f.primitive_element == row["primitive"]
 
 
 class TestPolynomial:
