@@ -388,9 +388,10 @@ class Reducer(Packing):
     reduction of its 2m - 1 fields mod p; adding rows[i][d], the packed
     d x**(m+i) mod f, for the digit d of each of the m - 1 high fields to the
     low m fields (a sum of m fields below p each, so nothing carries); and a
-    second reduction of those m fields.  rows holds p multiples of each
-    x**(m+i), read off one product with the packed 0, 1, .., p - 1 spaced m
-    fields apart.  No step runs Python per coefficient.
+    second reduction of those m fields.  rows holds the p multiples of each
+    x**(m+i), read off one product: the m - 1 powers side by side, times the
+    packed 0, 1, .., p - 1 spaced as far apart as the powers are long.  No
+    step of a product runs Python per coefficient.
     """
 
     __slots__ = ("m", "rows", "one")
@@ -406,7 +407,7 @@ class Reducer(Packing):
         if m == 1:
             return
         # x**(m+i+1) = x x**(m+i): shift the fields up by one and add the top
-        # field times x**m = -(f - lead x**m)/lead.
+        # field times x**m = -(f - lead x**m)/lead, at most p (p - 1) a field.
         scale = -pow(modulus.coeffs[-1], -1, p)
         first = self.pack([c * scale % p for c in modulus.coeffs[:m]])
         zero = self.reduce(0, 1)
