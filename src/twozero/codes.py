@@ -224,9 +224,9 @@ def _check_generator(generator: bytes, h: Polynomial, n: int) -> None:
     substitution (gf.Packing): each polynomial becomes one integer with a
     coefficient per fixed-width field, wide enough that no coefficient of
     the integer product (at most min(len) (p-1)**2) carries into the next.
-    The product's fields are reduced mod p by the reducer's helper, one
-    bytes.translate at one-byte fields, and compared with x**n - 1 packed
-    the same way.  The product of a long by a short integer takes linear
+    The product's fields are reduced mod p by Packing.reduce, which the
+    field's Reducer uses too (one bytes.translate at one-byte fields), and
+    compared with x**n - 1 packed the same way.  The product of a long by a short integer takes linear
     time.
     """
     p = h.p

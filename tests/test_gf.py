@@ -462,28 +462,43 @@ class TestMinimalPolynomial:
             assert acc == 0
 
 
-class TestIrreducibility:
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_against_trial_division(self, m):
-        # Oracle: a monic polynomial of degree m is irreducible iff no monic
-        # polynomial of degree 1..m-1 divides it.
-        p = 3
-        smaller = []
-        for deg in range(1, m):
-            for low in range(p**deg):
-                digits, t = [], low
-                for _ in range(deg):
-                    t, r = divmod(t, p)
-                    digits.append(r)
-                smaller.append(Polynomial(p, digits + [1]))
-        for low in range(p**m):
+def check_against_trial_division(p: int, m: int) -> None:
+    """Oracle: a monic polynomial of degree m is irreducible iff no monic
+    polynomial of degree 1..m/2 divides it."""
+    smaller = []
+    for deg in range(1, m // 2 + 1):
+        for low in range(p**deg):
             digits, t = [], low
-            for _ in range(m):
+            for _ in range(deg):
                 t, r = divmod(t, p)
                 digits.append(r)
-            f = Polynomial(p, digits + [1])
-            by_trial = not any((f % g).is_zero for g in smaller)
-            assert is_irreducible(f) == by_trial
+            smaller.append(Polynomial(p, digits + [1]))
+    for low in range(p**m):
+        digits, t = [], low
+        for _ in range(m):
+            t, r = divmod(t, p)
+            digits.append(r)
+        f = Polynomial(p, digits + [1])
+        by_trial = not any((f % g).is_zero for g in smaller)
+        assert is_irreducible(f) == by_trial, f
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_against_trial_division(self, m):
+        check_against_trial_division(3, m)
+
+    @pytest.mark.parametrize("p,m", [(5, 3), (5, 4), (7, 3), (13, 2)])
+    def test_against_trial_division_at_larger_p(self, p, m):
+        check_against_trial_division(p, m)
+
+    def test_rootless_composite_rejected_by_the_gcd_step(self):
+        # (x^2 + 1)(x^2 + x + 2) has no root in GF(3), and x**(3**4) == x
+        # modulo it since both factors have degree 2 | 4: only the gcd with
+        # x**(3**2) - x rejects it.
+        composite = Polynomial(3, (1, 0, 1)) * Polynomial(3, (2, 1, 1))
+        assert not any(composite(c) == 0 for c in range(3))
+        assert not is_irreducible(composite)
 
     def test_degree_six_composite_split_rejected(self):
         # A degree-6 product of irreducibles of degrees 1, 2, 3 passes the
