@@ -57,7 +57,6 @@ orbit-reduced pass computes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,16 +70,26 @@ DEFAULT_BRUTE_BUDGET = 400_000_000  # coordinate checks of the brute pass
 DEFAULT_DIRECT_BUDGET = 20_000_000  # terms of a direct pass
 
 
-@dataclass
 class SubfieldTables:
     """GF(q) arithmetic on indices 0..q-1 (index 0 is the zero element)."""
 
-    codes: np.ndarray      # subfield index -> field code
-    add: np.ndarray        # (q, q) uint8
-    sub: np.ndarray        # (q, q) uint8
-    mul: np.ndarray        # (q, q) uint8
-    inv: np.ndarray        # (q,) uint8, inv[0] = 0 sentinel
-    chi: np.ndarray        # (q,) int8 quadratic character, chi[0] = 1 sentinel
+    __slots__ = ("codes", "add", "sub", "mul", "inv", "chi")
+
+    def __init__(
+        self,
+        codes: np.ndarray,      # subfield index -> field code
+        add: np.ndarray,        # (q, q) uint8
+        sub: np.ndarray,        # (q, q) uint8
+        mul: np.ndarray,        # (q, q) uint8
+        inv: np.ndarray,        # (q,) uint8, inv[0] = 0 sentinel
+        chi: np.ndarray,        # (q,) int8 quadratic character, chi[0] = 1 sentinel
+    ) -> None:
+        self.codes = codes
+        self.add = add
+        self.sub = sub
+        self.mul = mul
+        self.inv = inv
+        self.chi = chi
 
 
 def subfield_tables(field: FiniteField, d: int) -> SubfieldTables:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 
@@ -59,6 +58,8 @@ _NAMES = [str(c) for c in range(256)]
 
 
 def _json_dumps(doc) -> str:
+    import json  # here, so that a run that prints no JSON does not import it
+
     return json.dumps(doc, indent=2) + "\n"
 
 

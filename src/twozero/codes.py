@@ -30,7 +30,6 @@ vanishes identically, which build_code asserts via h1(0), h2(0) != 0).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
@@ -50,6 +49,7 @@ from .expsums import (
 )
 from .gf import (
     FiniteField,
+    Frozen,
     Packing,
     Polynomial,
     berlekamp_massey,
@@ -60,12 +60,25 @@ from .gf import (
 from .quadforms import CodeParams, classify_parameters
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(Frozen):
     """Sorted (weight, frequency) rows plus the engine that produced them."""
 
-    rows: tuple[tuple[int, int], ...]
-    source: str
+    __slots__ = ("rows", "source")
+
+    def __init__(self, rows: tuple[tuple[int, int], ...], source: str) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "source", source)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.source) == (other.rows, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.source))
+
+    def __repr__(self) -> str:
+        return f"WeightDistribution(rows={self.rows!r}, source={self.source!r})"
 
     @classmethod
     def from_counts(cls, counts, source: str) -> WeightDistribution:
@@ -110,20 +123,30 @@ class WeightDistribution:
         return self
 
 
-@dataclass(frozen=True)
-class CyclicCode:
+class CyclicCode(Frozen):
     """The code together with its field and precomputed coordinate data.
 
     The generator's n - 2m + 1 coefficients, ascending, are kept as one
     bytes object (m >= 3 under the field-table budget, so p <= 127);
-    :attr:`generator` builds the Polynomial only when read.
+    :attr:`generator` builds the Polynomial only when read.  Codes compare
+    by identity, as their fields do.
     """
 
-    params: CodeParams
-    field: FiniteField
-    h1: Polynomial
-    h2: Polynomial
-    generator_coefficients: bytes
+    __slots__ = ("params", "field", "h1", "h2", "generator_coefficients")
+
+    def __init__(
+        self,
+        params: CodeParams,
+        field: FiniteField,
+        h1: Polynomial,
+        h2: Polynomial,
+        generator_coefficients: bytes,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "generator_coefficients", generator_coefficients)
 
     @property
     def generator(self) -> Polynomial:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import combinations, islice
 from math import prod
 from operator import mul
@@ -78,6 +77,29 @@ SUBFIELD_INDEX_BUDGET = 256
 MAX_ORDER_BITS = 128
 
 T = TypeVar("T")
+
+
+class Frozen:
+    """Base of the package's immutable records: no attribute is set after __init__.
+
+    A subclass lists its fields in __slots__ and sets each one once in its
+    __init__, through object.__setattr__ or the slot's own __set__, which
+    bypass this class; assigning or deleting an attribute later raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        """Restore the slots of a copy or an unpickled record: state is (None, {slot: value})."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def v2(j: int) -> int:
@@ -634,8 +656,7 @@ def _exp_log(p: int, m: int, modulus: Polynomial, primitive: int) -> tuple[array
     return exp, log
 
 
-@dataclass(frozen=True, eq=False)
-class SubfieldIndexTables:
+class SubfieldIndexTables(Frozen):
     """GF(q) = GF(p**d) arithmetic on indices 0..q-1 (index i is codes[i]; 0 is zero).
 
     The scalar Gram path (quadforms.gram_matrix, quadforms.diagonalize) reads
@@ -643,16 +664,30 @@ class SubfieldIndexTables:
     (batch.subfield_tables, batch.read_table).  trace_of_power is the
     field's only trace table, indexed by the exponent of pi; at d = 1 the
     index is the trace value itself, since the codes of GF(p) are 0..p-1.
+    Instances compare by identity: each is memoized on its field.
     """
 
-    codes: tuple[int, ...]     # index -> field code, ascending
-    index: dict[int, int]      # field code -> index, for the q subfield codes only
-    add: list[list[int]]       # (q, q)
-    sub: list[list[int]]       # (q, q)
-    mul: list[list[int]]       # (q, q)
-    inv: list[int]             # inv[0] = 0 sentinel
-    chi: list[int]             # quadratic character of GF(q), chi[0] = 1 sentinel
-    trace_of_power: bytes      # index of Tr_d^m(pi**e) for e in [0, p**m - 1)
+    __slots__ = ("codes", "index", "add", "sub", "mul", "inv", "chi", "trace_of_power")
+
+    def __init__(
+        self,
+        codes: tuple[int, ...],     # index -> field code, ascending
+        index: dict[int, int],      # field code -> index, for the q subfield codes only
+        add: list[list[int]],       # (q, q)
+        sub: list[list[int]],       # (q, q)
+        mul: list[list[int]],       # (q, q)
+        inv: list[int],             # inv[0] = 0 sentinel
+        chi: list[int],             # quadratic character of GF(q), chi[0] = 1 sentinel
+        trace_of_power: bytes,      # index of Tr_d^m(pi**e) for e in [0, p**m - 1)
+    ) -> None:
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "trace_of_power", trace_of_power)
 
 
 class _Unbuilt:

@@ -28,9 +28,7 @@ copies, so there is one definition of subfield arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -41,7 +39,7 @@ from .errors import (
     STooSmall,
     ZeroArgument,
 )
-from .gf import FiniteField, check_field_size, is_prime, v2
+from .gf import FiniteField, Frozen, check_field_size, is_prime, v2
 
 
 class Case(str, Enum):
@@ -56,24 +54,42 @@ class Case(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Derived constants for one (p, m, k) instance."""
+class CodeParams(Frozen):
+    """Derived constants for one (p, m, k) instance.
 
-    p: int
-    m: int
-    k: int
-    d: int
-    s: int
-    q: int
-    case: Case
-    # (A, B) with G = A + B*sqrt(q*) the subfield Gauss sum, derived once per
-    # params in __post_init__ and stored like the fields, so that reading it
-    # leaves the instance's compact attribute storage as it is.
-    gauss_sum: tuple[int, int] = dataclasses.field(init=False, repr=False, compare=False)
+    Equal, and hash equal, when p, m, k, d, s, q and case are.  gauss_sum,
+    the pair (A, B) with G = A + B*sqrt(q*) the subfield Gauss sum, is
+    derived once in __init__ and stored like the fields, but takes no part
+    in equality, hash or repr.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gauss_sum", gauss_sum_parts(self.p, self.d))
+    __slots__ = ("p", "m", "k", "d", "s", "q", "case", "gauss_sum")
+
+    def __init__(self, p: int, m: int, k: int, d: int, s: int, q: int, case: Case) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "gauss_sum", gauss_sum_parts(p, d))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.m, self.k, self.d, self.s, self.q, self.case) == (
+            other.p, other.m, other.k, other.d, other.s, other.q, other.case
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.m, self.k, self.d, self.s, self.q, self.case))
+
+    def __repr__(self) -> str:
+        return (
+            f"CodeParams(p={self.p!r}, m={self.m!r}, k={self.k!r}, d={self.d!r}, "
+            f"s={self.s!r}, q={self.q!r}, case={self.case!r})"
+        )
 
     @property
     def q_star(self) -> int:
@@ -244,13 +260,26 @@ def rank(field: FiniteField, params: CodeParams, alpha: int, beta: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class RankCensus:
+class RankCensus(Frozen):
     """Counts of nonzero pairs by rank: n0 <-> s, n1 <-> s-1, n2 <-> s-2."""
 
-    n0: int
-    n1: int
-    n2: int
+    __slots__ = ("n0", "n1", "n2")
+
+    def __init__(self, n0: int, n1: int, n2: int) -> None:
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n0, self.n1, self.n2) == (other.n0, other.n1, other.n2)
+
+    def __hash__(self) -> int:
+        return hash((self.n0, self.n1, self.n2))
+
+    def __repr__(self) -> str:
+        return f"RankCensus(n0={self.n0!r}, n1={self.n1!r}, n2={self.n2!r})"
 
     @property
     def total(self) -> int:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import math
@@ -17,6 +16,7 @@ import pytest
 
 from twozero import batch, build_code, build_field, classify_parameters
 from twozero.batch import (
+    SubfieldTables,
     batched_rank_disc,
     brute_weight_histogram,
     direct_census,
@@ -36,7 +36,7 @@ from twozero.batch import (
 from twozero.codes import codeword_weight
 from twozero.errors import BudgetExceeded
 from twozero.expsums import CyclotomicInteger, t_fast, t_value
-from twozero.gf import Polynomial
+from twozero.gf import Frozen, Polynomial
 from twozero.quadforms import Case, CodeParams, diagonalize, twist_pair
 
 from conftest import conjugate_trace
@@ -405,6 +405,19 @@ class TestBruteHistogram:
             ], pmk
 
 
+# The package's records, whose fields are all slots.
+_RECORDS = (Frozen, SubfieldTables)
+
+
+def _record_fields(record) -> dict:
+    """Name -> value of every slot of a record, its base classes' slots included."""
+    return {
+        name: getattr(record, name)
+        for cls in type(record).__mro__
+        for name in getattr(cls, "__slots__", ())
+    }
+
+
 class TestFieldTables:
     """One field identity: numpy reads the field's own tables, never a copy."""
 
@@ -426,7 +439,7 @@ class TestFieldTables:
 
     def test_census_memoizes_no_table_copy(self, params341):
         # No memo value and no field attribute is or holds, also inside a
-        # tuple, a list or a dataclass, a tuple, list, bytes or array of a
+        # tuple, a list or a record, a tuple, list, bytes or array of a
         # pass's size, but the phi tables, which every phi block reuses, and
         # the subfield index tables, whose trace by exponent is the field's
         # one trace table.  exp, log and zech are the field's array.array
@@ -442,8 +455,8 @@ class TestFieldTables:
         assert "log_array" not in field._memo
 
         def pass_size(value) -> bool:
-            if dataclasses.is_dataclass(value):
-                value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+            if isinstance(value, _RECORDS):
+                value = tuple(_record_fields(value).values())
             if isinstance(value, np.ndarray):
                 return value.size >= field.n
             if isinstance(value, (tuple, list, bytes)):
@@ -459,13 +472,15 @@ class TestFieldTables:
         def generator_size_tuple(value) -> bool:
             if isinstance(value, Polynomial):
                 value = value.coeffs
-            if dataclasses.is_dataclass(value):
-                value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+            if isinstance(value, _RECORDS):
+                value = tuple(_record_fields(value).values())
             if isinstance(value, (tuple, list)):
                 return len(value) >= generator_size or any(map(generator_size_tuple, value))
             return False
 
-        assert [name for name, value in vars(code).items() if generator_size_tuple(value)] == []
+        fields = _record_fields(code)
+        assert set(fields) == {"params", "field", "h1", "h2", "generator_coefficients"}
+        assert [name for name, value in fields.items() if generator_size_tuple(value)] == []
         assert len(code.generator_coefficients) == generator_size
 
 

@@ -471,3 +471,18 @@ def test_building_a_code_imports_no_numpy():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_json_or_numpy():
+    # Every CLI run is a fresh process.  dataclasses (with inspect) and json
+    # cost start-up that no command needs before it prints: json is imported
+    # when a document is written, numpy by the engines in batch.  Only what
+    # the import of twozero.cli adds is checked, not what site loaded before.
+    script = (
+        "import sys; before = set(sys.modules); import twozero.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'numpy'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr

@@ -23,6 +23,10 @@ One exit path: only cli.main opens a file or touches sys.stdout, and every
 print goes to sys.stderr, so a command returns its text and main alone
 writes it, after the command has returned; a refused run writes nothing.
 
+No dataclasses: every CLI run is a fresh process, and importing dataclasses
+(with inspect behind it) and decorating the records cost about 10 ms of
+start-up, so the records are written out with __slots__ (gf.Frozen).
+
 The sources are read with ast, so nothing is imported here.
 """
 
@@ -273,3 +277,34 @@ def test_only_cli_main_writes(path):
     allowed = {("main", "open"), ("main", "sys.stdout")} if path.name == "cli.py" else set()
     writers = _writers(ast.parse(path.read_text(encoding="utf-8")))
     assert [w for w in writers if w not in allowed] == []
+
+
+def _dataclasses_imports(tree: ast.AST) -> list[str]:
+    """Each import of dataclasses or of a name from it, anywhere in the module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found += [f"dataclasses.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_the_dataclasses_rule_sees_every_spelling():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "def late():\n"
+        "    import math, dataclasses as dc\n"
+    )
+    assert _dataclasses_imports(ast.parse(source)) == [
+        "dataclasses",
+        "dataclasses.dataclass",
+        "dataclasses.field",
+        "dataclasses",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert _dataclasses_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
